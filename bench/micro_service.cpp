@@ -141,11 +141,18 @@ ArmResult run_arm(int frames, FrameFn&& run_frame) {
   return summarize(std::move(latencies_ms), assignments);
 }
 
-ArmResult bench_batch(const std::string& kind, const std::vector<trace::Request>& requests,
+ArmResult bench_batch(const std::string& kind, std::vector<trace::Request> requests,
                       const std::vector<trace::Taxi>& taxis, int frames) {
   const DispatchConfig config = bench_config();
   const auto dispatcher = make_dispatcher(kind, config);
   O2O_EXPECTS(dispatcher != nullptr);
+  // DispatchSession presents orders in its canonical (timestamp, id)
+  // order; the batch arm must see the same order to make the same match.
+  std::sort(requests.begin(), requests.end(),
+            [](const trace::Request& a, const trace::Request& b) {
+              return a.time_seconds != b.time_seconds ? a.time_seconds < b.time_seconds
+                                                      : a.id < b.id;
+            });
   return run_arm(frames, [&] {
     // Grid construction is part of the frame, as in the simulator.
     index::SpatialGrid grid(taxis, config.simulation().idle_grid_cell_km);

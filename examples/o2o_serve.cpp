@@ -38,12 +38,15 @@
 // Malformed input is never fatal: undecodable lines are dropped with a
 // stderr note, and a frame with duplicate order/driver ids is discarded
 // whole (no frame_response; counted as frames_rejected).
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -87,41 +90,43 @@ class LineChannel {
  public:
   LineChannel(int read_fd, int write_fd) : read_fd_(read_fd), write_fd_(write_fd) {}
 
-  /// Reads one '\n'-terminated line (terminator stripped). Returns false
-  /// on EOF with no buffered data.
-  bool read_line(std::string& line) {
-    line.clear();
+  /// Reads one '\n'-terminated line (terminator stripped); `line` stays
+  /// valid until the next call. Returns false on EOF with no buffered data.
+  bool read_line(std::string_view& line) {
     while (true) {
       const std::size_t newline = buffer_.find('\n', scan_from_);
       if (newline != std::string::npos) {
-        line.assign(buffer_, 0, newline);
-        buffer_.erase(0, newline + 1);
-        scan_from_ = 0;
+        line = std::string_view(buffer_).substr(start_, newline - start_);
+        start_ = scan_from_ = newline + 1;
         return true;
       }
+      // Drop the consumed lines once per read, not once per line.
+      buffer_.erase(0, start_);
+      start_ = 0;
       scan_from_ = buffer_.size();
-      char chunk[4096];
-      const ssize_t got = ::read(read_fd_, chunk, sizeof(chunk));
+      const std::size_t kept = buffer_.size();
+      buffer_.resize(kept + kChunkBytes);
+      const ssize_t got = ::read(read_fd_, buffer_.data() + kept, kChunkBytes);
+      buffer_.resize(kept + static_cast<std::size_t>(std::max<ssize_t>(got, 0)));
       if (got < 0) {
         if (errno == EINTR) continue;
         return false;
       }
       if (got == 0) {
         if (buffer_.empty()) return false;
-        line.swap(buffer_);
-        scan_from_ = 0;
-        return true;  // unterminated trailing line
+        line = buffer_;  // unterminated trailing line
+        start_ = scan_from_ = buffer_.size();
+        return true;
       }
-      buffer_.append(chunk, static_cast<std::size_t>(got));
     }
   }
 
-  bool write_line(const std::string& line) {
-    std::string framed = line;
-    framed.push_back('\n');
+  /// Takes the line by value so the '\n' is appended without a copy.
+  bool write_line(std::string line) {
+    line.push_back('\n');
     std::size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t wrote = ::write(write_fd_, framed.data() + sent, framed.size() - sent);
+    while (sent < line.size()) {
+      const ssize_t wrote = ::write(write_fd_, line.data() + sent, line.size() - sent);
       if (wrote < 0) {
         if (errno == EINTR) continue;
         return false;
@@ -132,10 +137,13 @@ class LineChannel {
   }
 
  private:
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
   int read_fd_;
   int write_fd_;
   std::string buffer_;
-  std::size_t scan_from_ = 0;
+  std::size_t start_ = 0;      ///< first byte of the next line
+  std::size_t scan_from_ = 0;  ///< where the search for '\n' resumes
 };
 
 // ---------------------------------------------------------------------------
@@ -149,7 +157,7 @@ int run_server(LineChannel& channel, const std::string& kind,
   service::StreamingService svc(kind, config, oracle);
 
   std::thread reader([&svc, &channel] {
-    std::string line;
+    std::string_view line;
     while (channel.read_line(line)) {
       if (line.empty()) continue;
       service::CodecError error;
@@ -251,13 +259,13 @@ service::ServeFrameFn streamed_codec_server(service::StreamingService& svc) {
 /// ServeFrameFn that drives a remote ndjson server through `channel`.
 service::ServeFrameFn remote_server(LineChannel& channel) {
   return [&channel](const api::FrameRequest& request) {
-    for (const std::string& line : service::encode_frame_events(request)) {
-      if (!channel.write_line(line)) {
+    for (std::string& line : service::encode_frame_events(request)) {
+      if (!channel.write_line(std::move(line))) {
         std::fprintf(stderr, "o2o_serve: request write failed\n");
         std::abort();
       }
     }
-    std::string line;
+    std::string_view line;
     if (!channel.read_line(line)) {
       std::fprintf(stderr, "o2o_serve: server hung up mid-frame\n");
       std::abort();

@@ -86,7 +86,7 @@ enum class Counter : std::uint8_t {
   kCacheEvictions,       ///< GroupCache entries dropped by the epoch/size sweep
   kEventsIngested,       ///< ride events accepted by the service ingestion ring
   kFramesStreamed,       ///< frame barriers matched by the streaming service
-  kIngestBackpressure,   ///< producer spins on a full ingestion ring
+  kIngestBackpressure,   ///< submits that waited on a full ring or pipeline window
   kFramesRejected,       ///< frames dropped for violating the api contract
 };
 inline constexpr std::size_t kCounterCount = 34;

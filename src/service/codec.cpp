@@ -1,10 +1,10 @@
 #include "service/codec.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
+#include <bit>
+#include <charconv>
+#include <cstdint>
+#include <initializer_list>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.h"
@@ -14,20 +14,21 @@ namespace o2o::service {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Encoding
+// Encoding: every line is appended into one buffer reserved up front.
 // ---------------------------------------------------------------------------
 
-void append_double(std::string& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
+/// Shortest round-trip text for doubles, plain decimal for integers.
+template <typename T>
+void append_number(std::string& out, T value) {
+  char buffer[32];  // fits any shortest binary64 and any 64-bit integer
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
 }
 
 void append_point(std::string& out, const geo::Point& point) {
   out += '[';
-  append_double(out, point.x);
+  append_number(out, point.x);
   out += ',';
-  append_double(out, point.y);
+  append_number(out, point.y);
   out += ']';
 }
 
@@ -36,10 +37,8 @@ void append_stops(std::string& out, const std::vector<api::DriverStop>& stops) {
   for (std::size_t i = 0; i < stops.size(); ++i) {
     if (i != 0) out += ',';
     out += "{\"order_id\":";
-    out += std::to_string(stops[i].order_id);
-    out += ",\"pickup\":";
-    out += stops[i].is_pickup ? "true" : "false";
-    out += ",\"point\":";
+    append_number(out, stops[i].order_id);
+    out += stops[i].is_pickup ? ",\"pickup\":true,\"point\":" : ",\"pickup\":false,\"point\":";
     append_point(out, stops[i].point);
     out += '}';
   }
@@ -50,48 +49,58 @@ void append_id_list(std::string& out, const std::vector<std::int32_t>& ids) {
   out += '[';
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (i != 0) out += ',';
-    out += std::to_string(ids[i]);
+    append_number(out, ids[i]);
   }
   out += ']';
 }
 
-std::string versioned_prefix(std::string_view event) {
-  std::string out = "{\"v\":";
-  out += std::to_string(api::kApiVersionMajor);
+/// Reserves `bytes` and writes `{"v":MAJOR,"event":"EVENT"`.
+std::string begin_line(std::string_view event, std::size_t bytes) {
+  std::string out;
+  out.reserve(bytes);
+  out += "{\"v\":";
+  append_number(out, api::kApiVersionMajor);
   out += ",\"event\":\"";
   out += event;
   out += '"';
   return out;
 }
 
+// Upper estimates of encoded sizes, so a line is written without regrowth.
+constexpr std::size_t kLineBytes = 256;
+constexpr std::size_t kIdBytes = 12;
+constexpr std::size_t kStopBytes = 96;
+
 std::string encode_order(const api::Order& order) {
-  std::string out = versioned_prefix("order");
+  std::string out = begin_line("order", kLineBytes);
   out += ",\"order_id\":";
-  out += std::to_string(order.order_id);
+  append_number(out, order.order_id);
   out += ",\"timestamp\":";
-  append_double(out, order.timestamp);
+  append_number(out, order.timestamp);
   out += ",\"start\":";
   append_point(out, order.start);
   out += ",\"finish\":";
   append_point(out, order.finish);
   out += ",\"seats\":";
-  out += std::to_string(order.seats);
+  append_number(out, order.seats);
   out += ",\"reward_units\":";
-  append_double(out, order.reward_units);
+  append_number(out, order.reward_units);
   out += '}';
   return out;
 }
 
 std::string encode_driver(const api::Driver& driver) {
-  std::string out = versioned_prefix("driver");
+  const std::size_t ids = driver.onboard.size() + 2 * driver.route_seats.size();
+  std::string out =
+      begin_line("driver", kLineBytes + kIdBytes * ids + kStopBytes * driver.route.size());
   out += ",\"driver_id\":";
-  out += std::to_string(driver.driver_id);
+  append_number(out, driver.driver_id);
   out += ",\"location\":";
   append_point(out, driver.location);
   out += ",\"seats\":";
-  out += std::to_string(driver.seats);
+  append_number(out, driver.seats);
   out += ",\"seats_in_use\":";
-  out += std::to_string(driver.seats_in_use);
+  append_number(out, driver.seats_in_use);
   out += ",\"onboard\":";
   append_id_list(out, driver.onboard);
   out += ",\"route\":";
@@ -100,9 +109,9 @@ std::string encode_driver(const api::Driver& driver) {
   for (std::size_t i = 0; i < driver.route_seats.size(); ++i) {
     if (i != 0) out += ',';
     out += '[';
-    out += std::to_string(driver.route_seats[i].first);
+    append_number(out, driver.route_seats[i].first);
     out += ',';
-    out += std::to_string(driver.route_seats[i].second);
+    append_number(out, driver.route_seats[i].second);
     out += ']';
   }
   out += "]}";
@@ -110,425 +119,342 @@ std::string encode_driver(const api::Driver& driver) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader: just enough for the fixed schemas above. Numbers
-// keep their raw token so integers parse exactly (no double round-trip).
+// Decoding: one forward pass over the line, straight into the api structs.
+// No DOM, and no allocation beyond the structs' own vectors.
 // ---------------------------------------------------------------------------
 
-struct JsonValue {
-  enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
+std::string field_error(std::string_view key, std::string_view expected) {
+  std::string message = "field '";
+  message += key;
+  message += "': expected ";
+  message += expected;
+  return message;
+}
 
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string raw;  ///< number token text (exact integer parses)
-  std::string text;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [name, value] : members) {
-      if (name == key) return &value;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
+/// A cursor over one line. Every read returns false on failure. The first
+/// message recorded wins; a read that fails without one leaves its caller
+/// to name the failure.
+class Reader {
  public:
-  explicit JsonParser(std::string_view input) : input_(input) {}
+  explicit Reader(std::string_view line) : at_(line.data()), end_(line.data() + line.size()) {}
 
-  std::optional<JsonValue> parse(std::string* error) {
-    JsonValue value;
-    if (!parse_value(value)) {
-      if (error != nullptr) *error = error_;
-      return std::nullopt;
-    }
-    skip_space();
-    if (pos_ != input_.size()) {
-      if (error != nullptr) *error = "trailing characters after JSON value";
-      return std::nullopt;
-    }
-    return value;
-  }
+  const std::string& error() const { return error_; }
 
- private:
   bool fail(std::string message) {
     if (error_.empty()) error_ = std::move(message);
     return false;
   }
 
-  void skip_space() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
+  char peek() {
+    while (at_ != end_ && (*at_ == ' ' || *at_ == '\t' || *at_ == '\n' || *at_ == '\r')) ++at_;
+    return at_ == end_ ? '\0' : *at_;
   }
 
-  bool consume(char expected) {
-    skip_space();
-    if (pos_ >= input_.size() || input_[pos_] != expected) {
-      return fail(std::string("expected '") + expected + "'");
-    }
-    ++pos_;
+  bool eat(char c) {
+    if (peek() != c) return false;
+    ++at_;
     return true;
   }
 
-  bool parse_value(JsonValue& out) {
-    skip_space();
-    if (pos_ >= input_.size()) return fail("unexpected end of input");
-    const char c = input_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
-    if (c == '"') return parse_string(out);
-    if (c == 't' || c == 'f') return parse_bool(out);
-    if (c == 'n') return parse_null(out);
-    return parse_number(out);
+  bool expect(char c, const char* message) { return eat(c) || fail(message); }
+
+  bool literal(std::string_view word) {
+    peek();
+    if (static_cast<std::size_t>(end_ - at_) < word.size() ||
+        std::string_view(at_, word.size()) != word) {
+      return false;
+    }
+    at_ += word.size();
+    return true;
   }
 
-  bool parse_object(JsonValue& out) {
-    out.type = JsonValue::Type::kObject;
-    if (++depth_ > kMaxDepth) return fail("nesting too deep");
-    if (!consume('{')) return false;
-    skip_space();
-    if (pos_ < input_.size() && input_[pos_] == '}') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    while (true) {
-      JsonValue key;
-      if (!parse_string(key)) return false;
-      if (!consume(':')) return false;
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.members.emplace_back(std::move(key.text), std::move(value));
-      skip_space();
-      if (pos_ >= input_.size()) return fail("unterminated object");
-      if (input_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (input_[pos_] == '}') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.type = JsonValue::Type::kArray;
-    if (++depth_ > kMaxDepth) return fail("nesting too deep");
-    if (!consume('[')) return false;
-    skip_space();
-    if (pos_ < input_.size() && input_[pos_] == ']') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    while (true) {
-      JsonValue item;
-      if (!parse_value(item)) return false;
-      out.items.push_back(std::move(item));
-      skip_space();
-      if (pos_ >= input_.size()) return fail("unterminated array");
-      if (input_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (input_[pos_] == ']') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_string(JsonValue& out) {
-    out.type = JsonValue::Type::kString;
-    if (!consume('"')) return false;
-    std::string text;
-    while (pos_ < input_.size()) {
-      const char c = input_[pos_++];
+  /// The raw bytes between the quotes. Escapes are checked, not decoded:
+  /// no schema key or event name contains an escapable character.
+  bool read_string(std::string_view& raw) {
+    if (!eat('"')) return fail("expected a string");
+    const char* begin = at_;
+    while (at_ != end_) {
+      const char c = *at_++;
       if (c == '"') {
-        out.text = std::move(text);
+        raw = std::string_view(begin, static_cast<std::size_t>(at_ - 1 - begin));
         return true;
       }
-      if (c == '\\') {
-        if (pos_ >= input_.size()) return fail("unterminated escape");
-        const char esc = input_[pos_++];
-        switch (esc) {
-          case '"': text += '"'; break;
-          case '\\': text += '\\'; break;
-          case '/': text += '/'; break;
-          case 'n': text += '\n'; break;
-          case 't': text += '\t'; break;
-          case 'r': text += '\r'; break;
-          default: return fail("unsupported escape sequence");
-        }
-        continue;
+      if (c != '\\') continue;
+      if (at_ == end_) break;
+      switch (*at_++) {
+        case '"': case '\\': case '/': case 'n': case 't': case 'r': break;
+        default: return fail("unsupported escape sequence");
       }
-      text += c;
     }
     return fail("unterminated string");
   }
 
-  bool parse_bool(JsonValue& out) {
-    out.type = JsonValue::Type::kBool;
-    if (input_.compare(pos_, 4, "true") == 0) {
-      out.boolean = true;
-      pos_ += 4;
+  /// One RFC 8259 number token, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// ending at whitespace or a delimiter. Fails without a message.
+  bool number_token(std::string_view& token) {
+    peek();
+    const char* p = at_;
+    const auto digits = [&p, this] {
+      if (p == end_ || !is_digit(*p)) return false;
+      while (p != end_ && is_digit(*p)) ++p;
       return true;
+    };
+    if (p != end_ && *p == '-') ++p;
+    if (p != end_ && *p == '0') {
+      ++p;
+    } else if (!digits()) {
+      return false;
     }
-    if (input_.compare(pos_, 5, "false") == 0) {
-      out.boolean = false;
-      pos_ += 5;
-      return true;
+    if (p != end_ && *p == '.') {
+      ++p;
+      if (!digits()) return false;
     }
-    return fail("expected boolean");
-  }
-
-  bool parse_null(JsonValue& out) {
-    out.type = JsonValue::Type::kNull;
-    if (input_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
+    if (p != end_ && (*p == 'e' || *p == 'E')) {
+      if (++p != end_ && (*p == '+' || *p == '-')) ++p;
+      if (!digits()) return false;
     }
-    return fail("expected null");
-  }
-
-  bool parse_number(JsonValue& out) {
-    out.type = JsonValue::Type::kNumber;
-    const std::size_t start = pos_;
-    if (pos_ < input_.size() && (input_[pos_] == '-' || input_[pos_] == '+')) ++pos_;
-    while (pos_ < input_.size()) {
-      const char c = input_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) || c == '.' || c == 'e' ||
-          c == 'E' || c == '-' || c == '+' || c == 'i' || c == 'n' || c == 'f') {
-        ++pos_;
-      } else {
-        break;
-      }
+    if (p != end_ && *p != ',' && *p != ']' && *p != '}' && *p != ' ' && *p != '\t' &&
+        *p != '\n' && *p != '\r') {
+      return false;
     }
-    if (pos_ == start) return fail("expected number");
-    out.raw = std::string(input_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out.number = std::strtod(out.raw.c_str(), &end);
-    if (end != out.raw.c_str() + out.raw.size()) return fail("malformed number");
+    token = std::string_view(at_, static_cast<std::size_t>(p - at_));
+    at_ = p;
     return true;
   }
 
-  // The schema needs ~4 levels of nesting; a small cap keeps a hostile
-  // '[[[[...' line from overflowing the stack of this recursive parser.
+  bool read_double(double& out, std::string_view key) {
+    std::string_view token;
+    if (!number_token(token)) return fail(field_error(key, "a number"));
+    const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
+    if (ec != std::errc{} || end != token.data() + token.size()) {
+      return fail(
+          field_error(key, "a number in double range, got '" + std::string(token) + "'"));
+    }
+    return true;
+  }
+
+  /// Strict decimal: "1.9" must not truncate to 1, nor may an out-of-range
+  /// id wrap into a different valid id.
+  template <typename T>
+  bool read_integer(T& out, std::string_view key) {
+    constexpr const char* kExpected =
+        std::is_signed_v<T> ? "a 32-bit integer" : "an unsigned 64-bit integer";
+    std::string_view token;
+    if (!number_token(token)) return fail(field_error(key, kExpected));
+    const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
+    if (ec != std::errc{} || end != token.data() + token.size()) {
+      return fail(
+          field_error(key, std::string(kExpected) + ", got '" + std::string(token) + "'"));
+    }
+    return true;
+  }
+
+  bool read_point(geo::Point& out, std::string_view key) {
+    return (eat('[') && read_double(out.x, key) && eat(',') && read_double(out.y, key) &&
+            eat(']')) ||
+           fail(field_error(key, "[x, y]"));
+  }
+
+  /// '[' item (',' item)* ']' or '[]'. Fails without a message when the
+  /// next value is not an array.
+  template <typename Item>
+  bool read_array(Item&& item) {
+    if (!enter('[')) return false;
+    if (!eat(']')) {
+      do {
+        if (!item()) return false;
+      } while (eat(','));
+      if (!expect(']', "expected ',' or ']' in array")) return false;
+    }
+    --depth_;
+    return true;
+  }
+
+  /// '{' key ':' value (',' ...)* '}' or '{}'; `member(key)` reads each
+  /// value. Fails without a message when the next value is not an object.
+  template <typename Member>
+  bool read_object(Member&& member) {
+    if (!enter('{')) return false;
+    if (!eat('}')) {
+      do {
+        std::string_view key;
+        if (!read_string(key) || !expect(':', "expected ':' after an object key") ||
+            !member(key)) {
+          return false;
+        }
+      } while (eat(','));
+      if (!expect('}', "expected ',' or '}' in object")) return false;
+    }
+    --depth_;
+    return true;
+  }
+
+  /// An object against a fixed schema: `field(i)` reads the value of key
+  /// names[i], other keys are skipped, and a repeated schema key fails.
+  /// `seen` gets bit i for every names[i] present.
+  template <std::size_t N, typename Field>
+  bool read_fields(const std::string_view (&names)[N], std::uint32_t& seen, Field&& field) {
+    static_assert(N <= 32);
+    seen = 0;
+    return read_object([&](std::string_view key) {
+      std::size_t i = 0;
+      while (i < N && names[i] != key) ++i;
+      if (i == N) return skip_value();
+      if ((seen >> i & 1U) != 0) return fail("duplicate key '" + std::string(key) + "'");
+      seen |= 1U << i;
+      return field(i);
+    });
+  }
+
+  /// Fails naming the first key of the `required` mask missing from `seen`.
+  template <std::size_t N>
+  bool require(std::uint32_t seen, std::uint32_t required,
+               const std::string_view (&names)[N]) {
+    const std::uint32_t missing = required & ~seen;
+    return missing == 0 ||
+           fail("missing field '" + std::string(names[std::countr_zero(missing)]) + "'");
+  }
+
+  bool skip_value() {
+    std::string_view ignored;
+    switch (peek()) {
+      case '"': return read_string(ignored);
+      case '[': return read_array([this] { return skip_value(); });
+      case '{': return read_object([this](std::string_view) { return skip_value(); });
+      case 't': return literal("true") || fail("expected 'true'");
+      case 'f': return literal("false") || fail("expected 'false'");
+      case 'n': return literal("null") || fail("expected 'null'");
+      default:
+        if (at_ == end_) return fail("unexpected end of input");
+        return number_token(ignored) || fail("malformed number or value");
+    }
+  }
+
+  /// The whole line must be one object, read with read_fields, and
+  /// nothing after it.
+  template <std::size_t N, typename Field>
+  bool read_line(const std::string_view (&names)[N], std::uint32_t& seen, Field&& field) {
+    if (peek() != '{') {
+      // Still parse it, so a syntax error such as over-deep nesting is
+      // named as one.
+      if (skip_value()) fail("a line must be one JSON object");
+      return false;
+    }
+    return read_fields(names, seen, field) &&
+           (at_end() || fail("trailing characters after JSON value"));
+  }
+
+ private:
+  // The schema nests at most 5 deep; the cap bounds skip_value's recursion
+  // on a hostile '[[[[...' line.
   static constexpr int kMaxDepth = 16;
 
-  std::string_view input_;
-  std::size_t pos_ = 0;
+  bool enter(char open) {
+    if (!eat(open)) return false;
+    return ++depth_ <= kMaxDepth || fail("nesting too deep");
+  }
+
+  bool at_end() { return peek() == '\0' && at_ == end_; }
+
+  const char* at_;
+  const char* end_;
   int depth_ = 0;
   std::string error_;
 };
 
-// ---------------------------------------------------------------------------
-// Schema extraction
-// ---------------------------------------------------------------------------
-
-bool set_error(CodecError* error, std::string message) {
-  if (error != nullptr) error->message = std::move(message);
-  return false;
-}
-
-/// Integer tokens must be pure decimal integers in range: '1.9' must not
-/// silently truncate to 1, nor may an out-of-range id clamp/wrap into a
-/// different valid id.
-bool is_integer_token(const std::string& raw, bool allow_negative) {
-  std::size_t i = allow_negative && !raw.empty() && raw[0] == '-' ? 1 : 0;
-  if (i == raw.size()) return false;
-  for (; i < raw.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(raw[i]))) return false;
-  }
-  return true;
-}
-
-bool token_to_i32(const std::string& raw, std::int32_t& out) {
-  if (!is_integer_token(raw, /*allow_negative=*/true)) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long wide = std::strtoll(raw.c_str(), &end, 10);
-  if (errno == ERANGE || end != raw.c_str() + raw.size()) return false;
-  if (wide < std::numeric_limits<std::int32_t>::min() ||
-      wide > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  out = static_cast<std::int32_t>(wide);
-  return true;
-}
-
-bool token_to_u64(const std::string& raw, std::uint64_t& out) {
-  if (!is_integer_token(raw, /*allow_negative=*/false)) return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(raw.c_str(), &end, 10);
-  return errno != ERANGE && end == raw.c_str() + raw.size();
-}
-
-bool read_double(const JsonValue& object, std::string_view key, double& out,
-                 CodecError* error) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kNumber) {
-    return set_error(error, "missing numeric field '" + std::string(key) + "'");
-  }
-  out = value->number;
-  return true;
-}
-
-bool read_i32(const JsonValue& object, std::string_view key, std::int32_t& out,
-              CodecError* error) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kNumber) {
-    return set_error(error, "missing integer field '" + std::string(key) + "'");
-  }
-  if (!token_to_i32(value->raw, out)) {
-    return set_error(error, "field '" + std::string(key) +
-                                "' must be a 32-bit integer, got '" + value->raw + "'");
-  }
-  return true;
-}
-
-bool read_u64(const JsonValue& object, std::string_view key, std::uint64_t& out,
-              CodecError* error) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kNumber) {
-    return set_error(error, "missing integer field '" + std::string(key) + "'");
-  }
-  if (!token_to_u64(value->raw, out)) {
-    return set_error(error, "field '" + std::string(key) +
-                                "' must be an unsigned integer, got '" + value->raw + "'");
-  }
-  return true;
-}
-
-bool read_point(const JsonValue& object, std::string_view key, geo::Point& out,
-                CodecError* error) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kArray ||
-      value->items.size() != 2 ||
-      value->items[0].type != JsonValue::Type::kNumber ||
-      value->items[1].type != JsonValue::Type::kNumber) {
-    return set_error(error, "field '" + std::string(key) + "' must be [x, y]");
-  }
-  out.x = value->items[0].number;
-  out.y = value->items[1].number;
-  return true;
-}
-
-bool read_stops(const JsonValue& object, std::string_view key,
-                std::vector<api::DriverStop>& out, CodecError* error) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kArray) {
-    return set_error(error, "field '" + std::string(key) + "' must be an array");
-  }
-  out.clear();
-  out.reserve(value->items.size());
-  for (const JsonValue& item : value->items) {
-    if (item.type != JsonValue::Type::kObject) {
-      return set_error(error, "route stops must be objects");
-    }
-    api::DriverStop stop;
-    if (!read_i32(item, "order_id", stop.order_id, error)) return false;
-    const JsonValue* pickup = item.find("pickup");
-    if (pickup == nullptr || pickup->type != JsonValue::Type::kBool) {
-      return set_error(error, "stop field 'pickup' must be a boolean");
-    }
-    stop.is_pickup = pickup->boolean;
-    if (!read_point(item, "point", stop.point, error)) return false;
-    out.push_back(stop);
-  }
-  return true;
-}
-
-bool read_id_list(const JsonValue& object, std::string_view key,
-                  std::vector<std::int32_t>& out, CodecError* error) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kArray) {
-    return set_error(error, "field '" + std::string(key) + "' must be an array");
-  }
-  out.clear();
-  out.reserve(value->items.size());
-  for (const JsonValue& item : value->items) {
-    std::int32_t id = 0;
-    if (item.type != JsonValue::Type::kNumber || !token_to_i32(item.raw, id)) {
-      return set_error(error, "id lists must hold 32-bit integers");
-    }
-    out.push_back(id);
-  }
-  return true;
-}
-
-bool check_version(const JsonValue& object, CodecError* error) {
-  const JsonValue* version = object.find("v");
+bool read_version(Reader& in) {
   std::int32_t major = 0;
-  if (version == nullptr || version->type != JsonValue::Type::kNumber ||
-      !token_to_i32(version->raw, major)) {
-    return set_error(error, "missing integer API version field 'v'");
-  }
-  if (major != api::kApiVersionMajor) {
-    return set_error(error, "unsupported API major version " + std::to_string(major) +
-                                " (this build speaks " +
-                                std::to_string(api::kApiVersionMajor) + ")");
-  }
-  return true;
+  if (!in.read_integer(major, "v")) return false;
+  return major == api::kApiVersionMajor ||
+         in.fail("unsupported API major version " + std::to_string(major) +
+                 " (this build speaks " + std::to_string(api::kApiVersionMajor) + ")");
 }
 
-/// Optional fields keep the struct's default when absent; present but
-/// malformed fields are still rejected. Hand-written clients can send a
-/// minimal order/driver and the server fills in the rest.
-bool present(const JsonValue& object, std::string_view key) {
-  return object.find(key) != nullptr;
+bool read_ids(Reader& in, std::vector<std::int32_t>& out, std::string_view key) {
+  out.clear();
+  return in.read_array([&] { return in.read_integer(out.emplace_back(), key); }) ||
+         in.fail(field_error(key, "an array of ids"));
 }
 
-bool decode_order(const JsonValue& object, api::Order& out, CodecError* error) {
-  return read_i32(object, "order_id", out.order_id, error) &&
-         read_double(object, "timestamp", out.timestamp, error) &&
-         read_point(object, "start", out.start, error) &&
-         read_point(object, "finish", out.finish, error) &&
-         (!present(object, "seats") || read_i32(object, "seats", out.seats, error)) &&
-         (!present(object, "reward_units") ||
-          read_double(object, "reward_units", out.reward_units, error));
+constexpr std::string_view kStopFields[] = {"order_id", "pickup", "point"};
+
+bool read_stops(Reader& in, std::vector<api::DriverStop>& out, std::string_view key) {
+  out.clear();
+  return in.read_array([&] {
+    api::DriverStop& stop = out.emplace_back();
+    std::uint32_t seen = 0;
+    return (in.read_fields(kStopFields, seen,
+                           [&](std::size_t field) {
+                             switch (field) {
+                               case 0: return in.read_integer(stop.order_id, kStopFields[0]);
+                               case 1:
+                                 stop.is_pickup = in.literal("true");
+                                 return stop.is_pickup || in.literal("false") ||
+                                        in.fail(field_error(kStopFields[1], "a boolean"));
+                               default: return in.read_point(stop.point, kStopFields[2]);
+                             }
+                           }) ||
+            in.fail(field_error(key, "an array of stop objects"))) &&
+           in.require(seen, 0b111, kStopFields);
+  }) || in.fail(field_error(key, "an array of stop objects"));
 }
 
-bool decode_driver(const JsonValue& object, api::Driver& out, CodecError* error) {
-  if (!read_i32(object, "driver_id", out.driver_id, error) ||
-      !read_point(object, "location", out.location, error) ||
-      (present(object, "seats") && !read_i32(object, "seats", out.seats, error)) ||
-      (present(object, "seats_in_use") &&
-       !read_i32(object, "seats_in_use", out.seats_in_use, error)) ||
-      (present(object, "onboard") &&
-       !read_id_list(object, "onboard", out.onboard, error)) ||
-      (present(object, "route") && !read_stops(object, "route", out.route, error))) {
-    return false;
-  }
-  const JsonValue* seats = object.find("route_seats");
-  if (seats == nullptr) return true;
-  if (seats->type != JsonValue::Type::kArray) {
-    return set_error(error, "field 'route_seats' must be an array");
-  }
-  out.route_seats.clear();
-  out.route_seats.reserve(seats->items.size());
-  for (const JsonValue& item : seats->items) {
-    std::int32_t order_id = 0;
-    std::int32_t seat_count = 0;
-    if (item.type != JsonValue::Type::kArray || item.items.size() != 2 ||
-        item.items[0].type != JsonValue::Type::kNumber ||
-        item.items[1].type != JsonValue::Type::kNumber ||
-        !token_to_i32(item.items[0].raw, order_id) ||
-        !token_to_i32(item.items[1].raw, seat_count)) {
-      return set_error(error, "route_seats entries must be [order_id, seats]");
-    }
-    out.route_seats.emplace_back(order_id, static_cast<int>(seat_count));
-  }
-  return true;
+bool read_route_seats(Reader& in, std::vector<std::pair<api::OrderId, int>>& out) {
+  out.clear();
+  const auto pair = [&] {
+    auto& [order_id, seats] = out.emplace_back();
+    return (in.eat('[') && in.read_integer(order_id, "route_seats") && in.eat(',') &&
+            in.read_integer(seats, "route_seats") && in.eat(']')) ||
+           in.fail(field_error("route_seats", "[order_id, seats] pairs"));
+  };
+  return in.read_array(pair) || in.fail(field_error("route_seats", "an array"));
+}
+
+// Every key an event line may carry. A key has one type in every event
+// kind; keys of another kind are decoded, then dropped.
+constexpr std::string_view kEventFields[] = {
+    "v",         "event",    "order_id", "timestamp",    "start",   "finish", "seats",
+    "reward_units", "driver_id", "location", "seats_in_use", "onboard", "route",
+    "route_seats", "frame"};
+enum EventField : std::uint32_t {
+  kV, kEvent, kOrderId, kTimestamp, kStart, kFinish, kSeats, kRewardUnits,
+  kDriverId, kLocation, kSeatsInUse, kOnboard, kRoute, kRouteSeats, kFrame,
+};
+constexpr std::uint32_t bits(std::initializer_list<EventField> fields) {
+  std::uint32_t mask = 0;
+  for (const EventField field : fields) mask |= 1U << field;
+  return mask;
+}
+
+constexpr std::string_view kResponseFields[] = {"v", "event", "frame", "timestamp",
+                                                "assignments"};
+constexpr std::string_view kAssignmentFields[] = {"driver_id", "order_ids", "start", "route",
+                                                  "pick_up_eta"};
+
+bool read_assignment(Reader& in, api::Assignment& out) {
+  std::uint32_t seen = 0;
+  return (in.read_fields(kAssignmentFields, seen,
+                         [&](std::size_t field) {
+                           const std::string_view key = kAssignmentFields[field];
+                           switch (field) {
+                             case 0: return in.read_integer(out.driver_id, key);
+                             case 1: return read_ids(in, out.order_ids, key);
+                             case 2: return in.read_point(out.start, key);
+                             case 3: return read_stops(in, out.route, key);
+                             default: return in.read_double(out.pick_up_eta, key);
+                           }
+                         }) ||
+          in.fail(field_error("assignments", "an array of objects"))) &&
+         in.require(seen, 0b11111, kAssignmentFields);
+}
+
+/// Hands a failed decode's message to the caller. An empty CodecError
+/// means success, so a failure always carries some message.
+std::nullopt_t report(const Reader& in, CodecError* error) {
+  if (error != nullptr) error->message = in.error().empty() ? "malformed line" : in.error();
+  return std::nullopt;
 }
 
 }  // namespace
@@ -541,11 +467,11 @@ std::string encode_event(const api::RideEvent& event) {
     case api::RideEvent::Kind::kDriver:
       return encode_driver(event.driver);
     case api::RideEvent::Kind::kEndFrame: {
-      std::string out = versioned_prefix("end_frame");
+      std::string out = begin_line("end_frame", kLineBytes);
       out += ",\"frame\":";
-      out += std::to_string(event.frame);
+      append_number(out, event.frame);
       out += ",\"timestamp\":";
-      append_double(out, event.timestamp);
+      append_number(out, event.timestamp);
       out += '}';
       return out;
     }
@@ -569,17 +495,22 @@ std::vector<std::string> encode_frame_events(const api::FrameRequest& request) {
 
 std::string encode_response(const api::FrameResponse& response) {
   obs::StageTimer timer(obs::Stage::kCodec);
-  std::string out = versioned_prefix("frame_response");
+  std::size_t bytes = kLineBytes;
+  for (const api::Assignment& assignment : response.assignments) {
+    bytes += kLineBytes + kIdBytes * assignment.order_ids.size() +
+             kStopBytes * assignment.route.size();
+  }
+  std::string out = begin_line("frame_response", bytes);
   out += ",\"frame\":";
-  out += std::to_string(response.frame);
+  append_number(out, response.frame);
   out += ",\"timestamp\":";
-  append_double(out, response.timestamp);
+  append_number(out, response.timestamp);
   out += ",\"assignments\":[";
   for (std::size_t i = 0; i < response.assignments.size(); ++i) {
     const api::Assignment& assignment = response.assignments[i];
     if (i != 0) out += ',';
     out += "{\"driver_id\":";
-    out += std::to_string(assignment.driver_id);
+    append_number(out, assignment.driver_id);
     out += ",\"order_ids\":";
     append_id_list(out, assignment.order_ids);
     out += ",\"start\":";
@@ -587,7 +518,7 @@ std::string encode_response(const api::FrameResponse& response) {
     out += ",\"route\":";
     append_stops(out, assignment.route);
     out += ",\"pick_up_eta\":";
-    append_double(out, assignment.pick_up_eta);
+    append_number(out, assignment.pick_up_eta);
     out += '}';
   }
   out += "]}";
@@ -596,86 +527,102 @@ std::string encode_response(const api::FrameResponse& response) {
 
 std::optional<api::RideEvent> decode_event(std::string_view line, CodecError* error) {
   obs::StageTimer timer(obs::Stage::kCodec);
-  std::string parse_error;
-  const std::optional<JsonValue> root = JsonParser(line).parse(&parse_error);
-  if (!root || root->type != JsonValue::Type::kObject) {
-    set_error(error, parse_error.empty() ? "event line must be a JSON object"
-                                         : std::move(parse_error));
-    return std::nullopt;
-  }
-  if (!check_version(*root, error)) return std::nullopt;
-  const JsonValue* kind = root->find("event");
-  if (kind == nullptr || kind->type != JsonValue::Type::kString) {
-    set_error(error, "missing string field 'event'");
-    return std::nullopt;
-  }
-
+  using Kind = api::RideEvent::Kind;
+  Reader in(line);
   api::RideEvent event;
-  if (kind->text == "order") {
-    event.kind = api::RideEvent::Kind::kOrder;
-    if (!decode_order(*root, event.order, error)) return std::nullopt;
-    return event;
-  }
-  if (kind->text == "driver") {
-    event.kind = api::RideEvent::Kind::kDriver;
-    if (!decode_driver(*root, event.driver, error)) return std::nullopt;
-    return event;
-  }
-  if (kind->text == "end_frame") {
-    event.kind = api::RideEvent::Kind::kEndFrame;
-    if (!read_u64(*root, "frame", event.frame, error) ||
-        !read_double(*root, "timestamp", event.timestamp, error)) {
-      return std::nullopt;
+  std::optional<Kind> kind;
+  double timestamp = 0.0;
+  std::optional<int> seats;
+  std::uint32_t seen = 0;
+  const auto field = [&](std::size_t index) {
+    const std::string_view key = kEventFields[index];
+    api::Order& order = event.order;
+    api::Driver& driver = event.driver;
+    switch (static_cast<EventField>(index)) {
+      case kV: return read_version(in);
+      case kEvent: {
+        std::string_view name;
+        if (!in.read_string(name)) return in.fail(field_error(key, "a string"));
+        if (name == "order") kind = Kind::kOrder;
+        if (name == "driver") kind = Kind::kDriver;
+        if (name == "end_frame") kind = Kind::kEndFrame;
+        return kind.has_value() ||
+               in.fail("unknown event kind '" + std::string(name) + "'");
+      }
+      case kOrderId: return in.read_integer(order.order_id, key);
+      case kTimestamp: return in.read_double(timestamp, key);
+      case kStart: return in.read_point(order.start, key);
+      case kFinish: return in.read_point(order.finish, key);
+      case kSeats: return in.read_integer(seats.emplace(), key);
+      case kRewardUnits: return in.read_double(order.reward_units, key);
+      case kDriverId: return in.read_integer(driver.driver_id, key);
+      case kLocation: return in.read_point(driver.location, key);
+      case kSeatsInUse: return in.read_integer(driver.seats_in_use, key);
+      case kOnboard: return read_ids(in, driver.onboard, key);
+      case kRoute: return read_stops(in, driver.route, key);
+      case kRouteSeats: return read_route_seats(in, driver.route_seats);
+      case kFrame: return in.read_integer(event.frame, key);
     }
-    return event;
+    return false;
+  };
+  bool ok = in.read_line(kEventFields, seen, field) &&
+            in.require(seen, bits({kV, kEvent}), kEventFields);
+  if (ok) {
+    // Optional fields keep the struct's default when absent, so a
+    // hand-written client can send a minimal order or driver.
+    event.kind = *kind;
+    switch (*kind) {
+      case Kind::kOrder:
+        ok = in.require(seen, bits({kOrderId, kTimestamp, kStart, kFinish}), kEventFields);
+        event.order.timestamp = timestamp;
+        if (seats) event.order.seats = *seats;
+        event.driver = {};
+        event.frame = 0;
+        break;
+      case Kind::kDriver:
+        ok = in.require(seen, bits({kDriverId, kLocation}), kEventFields);
+        if (seats) event.driver.seats = *seats;
+        event.order = {};
+        event.frame = 0;
+        break;
+      case Kind::kEndFrame:
+        ok = in.require(seen, bits({kFrame, kTimestamp}), kEventFields);
+        event.timestamp = timestamp;
+        event.order = {};
+        event.driver = {};
+        break;
+    }
   }
-  set_error(error, "unknown event kind '" + kind->text + "'");
-  return std::nullopt;
+  if (!ok) return report(in, error);
+  return event;
 }
 
 std::optional<api::FrameResponse> decode_response(std::string_view line,
                                                   CodecError* error) {
   obs::StageTimer timer(obs::Stage::kCodec);
-  std::string parse_error;
-  const std::optional<JsonValue> root = JsonParser(line).parse(&parse_error);
-  if (!root || root->type != JsonValue::Type::kObject) {
-    set_error(error, parse_error.empty() ? "response line must be a JSON object"
-                                         : std::move(parse_error));
-    return std::nullopt;
-  }
-  if (!check_version(*root, error)) return std::nullopt;
-  const JsonValue* kind = root->find("event");
-  if (kind == nullptr || kind->type != JsonValue::Type::kString ||
-      kind->text != "frame_response") {
-    set_error(error, "expected event kind 'frame_response'");
-    return std::nullopt;
-  }
-
+  Reader in(line);
   api::FrameResponse response;
-  if (!read_u64(*root, "frame", response.frame, error) ||
-      !read_double(*root, "timestamp", response.timestamp, error)) {
-    return std::nullopt;
-  }
-  const JsonValue* assignments = root->find("assignments");
-  if (assignments == nullptr || assignments->type != JsonValue::Type::kArray) {
-    set_error(error, "field 'assignments' must be an array");
-    return std::nullopt;
-  }
-  response.assignments.reserve(assignments->items.size());
-  for (const JsonValue& item : assignments->items) {
-    if (item.type != JsonValue::Type::kObject) {
-      set_error(error, "assignments must be objects");
-      return std::nullopt;
+  std::uint32_t seen = 0;
+  const auto field = [&](std::size_t index) {
+    const std::string_view key = kResponseFields[index];
+    switch (index) {
+      case 0: return read_version(in);
+      case 1: {
+        std::string_view name;
+        return (in.read_string(name) && name == "frame_response") ||
+               in.fail("expected event kind 'frame_response'");
+      }
+      case 2: return in.read_integer(response.frame, key);
+      case 3: return in.read_double(response.timestamp, key);
+      default:
+        return in.read_array([&] {
+          return read_assignment(in, response.assignments.emplace_back());
+        }) || in.fail(field_error(key, "an array of objects"));
     }
-    api::Assignment assignment;
-    if (!read_i32(item, "driver_id", assignment.driver_id, error) ||
-        !read_id_list(item, "order_ids", assignment.order_ids, error) ||
-        !read_point(item, "start", assignment.start, error) ||
-        !read_stops(item, "route", assignment.route, error) ||
-        !read_double(item, "pick_up_eta", assignment.pick_up_eta, error)) {
-      return std::nullopt;
-    }
-    response.assignments.push_back(std::move(assignment));
+  };
+  if (!in.read_line(kResponseFields, seen, field) ||
+      !in.require(seen, 0b11111, kResponseFields)) {
+    return report(in, error);
   }
   return response;
 }

@@ -2,10 +2,21 @@
 // (ndjson). Every line carries the API major version in "v"; decoding
 // rejects lines from a different major version with a typed error.
 //
-// Doubles are emitted with %.17g, which round-trips IEEE-754 binary64
-// exactly through strtod — the byte stream is deterministic for a given
-// frame and decodes to bit-identical values, which is what lets the
-// streamed replay reproduce the batch simulator bit for bit.
+// Doubles are written as the shortest text that round-trips
+// (std::to_chars) and read back with std::from_chars, so the byte stream
+// is deterministic for a given frame and decodes to bit-identical values,
+// which is what lets the streamed replay reproduce the batch simulator
+// bit for bit. Non-finite doubles have no JSON spelling and do not decode.
+//
+// The decoder reads a line in one forward pass, straight into the api
+// structs, with no intermediate DOM. Its grammar is strict JSON (RFC
+// 8259): keys may come in any order, whitespace is space, tab, CR or LF,
+// and number tokens follow the RFC (no "inf", "nan", "+1", ".5", "1.",
+// "01" or "0x10"; doubles out of binary64 range are rejected). Ids are
+// strict decimal integers in range. Keys outside the schema are skipped
+// (nesting is capped at 16 levels); a schema key that appears twice in
+// one object is an error. A schema key has one type in every event kind:
+// keys of another kind are type-checked, then dropped.
 #pragma once
 
 #include <optional>

@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <utility>
@@ -7,6 +8,46 @@
 #include "obs/obs.h"
 
 namespace o2o::service {
+
+namespace {
+
+// How long a waiter keeps polling before it parks: long enough to cover
+// the gap between two events of a frame streaming in, so the matcher
+// parks between frames rather than between events.
+constexpr auto kSpinBeforePark = std::chrono::microseconds(50);
+
+/// Waits until `ready()` holds: polls for kSpinBeforePark, then blocks in
+/// atomic::wait. `signal` is a wake-up counter that whoever can make
+/// `ready()` true bumps through wake(). It is read before each check, so a
+/// bump landing after a failed check makes the wait return at once.
+template <typename Ready>
+void spin_then_park(const std::atomic<std::uint32_t>& signal, Ready&& ready) {
+  std::chrono::steady_clock::time_point park_at{};
+  for (;;) {
+    const std::uint32_t seen = signal.load(std::memory_order_acquire);
+    if (ready()) return;
+    const auto now = std::chrono::steady_clock::now();
+    if (park_at == std::chrono::steady_clock::time_point{}) park_at = now + kSpinBeforePark;
+    if (now < park_at) {
+      std::this_thread::yield();
+    } else {
+      signal.wait(seen, std::memory_order_acquire);
+    }
+  }
+}
+
+/// libstdc++'s notify makes no syscall while no thread waits on the
+/// address, so waking costs one atomic add on the hot path.
+void wake(std::atomic<std::uint32_t>& signal, bool all) {
+  signal.fetch_add(1, std::memory_order_release);
+  if (all) {
+    signal.notify_all();
+  } else {
+    signal.notify_one();
+  }
+}
+
+}  // namespace
 
 StreamingService::StreamingService(std::string_view kind, DispatchConfig config,
                                    const geo::DistanceOracle& oracle)
@@ -22,25 +63,27 @@ bool StreamingService::push_with_backpressure(const api::RideEvent& event,
   // fetch_add *before* the push (undone on overshoot) so concurrent
   // producers can never jointly exceed the window.
   const bool is_barrier = event.kind == api::RideEvent::Kind::kEndFrame;
-  if (is_barrier) {
-    for (;;) {
-      const std::size_t in_flight =
-          frames_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      if (in_flight < pipeline_depth_) break;
-      frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!blocking) return false;
-      obs::add(obs::Counter::kIngestBackpressure);
-      std::this_thread::yield();
+  const auto reserve_frame = [this] {
+    if (frames_in_flight_.fetch_add(1, std::memory_order_acq_rel) < pipeline_depth_) {
+      return true;
     }
+    frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    return false;
+  };
+  if (is_barrier && !reserve_frame()) {
+    if (!blocking) return false;
+    obs::add(obs::Counter::kIngestBackpressure);
+    spin_then_park(space_freed_, reserve_frame);
   }
-  while (!queue_.try_push(event)) {
+  if (!queue_.try_push(event)) {
     if (!blocking) {
       if (is_barrier) frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       return false;
     }
     obs::add(obs::Counter::kIngestBackpressure);
-    std::this_thread::yield();
+    spin_then_park(space_freed_, [&] { return queue_.try_push(event); });
   }
+  wake(event_pushed_, /*all=*/false);
   return true;
 }
 
@@ -52,7 +95,29 @@ bool StreamingService::try_submit(const api::RideEvent& event) {
   return push_with_backpressure(event, /*blocking=*/false);
 }
 
-void StreamingService::close() { closed_.store(true, std::memory_order_release); }
+void StreamingService::close() {
+  closed_.store(true, std::memory_order_release);
+  wake(event_pushed_, /*all=*/false);
+}
+
+bool StreamingService::pop_event(api::RideEvent& event) {
+  bool drained = false;
+  if (!queue_.try_pop(event)) {
+    spin_then_park(event_pushed_, [&] {
+      if (queue_.try_pop(event)) return true;
+      if (!closed_.load(std::memory_order_acquire)) return false;
+      // Closed. Events pushed between the failed pop and the close flag
+      // must still be drained -- only an empty ring ends the stream (a
+      // partial frame with no barrier is dropped: no barrier, no
+      // snapshot).
+      drained = !queue_.try_pop(event);
+      return true;
+    });
+  }
+  if (drained) return false;
+  wake(space_freed_, /*all=*/true);
+  return true;
+}
 
 std::optional<api::FrameResponse> StreamingService::next_response() {
   obs::TraceSink* sink = obs::active_sink();
@@ -70,19 +135,7 @@ std::optional<api::FrameResponse> StreamingService::next_response() {
       obs::ScopedTimer timer(ingest_ns);
       api::RideEvent event;
       while (!request) {
-        if (!queue_.try_pop(event)) {
-          if (!closed_.load(std::memory_order_acquire)) {
-            // Empty ring, stream still open: producers are just slower
-            // than the matcher.
-            std::this_thread::yield();
-            continue;
-          }
-          // Closed. Events pushed between the failed pop and the close
-          // flag must still be drained — only an empty ring ends the
-          // stream (a partial frame with no barrier is dropped: no
-          // barrier, no snapshot).
-          if (!queue_.try_pop(event)) return std::nullopt;
-        }
+        if (!pop_event(event)) return std::nullopt;
         ++events_drained;
         switch (event.kind) {
           case api::RideEvent::Kind::kOrder:
@@ -106,6 +159,7 @@ std::optional<api::FrameResponse> StreamingService::next_response() {
 
     // The frame left the ring: producers may push the next barrier.
     frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    wake(space_freed_, /*all=*/true);
 
     // Frames that violate the api contract (duplicate order/driver ids)
     // cross a trust boundary in --stdio/--tcp mode: drop them here,

@@ -11,12 +11,19 @@
 // Pipelining: events of frame t+1 may be pushed while frame t is still
 // matching. ServiceOptions::pipeline_depth bounds how many *complete*
 // frames may sit in the ring ahead of the matcher; submitting a barrier
-// beyond that spins (with counted backpressure) until the matcher
+// beyond that waits (with counted backpressure) until the matcher
 // catches up, which keeps worst-case response latency bounded.
+//
+// Waiting is spin-then-park: a waiter polls for a few tens of
+// microseconds, then blocks in std::atomic::wait, so an idle server uses
+// no CPU. Producers wake the matcher after every push and on close(); the
+// matcher wakes producers after every pop and every frame it takes out
+// of the pipeline window.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -36,10 +43,9 @@ class StreamingService {
 
   const DispatchSession& session() const noexcept { return session_; }
 
-  /// Producer side, any thread. submit() spins until the ring (and, for
+  /// Producer side, any thread. submit() waits until the ring (and, for
   /// barriers, the pipeline window) accepts the event; try_submit()
-  /// returns false instead of spinning on a full ring (it still honors
-  /// the pipeline window for barriers).
+  /// returns false instead of waiting on a full ring or window.
   void submit(const api::RideEvent& event);
   bool try_submit(const api::RideEvent& event);
 
@@ -54,11 +60,18 @@ class StreamingService {
 
  private:
   bool push_with_backpressure(const api::RideEvent& event, bool blocking);
+  /// Matcher side: the next event, waiting while the ring is empty; false
+  /// once the stream is closed and drained.
+  bool pop_event(api::RideEvent& event);
 
   DispatchSession session_;
   IngestQueue<api::RideEvent> queue_;
   std::atomic<std::size_t> frames_in_flight_{0};
   std::atomic<bool> closed_{false};
+  // Wake-up counters for spin_then_park (service.cpp): bumped on every
+  // push and on close, and on every pop or frame that frees space.
+  std::atomic<std::uint32_t> event_pushed_{0};
+  std::atomic<std::uint32_t> space_freed_{0};
   std::size_t pipeline_depth_;
 
   // Matcher-thread frame accumulation.

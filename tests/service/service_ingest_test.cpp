@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -284,6 +286,31 @@ TEST(StreamingService, ThreadedProducerAndMatcherAgree) {
   }
   producer.join();
   EXPECT_EQ(answered, kFrames);
+}
+
+// An idle server must use close to zero CPU: a matcher blocked in
+// next_response() parks instead of spinning, and close() wakes it.
+TEST(StreamingService, IdleMatcherParksInsteadOfSpinning) {
+  const auto thread_cpu_ms = [] {
+    timespec now{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+    return static_cast<double>(now.tv_sec) * 1e3 + static_cast<double>(now.tv_nsec) * 1e-6;
+  };
+  const DispatchConfig config =
+      DispatchConfig{}.with_passenger_threshold_km(10.0).with_taxi_threshold_score(1.0);
+  StreamingService service("nstd-p", config, kOracle);
+  double matcher_cpu_ms = -1.0;
+  std::thread matcher([&] {
+    const double start = thread_cpu_ms();
+    EXPECT_FALSE(service.next_response().has_value());
+    matcher_cpu_ms = thread_cpu_ms() - start;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  service.close();
+  matcher.join();
+  // Under 10 % of one core over the 300 ms.
+  EXPECT_GE(matcher_cpu_ms, 0.0);
+  EXPECT_LT(matcher_cpu_ms, 30.0);
 }
 
 }  // namespace
