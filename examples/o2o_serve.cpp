@@ -94,30 +94,33 @@ class LineChannel {
   /// valid until the next call. Returns false on EOF with no buffered data.
   bool read_line(std::string_view& line) {
     while (true) {
-      const std::size_t newline = buffer_.find('\n', scan_from_);
-      if (newline != std::string::npos) {
-        line = std::string_view(buffer_).substr(start_, newline - start_);
+      const std::string_view data(buffer_.data(), end_);
+      const std::size_t newline = data.find('\n', scan_from_);
+      if (newline != std::string_view::npos) {
+        line = data.substr(start_, newline - start_);
         start_ = scan_from_ = newline + 1;
         return true;
       }
       // Drop the consumed lines once per read, not once per line.
-      buffer_.erase(0, start_);
+      std::memmove(buffer_.data(), buffer_.data() + start_, end_ - start_);
+      end_ -= start_;
       start_ = 0;
-      scan_from_ = buffer_.size();
-      const std::size_t kept = buffer_.size();
-      buffer_.resize(kept + kChunkBytes);
-      const ssize_t got = ::read(read_fd_, buffer_.data() + kept, kChunkBytes);
-      buffer_.resize(kept + static_cast<std::size_t>(std::max<ssize_t>(got, 0)));
+      scan_from_ = end_;
+      // The buffer keeps its size between reads, so read() lands in memory
+      // that is already there; it grows only when one line fills it.
+      if (end_ == buffer_.size()) buffer_.resize(std::max(kChunkBytes, 2 * buffer_.size()));
+      const ssize_t got = ::read(read_fd_, buffer_.data() + end_, buffer_.size() - end_);
       if (got < 0) {
         if (errno == EINTR) continue;
         return false;
       }
       if (got == 0) {
-        if (buffer_.empty()) return false;
-        line = buffer_;  // unterminated trailing line
-        start_ = scan_from_ = buffer_.size();
+        if (end_ == 0) return false;
+        line = std::string_view(buffer_.data(), end_);  // unterminated trailing line
+        start_ = scan_from_ = end_;
         return true;
       }
+      end_ += static_cast<std::size_t>(got);
     }
   }
 
@@ -142,6 +145,7 @@ class LineChannel {
   int read_fd_;
   int write_fd_;
   std::string buffer_;
+  std::size_t end_ = 0;        ///< end of the bytes read so far
   std::size_t start_ = 0;      ///< first byte of the next line
   std::size_t scan_from_ = 0;  ///< where the search for '\n' resumes
 };

@@ -11,9 +11,16 @@ namespace o2o::service {
 
 namespace {
 
-// How long a waiter keeps polling before it parks: long enough to cover
-// the gap between two events of a frame streaming in, so the matcher
-// parks between frames rather than between events.
+// How long a waiter keeps polling before it parks. Measured on perfbench's
+// three workloads (4-vCPU x86-64 VM): over 99.8 % of the gaps between two
+// events of one frame are under 20 us and 0.09-0.22 a frame reach 50 us,
+// so with 50 us the matcher parks 1.1-1.2 times a frame, nearly always
+// between frames; 20 us would add 1.0-1.6 parks a frame. Calling
+// atomic::wait at once is no substitute: libstdc++ spins only 16 rounds
+// in it, and registers as a waiter first, so every notify during that
+// spin is a futex syscall. On ny-rush-nstd that made 1,700 wait calls and
+// 29 sleeps a frame and lost five of five pairs by 0.4-1.1 ms of
+// frame_ms_p50 (EXPERIMENTS.md "Single-pass codec and parked waits").
 constexpr auto kSpinBeforePark = std::chrono::microseconds(50);
 
 /// Waits until `ready()` holds: polls for kSpinBeforePark, then blocks in
@@ -63,26 +70,36 @@ bool StreamingService::push_with_backpressure(const api::RideEvent& event,
   // fetch_add *before* the push (undone on overshoot) so concurrent
   // producers can never jointly exceed the window.
   const bool is_barrier = event.kind == api::RideEvent::Kind::kEndFrame;
-  const auto reserve_frame = [this] {
+  // Even a failed reservation holds a slot for a moment, and a concurrent
+  // barrier that saw it may have parked: whoever brings the count back
+  // under the window wakes the parked producers.
+  const auto release_frame = [this] {
+    if (frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel) == pipeline_depth_) {
+      wake(space_freed_, /*all=*/true);
+    }
+  };
+  const auto reserve_frame = [&] {
     if (frames_in_flight_.fetch_add(1, std::memory_order_acq_rel) < pipeline_depth_) {
       return true;
     }
-    frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    release_frame();
     return false;
   };
+  bool waited = false;
   if (is_barrier && !reserve_frame()) {
     if (!blocking) return false;
-    obs::add(obs::Counter::kIngestBackpressure);
+    waited = true;
     spin_then_park(space_freed_, reserve_frame);
   }
   if (!queue_.try_push(event)) {
     if (!blocking) {
-      if (is_barrier) frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      if (is_barrier) release_frame();
       return false;
     }
-    obs::add(obs::Counter::kIngestBackpressure);
+    waited = true;
     spin_then_park(space_freed_, [&] { return queue_.try_push(event); });
   }
+  if (waited) obs::add(obs::Counter::kIngestBackpressure);
   wake(event_pushed_, /*all=*/false);
   return true;
 }

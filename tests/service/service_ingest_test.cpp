@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <ctime>
@@ -286,6 +287,49 @@ TEST(StreamingService, ThreadedProducerAndMatcherAgree) {
   }
   producer.join();
   EXPECT_EQ(answered, kFrames);
+}
+
+// One producer blocks on every barrier while another only tries, at
+// depth 1: every accepted barrier must come out as a frame, and nothing
+// may hang. A failed try still holds a window slot for a moment, and a
+// blocking barrier that saw it may park; the give-back wakes it
+// (service.cpp). Hitting that exact interleaving needs a preemption
+// between two adjacent atomic operations, so this hammer guards the
+// mixed protocol as a whole rather than reproducing the race.
+TEST(StreamingService, TryAndBlockingBarriersShareTheWindow) {
+  const DispatchConfig config = DispatchConfig{}
+                                    .with_passenger_threshold_km(10.0)
+                                    .with_taxi_threshold_score(1.0)
+                                    .with_pipeline_depth(1);
+  StreamingService service("nstd-p", config, kOracle);
+  constexpr std::uint64_t kBlockingFrames = 500;
+  std::atomic<bool> blocking_done{false};
+  std::uint64_t tried_frames = 0;
+
+  std::thread blocking([&] {
+    for (std::uint64_t frame = 0; frame < kBlockingFrames; ++frame) {
+      service.submit(api::RideEvent::make_end_frame(frame, 60.0));
+    }
+    blocking_done.store(true);
+  });
+  std::thread trying([&] {
+    while (!blocking_done.load()) {
+      if (service.try_submit(api::RideEvent::make_end_frame(kBlockingFrames, 60.0))) {
+        ++tried_frames;
+      }
+      std::this_thread::yield();
+    }
+  });
+
+  std::uint64_t answered = 0;
+  std::thread closer([&] {
+    blocking.join();
+    trying.join();
+    service.close();
+  });
+  while (service.next_response()) ++answered;
+  closer.join();
+  EXPECT_EQ(answered, kBlockingFrames + tried_frames);
 }
 
 // An idle server must use close to zero CPU: a matcher blocked in
