@@ -80,7 +80,7 @@ void BM_AnchoredSolverReuse(benchmark::State& state) {
   Rng rng(14);
   for (auto _ : state) {
     const geo::Point start{rng.uniform(0, 12), rng.uniform(0, 12)};
-    benchmark::DoNotOptimize(solver.best_length(start));
+    benchmark::DoNotOptimize(solver.best_route(start));
   }
 }
 BENCHMARK(BM_AnchoredSolverReuse);

@@ -36,8 +36,10 @@
 // frame_response per valid barrier. Clients resend the full pending-order
 // and fleet state every frame (the protocol is stateless per frame).
 // Malformed input is never fatal: undecodable lines are dropped with a
-// stderr note, and a frame with duplicate order/driver ids is discarded
-// whole (no frame_response; counted as frames_rejected).
+// stderr note, and a frame that fails DispatchSession::validate
+// (duplicate order/driver ids, an order with seats < 1, a driver with
+// seats_in_use outside [0, seats]) is discarded whole (no
+// frame_response; counted as frames_rejected).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>

@@ -237,15 +237,16 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
     unit_routes[u].reserve(passing.size());
     for (const auto& [bound, candidate] : passing) {
       const auto t = static_cast<std::size_t>(candidate);
-      routing::Route route = solvers[u].best_route(taxis[t].location);
-      const double total_length = routing::route_length(route, oracle);
+      // The route comes priced from the solver's own table: D_ck(t) and
+      // every member's along-route distances without a pointwise pass.
+      routing::PricedRoute priced = solvers[u].best_route(taxis[t].location);
+      const double total_length = priced.length_km;
 
       // Passenger side: average over members of
       //   D_ck(t, r.s) + β [D_ck(r.s, r.d) - D(r.s, r.d)].
       double passenger_sum = 0.0;
       for (std::size_t m = 0; m < member_indices.size(); ++m) {
-        const auto metrics =
-            routing::rider_metrics(route, requests[member_indices[m]].id, oracle);
+        const routing::RiderMetrics metrics = priced.rider(m);
         passenger_sum +=
             metrics.wait_km + params.preference.beta * (metrics.ride_km - direct[u][m]);
       }
@@ -262,7 +263,7 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
           taxi_value <= params.preference.taxi_threshold_score ? taxi_value : kUnacceptable;
       if (passenger_score == kUnacceptable && taxi_score == kUnacceptable) continue;
       rows[u].push_back({candidate, passenger_score, taxi_score});
-      unit_routes[u].emplace_back(candidate, std::move(route));
+      unit_routes[u].emplace_back(candidate, std::move(priced.route));
     }
     obs::add(obs::Counter::kPreferencePairs, rows[u].size());
   });

@@ -17,6 +17,18 @@ namespace o2o::geo {
 /// Abstract shortest-path distance D(a, b) in km. Implementations must be
 /// non-negative, symmetric up to the network's one-way streets, and satisfy
 /// D(a, a) == 0.
+///
+/// Row contract: every distances_from / distances_from_into entry equals
+/// distance(source, targets[i]) bit for bit. Route pricing relies on it:
+/// the route solvers price a chosen route from the stop table they
+/// searched on instead of calling distance() again, and the result must
+/// stay identical to route_length / rider_metrics. Every in-tree oracle
+/// keeps it (same formula on the metric oracles, same snap legs plus
+/// forward tree on NetworkOracle, same min-join on CHOracle), and a new
+/// backend must too. distances_to / distances_to_into promise less: on
+/// NetworkOracle a reverse tree sums the same path in the opposite order,
+/// so entries equal distance() only up to summation order and must not
+/// feed values that are compared with pointwise prices.
 class DistanceOracle {
  public:
   virtual ~DistanceOracle() = default;

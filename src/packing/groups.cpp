@@ -119,14 +119,16 @@ void evaluate_group_into(std::span<const trace::Request> requests,
     return;
   }
 
-  group.pooled_route = routing::optimal_route(scratch.riders, oracle, std::nullopt,
-                                              scratch.route);
-  group.pooled_length_km = routing::route_length(group.pooled_route, oracle);
+  // Lengths, direct trips and detours all come from the table the route
+  // search ran on; no pointwise oracle call re-prices the chosen route.
+  routing::PricedRoute priced =
+      routing::optimal_route(scratch.riders, oracle, std::nullopt, scratch.route);
+  group.pooled_route = std::move(priced.route);
+  group.pooled_length_km = priced.length_km;
   group.member_direct_km.reserve(count);
-  for (const trace::Request& rider : scratch.riders) {
-    const double direct = oracle.distance(rider.pickup, rider.dropoff);
-    const auto metrics = routing::rider_metrics(group.pooled_route, rider.id, oracle);
-    const double detour = metrics.ride_km - direct;
+  for (std::size_t m = 0; m < count; ++m) {
+    const double direct = scratch.route.direct_km(m);
+    const double detour = priced.rider(m).ride_km - direct;
     group.member_direct_km.push_back(direct);
     group.direct_sum_km += direct;
     group.max_detour_km = std::max(group.max_detour_km, detour);

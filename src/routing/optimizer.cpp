@@ -20,30 +20,18 @@ void stops_into(std::span<const trace::Request> riders, std::vector<Stop>& stops
   }
 }
 
-std::vector<Stop> stops_of(std::span<const trace::Request> riders) {
-  std::vector<Stop> stops;
-  stops_into(riders, stops);
-  return stops;
-}
-
 void points_into(const std::vector<Stop>& stops, std::vector<geo::Point>& points) {
   points.clear();
   points.reserve(stops.size());
   for (const Stop& s : stops) points.push_back(s.point);
 }
 
-std::vector<geo::Point> points_of(const std::vector<Stop>& stops) {
-  std::vector<geo::Point> points;
-  points_into(stops, points);
-  return points;
-}
-
 /// n x n stop-to-stop table built row-wise through the bulk oracle API —
 /// one Dijkstra tree per row on the network oracle instead of n pointwise
-/// resolutions, written straight into `table` (n * n doubles). The
-/// diagonal is pinned to 0: a bulk row *does* price source->source (twice
-/// the snap gap on network oracles), which the old pointwise loop never
-/// asked for.
+/// resolutions, written straight into `table` (n * n doubles). Every
+/// entry equals oracle.distance() bit for bit (the DistanceOracle row
+/// contract), which is what lets price_order stand in for route_length
+/// and rider_metrics. The diagonal is pinned to 0; no route uses it.
 void stop_rows_into(std::span<const geo::Point> points, const geo::DistanceOracle& oracle,
                     double* table) {
   const std::size_t n = points.size();
@@ -51,13 +39,6 @@ void stop_rows_into(std::span<const geo::Point> points, const geo::DistanceOracl
     oracle.distances_from_into(points[i], points, table + i * n);
     table[i * n + i] = 0.0;
   }
-}
-
-std::vector<double> stop_rows(std::span<const geo::Point> points,
-                              const geo::DistanceOracle& oracle) {
-  std::vector<double> table(points.size() * points.size(), 0.0);
-  stop_rows_into(points, oracle, table.data());
-  return table;
 }
 
 /// Non-owning view the search runs on, so repeated-anchor callers can
@@ -72,25 +53,24 @@ struct DistanceView {
   }
 };
 
-/// Pairwise distances among stops (and from the start when present).
-struct DistanceTable {
-  std::vector<double> stop_to_stop;  // n x n
-  std::vector<double> start_to_stop; // n (empty when no start)
-  std::size_t n = 0;
-
-  DistanceTable(const std::vector<Stop>& stops, const geo::DistanceOracle& oracle,
-                const std::optional<geo::Point>& start)
-      : n(stops.size()) {
-    const std::vector<geo::Point> points = points_of(stops);
-    stop_to_stop = stop_rows(points, oracle);
-    if (start.has_value()) start_to_stop = oracle.distances_from(*start, points);
+/// Fills `scratch` with the riders' stops, the stop-to-stop table and,
+/// when anchored, the anchor row; returns the view over them.
+DistanceView table_into(std::span<const trace::Request> riders,
+                        const geo::DistanceOracle& oracle,
+                        const std::optional<geo::Point>& start, RouteScratch& scratch) {
+  stops_into(riders, scratch.stops);
+  points_into(scratch.stops, scratch.points);
+  const std::size_t n = scratch.stops.size();
+  scratch.stop_table.resize(n * n);
+  stop_rows_into(scratch.points, oracle, scratch.stop_table.data());
+  const double* start_row = nullptr;
+  if (start.has_value()) {
+    scratch.start_row.resize(n);
+    oracle.distances_from_into(*start, scratch.points, scratch.start_row.data());
+    start_row = scratch.start_row.data();
   }
-
-  DistanceView view() const {
-    return DistanceView{stop_to_stop.data(),
-                        start_to_stop.empty() ? nullptr : start_to_stop.data(), n};
-  }
-};
+  return DistanceView{scratch.stop_table.data(), start_row, n};
+}
 
 /// Branch-and-bound over precedence-feasible stop orders. Search state
 /// lives in caller-owned vectors so hot paths can reuse one set of
@@ -135,50 +115,43 @@ Route route_from_order(const std::vector<Stop>& stops, const std::vector<std::si
   return route;
 }
 
-}  // namespace
-
-Route optimal_route_exhaustive(std::span<const trace::Request> riders,
-                               const geo::DistanceOracle& oracle,
-                               std::optional<geo::Point> start) {
-  RouteScratch scratch;
-  return optimal_route_exhaustive(riders, oracle, start, scratch);
+/// Materializes `order` and prices it from the table it was searched on.
+/// The fold is route_length's and rider_metrics': start at 0.0, add the
+/// leading leg (0.0 when unanchored) and then each stop-to-stop leg in
+/// route order.
+PricedRoute price_order(const std::vector<Stop>& stops, const std::vector<std::size_t>& order,
+                        const DistanceView& distances,
+                        const std::optional<geo::Point>& start) {
+  PricedRoute priced;
+  priced.route = route_from_order(stops, order, start);
+  O2O_ENSURES(respects_precedence(priced.route));
+  priced.arrival_km.resize(order.size());
+  double travelled = 0.0;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    travelled += k == 0 ? distances.leading(order[0])
+                        : distances.stop_to_stop[order[k - 1] * distances.n + order[k]];
+    priced.arrival_km[order[k]] = travelled;
+  }
+  priced.length_km = travelled;
+  return priced;
 }
 
-Route optimal_route_exhaustive(std::span<const trace::Request> riders,
-                               const geo::DistanceOracle& oracle,
-                               std::optional<geo::Point> start, RouteScratch& scratch) {
-  O2O_EXPECTS(riders.size() >= 1 && riders.size() <= 4);
-  stops_into(riders, scratch.stops);
-  points_into(scratch.stops, scratch.points);
-  const std::size_t n = scratch.stops.size();
-  scratch.stop_table.resize(n * n);
-  stop_rows_into(scratch.points, oracle, scratch.stop_table.data());
-  const double* start_row = nullptr;
-  if (start.has_value()) {
-    scratch.start_row.resize(n);
-    oracle.distances_from_into(*start, scratch.points, scratch.start_row.data());
-    start_row = scratch.start_row.data();
-  }
+/// Exhaustive search over the view; leaves the optimal order in
+/// scratch.best_order.
+void exhaustive_order(const DistanceView& distances, RouteScratch& scratch) {
+  const std::size_t n = distances.n;
   scratch.order.clear();
   scratch.order.reserve(n);
   scratch.best_order.clear();
   scratch.used.assign(n, false);
-  ExhaustiveSearch search{n, DistanceView{scratch.stop_table.data(), start_row, n},
-                          scratch.order, scratch.used, scratch.best_order,
+  ExhaustiveSearch search{n, distances, scratch.order, scratch.used, scratch.best_order,
                           std::numeric_limits<double>::infinity()};
   search.recurse(0.0);
-  Route route = route_from_order(scratch.stops, scratch.best_order, start);
-  O2O_ENSURES(respects_precedence(route));
-  return route;
 }
 
-Route optimal_route_dp(std::span<const trace::Request> riders,
-                       const geo::DistanceOracle& oracle, std::optional<geo::Point> start) {
-  O2O_EXPECTS(riders.size() >= 1 && riders.size() <= 8);
-  const std::vector<Stop> stops = stops_of(riders);
-  const DistanceTable table(stops, oracle, start);
-  const DistanceView distances = table.view();
-  const std::size_t n = stops.size();
+/// Held-Karp DP over (visited-set, last-stop) states on the view.
+std::vector<std::size_t> dp_order(const DistanceView& distances) {
+  const std::size_t n = distances.n;
   const std::size_t masks = std::size_t{1} << n;
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -229,64 +202,76 @@ Route optimal_route_dp(std::span<const trace::Request> riders,
     if (prev < 0) break;
     at = static_cast<std::size_t>(prev);
   }
-  Route route = route_from_order(stops, order, start);
+  return order;
+}
+
+}  // namespace
+
+Route optimal_route_exhaustive(std::span<const trace::Request> riders,
+                               const geo::DistanceOracle& oracle,
+                               std::optional<geo::Point> start) {
+  O2O_EXPECTS(riders.size() >= 1 && riders.size() <= 4);
+  RouteScratch scratch;
+  const DistanceView distances = table_into(riders, oracle, start, scratch);
+  exhaustive_order(distances, scratch);
+  Route route = route_from_order(scratch.stops, scratch.best_order, start);
+  O2O_ENSURES(respects_precedence(route));
+  return route;
+}
+
+Route optimal_route_dp(std::span<const trace::Request> riders,
+                       const geo::DistanceOracle& oracle, std::optional<geo::Point> start) {
+  O2O_EXPECTS(riders.size() >= 1 && riders.size() <= 8);
+  RouteScratch scratch;
+  const DistanceView distances = table_into(riders, oracle, start, scratch);
+  Route route = route_from_order(scratch.stops, dp_order(distances), start);
   O2O_ENSURES(respects_precedence(route));
   return route;
 }
 
 Route optimal_route(std::span<const trace::Request> riders, const geo::DistanceOracle& oracle,
                     std::optional<geo::Point> start) {
-  O2O_EXPECTS(!riders.empty());
-  if (riders.size() <= 3) return optimal_route_exhaustive(riders, oracle, start);
-  return optimal_route_dp(riders, oracle, start);
+  RouteScratch scratch;
+  return optimal_route(riders, oracle, start, scratch).route;
 }
 
-Route optimal_route(std::span<const trace::Request> riders, const geo::DistanceOracle& oracle,
-                    std::optional<geo::Point> start, RouteScratch& scratch) {
-  O2O_EXPECTS(!riders.empty());
-  if (riders.size() <= 3) return optimal_route_exhaustive(riders, oracle, start, scratch);
-  return optimal_route_dp(riders, oracle, start);
+PricedRoute optimal_route(std::span<const trace::Request> riders,
+                          const geo::DistanceOracle& oracle, std::optional<geo::Point> start,
+                          RouteScratch& scratch) {
+  O2O_EXPECTS(!riders.empty() && riders.size() <= 8);
+  const DistanceView distances = table_into(riders, oracle, start, scratch);
+  if (riders.size() <= 3) {
+    exhaustive_order(distances, scratch);
+    return price_order(scratch.stops, scratch.best_order, distances, start);
+  }
+  return price_order(scratch.stops, dp_order(distances), distances, start);
 }
 
 AnchoredRouteSolver::AnchoredRouteSolver(std::vector<trace::Request> riders,
                                          const geo::DistanceOracle& oracle)
     : riders_(std::move(riders)), oracle_(oracle) {
   O2O_EXPECTS(!riders_.empty() && riders_.size() <= 4);
-  stops_ = stops_of(riders_);
-  points_ = points_of(stops_);
-  stop_table_ = stop_rows(points_, oracle);
+  stops_into(riders_, stops_);
+  points_into(stops_, points_);
+  stop_table_.resize(points_.size() * points_.size());
+  stop_rows_into(points_, oracle, stop_table_.data());
 }
 
-std::vector<std::size_t> AnchoredRouteSolver::solve(const geo::Point& start,
-                                                    double& length_out) const {
+PricedRoute AnchoredRouteSolver::best_route(const geo::Point& start) const {
   const std::size_t n = stops_.size();
   // Per-call state is just the anchor row; the shared stop table is
   // referenced in place (one bulk query, no n x n copy per candidate).
-  const std::vector<double> start_row = oracle_.distances_from(start, points_);
+  std::vector<double> start_row(n);
+  oracle_.distances_from_into(start, points_, start_row.data());
+  const DistanceView distances{stop_table_.data(), start_row.data(), n};
   std::vector<std::size_t> order;
   order.reserve(n);
   std::vector<bool> used(n, false);
   std::vector<std::size_t> best_order;
-  ExhaustiveSearch search{n, DistanceView{stop_table_.data(), start_row.data(), n},
-                          order, used, best_order,
+  ExhaustiveSearch search{n, distances, order, used, best_order,
                           std::numeric_limits<double>::infinity()};
   search.recurse(0.0);
-  length_out = search.best_length;
-  return best_order;
-}
-
-Route AnchoredRouteSolver::best_route(const geo::Point& start) const {
-  double length = 0.0;
-  const std::vector<std::size_t> order = solve(start, length);
-  Route route = route_from_order(stops_, order, start);
-  O2O_ENSURES(respects_precedence(route));
-  return route;
-}
-
-double AnchoredRouteSolver::best_length(const geo::Point& start) const {
-  double length = 0.0;
-  (void)solve(start, length);
-  return length;
+  return price_order(stops_, best_order, distances, start);
 }
 
 long long feasible_order_count(int riders) {

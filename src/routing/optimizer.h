@@ -17,13 +17,13 @@
 
 namespace o2o::routing {
 
-/// Reusable buffers for the exhaustive solver. Hot loops (the share-group
+/// Reusable buffers for the route solvers. Hot loops (the share-group
 /// enumeration engine evaluates tens of thousands of candidate groups per
 /// frame) keep one per worker thread so route construction allocates
-/// nothing beyond the returned Route once the buffers have grown. The
-/// scratch overloads run the exact same table build and search as the
-/// scratch-free ones — identical distances, identical tie-breaking,
-/// bit-identical routes.
+/// little beyond the returned route once the buffers have grown. The
+/// scratch overload runs the exact same table build and search as the
+/// scratch-free entry points — identical distances, identical
+/// tie-breaking, bit-identical routes.
 struct RouteScratch {
   std::vector<Stop> stops;
   std::vector<geo::Point> points;    // stop coordinates, bulk-query shape
@@ -32,6 +32,32 @@ struct RouteScratch {
   std::vector<std::size_t> order;    // search state
   std::vector<std::size_t> best_order;
   std::vector<bool> used;
+
+  /// D(r_m.s, r_m.d) for rider m of the last solve: the stop-table entry
+  /// [2m][2m + 1], equal to oracle.distance() bit for bit under the
+  /// DistanceOracle row contract.
+  double direct_km(std::size_t m) const {
+    return stop_table[2 * m * stops.size() + 2 * m + 1];
+  }
+};
+
+/// An optimal route priced from the search's own distance table. Every
+/// value is the fold route_length / rider_metrics run (start at 0.0, add
+/// the anchor leg first when anchored, nothing at the first stop when
+/// unanchored), over table entries that equal oracle.distance() bit for
+/// bit — so each equals its pointwise counterpart exactly, without a
+/// second pass over the oracle.
+struct PricedRoute {
+  Route route;
+  /// Cumulative km on arrival at each rider stop, indexed like the stop
+  /// table: [2m] is rider m's pick-up, [2m + 1] its drop-off.
+  std::vector<double> arrival_km;
+  double length_km = 0.0;  ///< route_length(route)
+
+  /// rider_metrics(route, riders[m].id).
+  RiderMetrics rider(std::size_t m) const {
+    return RiderMetrics{arrival_km[2 * m], arrival_km[2 * m + 1] - arrival_km[2 * m]};
+  }
 };
 
 /// Exact minimum-length route over `riders` (pick-up before drop-off per
@@ -41,11 +67,6 @@ struct RouteScratch {
 Route optimal_route_exhaustive(std::span<const trace::Request> riders,
                                const geo::DistanceOracle& oracle,
                                std::optional<geo::Point> start = std::nullopt);
-
-/// Allocation-free variant reusing `scratch` across calls.
-Route optimal_route_exhaustive(std::span<const trace::Request> riders,
-                               const geo::DistanceOracle& oracle,
-                               std::optional<geo::Point> start, RouteScratch& scratch);
 
 /// Exact minimum-length route via Held-Karp DP with precedence masks;
 /// requires riders.size() <= 8 (2^16 x 16 states).
@@ -59,11 +80,12 @@ Route optimal_route(std::span<const trace::Request> riders,
                     const geo::DistanceOracle& oracle,
                     std::optional<geo::Point> start = std::nullopt);
 
-/// Dispatching variant with scratch reuse (the DP branch, taken only
+/// Dispatching variant reusing `scratch` for the distance table, and
+/// returning the route priced from that table (the DP branch, taken only
 /// above 3 riders, still allocates its own state).
-Route optimal_route(std::span<const trace::Request> riders,
-                    const geo::DistanceOracle& oracle,
-                    std::optional<geo::Point> start, RouteScratch& scratch);
+PricedRoute optimal_route(std::span<const trace::Request> riders,
+                          const geo::DistanceOracle& oracle,
+                          std::optional<geo::Point> start, RouteScratch& scratch);
 
 /// Number of precedence-feasible stop orders for k riders: (2k)! / 2^k.
 /// (The paper's "90" for k = 3.)
@@ -77,10 +99,9 @@ class AnchoredRouteSolver {
  public:
   AnchoredRouteSolver(std::vector<trace::Request> riders, const geo::DistanceOracle& oracle);
 
-  /// Minimum-length route starting from `start`.
-  Route best_route(const geo::Point& start) const;
-  /// Length of best_route(start) without materializing the route.
-  double best_length(const geo::Point& start) const;
+  /// Minimum-length route starting from `start`, priced from the shared
+  /// stop table and the anchor row.
+  PricedRoute best_route(const geo::Point& start) const;
 
   std::size_t rider_count() const noexcept { return riders_.size(); }
 
@@ -90,8 +111,6 @@ class AnchoredRouteSolver {
   std::vector<geo::Point> points_;  // stop coordinates, bulk-query shape
   std::vector<double> stop_table_;  // stop-to-stop, n x n (built once)
   const geo::DistanceOracle& oracle_;
-
-  std::vector<std::size_t> solve(const geo::Point& start, double& length_out) const;
 };
 
 }  // namespace o2o::routing

@@ -178,9 +178,9 @@ std::optional<api::FrameResponse> StreamingService::next_response() {
     frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     wake(space_freed_, /*all=*/true);
 
-    // Frames that violate the api contract (duplicate order/driver ids)
-    // cross a trust boundary in --stdio/--tcp mode: drop them here,
-    // before the trace sink opens the frame, and keep serving.
+    // Frames that violate the api contract (duplicate ids, out-of-range
+    // seat values) cross a trust boundary in --stdio/--tcp mode: drop
+    // them here, before the trace sink opens the frame, and keep serving.
     std::string reject_reason;
     if (!DispatchSession::validate(*request, &reject_reason)) {
       ++frames_rejected;

@@ -27,6 +27,10 @@ void DispatchSession::reset() {
 }
 
 bool DispatchSession::validate(const api::FrameRequest& request, std::string* error) {
+  const auto reject = [error](std::string reason) {
+    if (error != nullptr) *error = std::move(reason);
+    return false;
+  };
   // Sort id copies rather than scanning adjacency of the barrier order:
   // orders sort by (timestamp, id), so equal ids with distinct
   // timestamps would not be adjacent there.
@@ -36,20 +40,27 @@ bool DispatchSession::validate(const api::FrameRequest& request, std::string* er
   std::sort(ids.begin(), ids.end());
   auto dup = std::adjacent_find(ids.begin(), ids.end());
   if (dup != ids.end()) {
-    if (error != nullptr) {
-      *error = "duplicate order_id " + std::to_string(*dup) + " in frame";
-    }
-    return false;
+    return reject("duplicate order_id " + std::to_string(*dup) + " in frame");
   }
   ids.clear();
   for (const api::Driver& driver : request.drivers) ids.push_back(driver.driver_id);
   std::sort(ids.begin(), ids.end());
   dup = std::adjacent_find(ids.begin(), ids.end());
   if (dup != ids.end()) {
-    if (error != nullptr) {
-      *error = "duplicate driver_id " + std::to_string(*dup) + " in frame";
+    return reject("duplicate driver_id " + std::to_string(*dup) + " in frame");
+  }
+  for (const api::Order& order : request.orders) {
+    if (order.seats < 1) {
+      return reject("invalid seats " + std::to_string(order.seats) + " on order_id " +
+                    std::to_string(order.order_id) + ": must be >= 1");
     }
-    return false;
+  }
+  for (const api::Driver& driver : request.drivers) {
+    if (driver.seats_in_use < 0 || driver.seats_in_use > driver.seats) {
+      return reject("invalid seats_in_use " + std::to_string(driver.seats_in_use) +
+                    " on driver_id " + std::to_string(driver.driver_id) +
+                    ": must be within [0, seats = " + std::to_string(driver.seats) + "]");
+    }
   }
   return true;
 }

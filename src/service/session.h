@@ -35,8 +35,11 @@ class DispatchSession {
   const std::string& dispatcher_name() const noexcept { return dispatcher_name_; }
 
   /// Checks the api contract on a frame that crossed a trust boundary:
-  /// duplicate order ids or duplicate driver ids fail it. Returns false
-  /// and sets `error` (when non-null) on the first violation.
+  /// duplicate order or driver ids, an order asking for fewer than one
+  /// seat, or a driver whose seats_in_use lies outside [0, seats] fail
+  /// it. Returns false and sets `error` (when non-null) to a message
+  /// naming the violation kind ("duplicate order_id ...", "invalid seats
+  /// ...", "invalid seats_in_use ...") on the first violation.
   static bool validate(const api::FrameRequest& request, std::string* error = nullptr);
 
   /// Matches one frame. Orders and drivers are (re)sorted to the

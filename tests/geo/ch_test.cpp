@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "geo/road_network.h"
+#include "tests/geo/test_networks.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -46,42 +47,8 @@ RoadNetwork random_digraph(std::size_t n, std::size_t extra, std::uint64_t seed,
   return network;
 }
 
-/// Grid city with *integer* edge lengths: every edge weight drawn from
-/// {1..5} km. Integer weights sum exactly in doubles, which is what the
-/// bitwise CHOracle == NetworkOracle assertions rely on.
-RoadNetwork integer_grid(int cols, int rows, std::uint64_t seed) {
-  Rng rng(seed);
-  RoadNetwork network;
-  const auto node_at = [cols](int x, int y) { return static_cast<NodeId>(y * cols + x); };
-  for (int y = 0; y < rows; ++y) {
-    for (int x = 0; x < cols; ++x) {
-      network.add_node(Point{static_cast<double>(x), static_cast<double>(y)});
-    }
-  }
-  for (int y = 0; y < rows; ++y) {
-    for (int x = 0; x < cols; ++x) {
-      if (x + 1 < cols) {
-        network.add_bidirectional_edge(node_at(x, y), node_at(x + 1, y),
-                                       static_cast<double>(rng.uniform_int(1, 5)));
-      }
-      if (y + 1 < rows) {
-        network.add_bidirectional_edge(node_at(x, y), node_at(x, y + 1),
-                                       static_cast<double>(rng.uniform_int(1, 5)));
-      }
-    }
-  }
-  return network;
-}
-
-std::vector<Point> random_points(std::size_t count, std::uint64_t seed, double extent) {
-  Rng rng(seed);
-  std::vector<Point> points;
-  points.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    points.push_back(Point{rng.uniform(0.0, extent), rng.uniform(0.0, extent)});
-  }
-  return points;
-}
+using fixtures::integer_grid;
+using fixtures::random_points;
 
 // --- ContractionHierarchy core --------------------------------------------
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -336,7 +338,9 @@ TEST(NetworkOracle, DistancesFromMatchesPointwiseExactly) {
   ASSERT_EQ(bulk.size(), targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
     // Same forward tree, same snap legs, same addition order: bitwise equal.
-    EXPECT_DOUBLE_EQ(bulk[i], oracle.distance(source, targets[i])) << "target " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk[i]),
+              std::bit_cast<std::uint64_t>(oracle.distance(source, targets[i])))
+        << "target " << i;
   }
 }
 

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
+#include "geo/ch/ch_oracle.h"
+#include "geo/road_network.h"
+#include "routing/route.h"
 #include "util/rng.h"
 
 namespace o2o::packing {
@@ -53,6 +59,56 @@ TEST(EvaluateGroup, SeatDemandCanExceedCapacity) {
   bool feasible = true;
   evaluate_group(requests, {0, 1}, kOracle, options(5.0), 4, feasible);
   EXPECT_FALSE(feasible);  // 6 seats > 4
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// evaluate_group prices a group from the table its route search ran on.
+/// The serial reference calls evaluate_group too, so only an independent
+/// pointwise re-pricing of the returned route can catch drift there.
+TEST(EvaluateGroup, PricesEqualPointwiseRepricingBitwise) {
+  const geo::RoadNetwork city =
+      geo::RoadNetwork::make_grid_city(8, 8, 1.0, /*jitter_km=*/0.25,
+                                       /*closure_fraction=*/0.15, /*seed=*/89);
+  const geo::NetworkOracle network(city);
+  const geo::CHOracle ch(city, geo::ContractionHierarchy::build(city));
+  const std::vector<std::pair<const char*, const geo::DistanceOracle*>> oracles{
+      {"euclidean", &kOracle}, {"network", &network}, {"ch", &ch}};
+  Rng rng(97);
+  for (const auto& [name, oracle] : oracles) {
+    for (int trial = 0; trial < 30; ++trial) {
+      SCOPED_TRACE(::testing::Message() << name << " trial " << trial);
+      std::vector<trace::Request> requests;
+      for (int i = 0; i < 8; ++i) {
+        requests.push_back(make_request(100 + i, {rng.uniform(0, 7), rng.uniform(0, 7)},
+                                        {rng.uniform(0, 7), rng.uniform(0, 7)}));
+      }
+      // 2, 3 and 4 distinct members in shuffled order (4 takes the DP).
+      std::vector<std::size_t> members{0, 1, 2, 3, 4, 5, 6, 7};
+      rng.shuffle(members);
+      members.resize(static_cast<std::size_t>(2 + trial % 3));
+      bool feasible = false;
+      const ShareGroup group =
+          evaluate_group(requests, members, *oracle, options(5.0), 4, feasible);
+
+      EXPECT_EQ(bits(group.pooled_length_km),
+                bits(routing::route_length(group.pooled_route, *oracle)));
+      ASSERT_EQ(group.member_direct_km.size(), members.size());
+      double direct_sum = 0.0;
+      double max_detour = 0.0;
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        const trace::Request& rider = requests[members[m]];
+        const double direct = oracle->distance(rider.pickup, rider.dropoff);
+        const double detour =
+            routing::rider_metrics(group.pooled_route, rider.id, *oracle).ride_km - direct;
+        EXPECT_EQ(bits(group.member_direct_km[m]), bits(direct)) << "member " << m;
+        direct_sum += direct;
+        max_detour = std::max(max_detour, detour);
+      }
+      EXPECT_EQ(bits(group.direct_sum_km), bits(direct_sum));
+      EXPECT_EQ(bits(group.max_detour_km), bits(max_detour));
+    }
+  }
 }
 
 TEST(Enumerate, FindsTheObviousPair) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "geo/ch/ch_oracle.h"
+#include "geo/road_network.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -129,10 +134,61 @@ TEST(AnchoredSolver, MatchesOptimalRouteAcrossAnchors) {
     const AnchoredRouteSolver solver(riders, kOracle);
     for (int a = 0; a < 5; ++a) {
       const geo::Point start{rng.uniform(-15, 15), rng.uniform(-15, 15)};
-      const Route via_solver = solver.best_route(start);
+      const Route via_solver = solver.best_route(start).route;
       const Route direct = optimal_route(riders, kOracle, start);
       EXPECT_NEAR(route_length(via_solver, kOracle), route_length(direct, kOracle), 1e-9);
-      EXPECT_NEAR(solver.best_length(start), route_length(direct, kOracle), 1e-9);
+      EXPECT_NEAR(solver.best_route(start).length_km, route_length(direct, kOracle), 1e-9);
+    }
+  }
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// A priced route must equal route_length / rider_metrics / distance
+/// recomputed pointwise on its own stops, bit for bit.
+void expect_prices_match_pointwise(const PricedRoute& priced,
+                                   const std::vector<trace::Request>& riders,
+                                   const geo::DistanceOracle& oracle) {
+  EXPECT_EQ(bits(priced.length_km), bits(route_length(priced.route, oracle)));
+  for (std::size_t m = 0; m < riders.size(); ++m) {
+    const RiderMetrics expected = rider_metrics(priced.route, riders[m].id, oracle);
+    EXPECT_EQ(bits(priced.rider(m).wait_km), bits(expected.wait_km)) << "rider " << m;
+    EXPECT_EQ(bits(priced.rider(m).ride_km), bits(expected.ride_km)) << "rider " << m;
+  }
+}
+
+TEST(PricedRoute, EqualsPointwiseRepricingBitwise) {
+  const geo::RoadNetwork city =
+      geo::RoadNetwork::make_grid_city(8, 8, 1.0, /*jitter_km=*/0.25,
+                                       /*closure_fraction=*/0.15, /*seed=*/83);
+  const geo::NetworkOracle network(city);
+  const geo::CHOracle ch(city, geo::ContractionHierarchy::build(city));
+  const std::vector<std::pair<const char*, const geo::DistanceOracle*>> oracles{
+      {"euclidean", &kOracle}, {"network", &network}, {"ch", &ch}};
+  Rng rng(27);
+  for (const auto& [name, oracle] : oracles) {
+    RouteScratch scratch;
+    for (int trial = 0; trial < 24; ++trial) {
+      SCOPED_TRACE(::testing::Message() << name << " trial " << trial);
+      // 1-4 riders: the exhaustive search up to 3, the DP at 4 (and the
+      // anchored solver's exhaustive search throughout).
+      std::vector<trace::Request> riders;
+      for (int i = 0; i < 1 + trial % 4; ++i) {
+        riders.push_back(make_request(i, {rng.uniform(0, 7), rng.uniform(0, 7)},
+                                      {rng.uniform(0, 7), rng.uniform(0, 7)}));
+      }
+      const geo::Point start{rng.uniform(0, 7), rng.uniform(0, 7)};
+
+      const AnchoredRouteSolver solver(riders, *oracle);
+      expect_prices_match_pointwise(solver.best_route(start), riders, *oracle);
+      expect_prices_match_pointwise(optimal_route(riders, *oracle, start, scratch), riders,
+                                    *oracle);
+      expect_prices_match_pointwise(optimal_route(riders, *oracle, std::nullopt, scratch),
+                                    riders, *oracle);
+      for (std::size_t m = 0; m < riders.size(); ++m) {
+        EXPECT_EQ(bits(scratch.direct_km(m)),
+                  bits(oracle->distance(riders[m].pickup, riders[m].dropoff)));
+      }
     }
   }
 }

@@ -14,6 +14,7 @@
 
 #include "core/dispatch_config.h"
 #include "geo/distance_oracle.h"
+#include "obs/obs.h"
 #include "service/api.h"
 #include "service/ingest.h"
 #include "service/service.h"
@@ -243,6 +244,55 @@ TEST(StreamingService, DuplicateIdFramesAreDroppedNotFatal) {
   EXPECT_EQ(response->frame, 2u);
   EXPECT_EQ(response->assignments.size(), 1u);
   EXPECT_FALSE(service.next_response().has_value());
+}
+
+// Out-of-range seat values are dropped the same way: the frame is
+// rejected and counted, later frames are served.
+TEST(StreamingService, OutOfRangeSeatFramesAreDroppedAndCounted) {
+  const DispatchConfig config = DispatchConfig{}
+                                    .with_passenger_threshold_km(10.0)
+                                    .with_taxi_threshold_score(1.0)
+                                    .with_pipeline_depth(4);
+  StreamingService service("std-p", config, kOracle);
+  obs::TraceSink sink;
+  obs::Activation guard(sink);
+
+  // Frame 0: an order asking for -3 seats.
+  api::Order negative;
+  negative.order_id = 1;
+  negative.timestamp = 10.0;
+  negative.finish = {2.0, 2.0};
+  negative.seats = -3;
+  service.submit(api::RideEvent::make_order(negative));
+  service.submit(driver_event(10, 0.5, 0.5));
+  service.submit(api::RideEvent::make_end_frame(0, 60.0));
+  // Frame 1: a driver with more seats in use than it has.
+  api::Driver overfull;
+  overfull.driver_id = 11;
+  overfull.location = {0.5, 0.5};
+  overfull.seats = 4;
+  overfull.seats_in_use = 6;
+  overfull.route = {api::DriverStop{50, false, {1.0, 1.0}}};
+  overfull.onboard = {50};
+  overfull.route_seats = {{50, 6}};
+  service.submit(order_event(2, 0.0, 0.0));
+  service.submit(api::RideEvent::make_driver(overfull));
+  service.submit(api::RideEvent::make_end_frame(1, 120.0));
+  // Frame 2 is clean and must still be served.
+  service.submit(order_event(3, 0.0, 0.0));
+  service.submit(driver_event(12, 0.5, 0.5));
+  service.submit(api::RideEvent::make_end_frame(2, 180.0));
+  service.close();
+
+  const auto response = service.next_response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->frame, 2u);
+  EXPECT_EQ(response->assignments.size(), 1u);
+  EXPECT_FALSE(service.next_response().has_value());
+  // Both rejections are reported with the frame that follows them.
+  ASSERT_EQ(sink.frames_recorded(), 1u);
+  EXPECT_EQ(sink.aggregate().counters[static_cast<std::size_t>(obs::Counter::kFramesRejected)],
+            2u);
 }
 
 // A producer thread streams frames while the matcher answers them —

@@ -207,5 +207,49 @@ TEST(StreamingSession, DuplicateIdsFailValidationInsteadOfAborting) {
   EXPECT_TRUE(session.dispatch(request).has_value());
 }
 
+TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
+  api::FrameRequest request;
+  request.timestamp = 60.0;
+  api::Order order;
+  order.order_id = 7;
+  order.timestamp = 10.0;
+  order.finish = {2.0, 2.0};
+  api::Driver driver;
+  driver.driver_id = 3;
+  driver.location = {0.5, 0.5};
+  driver.seats = 4;
+  request.orders = {order};
+  request.drivers = {driver};
+  ASSERT_TRUE(DispatchSession::validate(request));
+
+  DispatchSession session("std-p", tuned_config(false), kOracle);
+  std::string error;
+  for (const int seats : {-3, 0}) {
+    request.orders[0].seats = seats;
+    EXPECT_FALSE(DispatchSession::validate(request, &error)) << seats;
+    EXPECT_NE(error.find("invalid seats " + std::to_string(seats) + " on order_id 7"),
+              std::string::npos)
+        << error;
+    error.clear();
+    EXPECT_FALSE(session.dispatch(request, &error).has_value());
+    EXPECT_FALSE(error.empty());
+  }
+  request.orders[0].seats = 1;
+
+  for (const int in_use : {5, -1}) {
+    request.drivers[0].seats_in_use = in_use;
+    EXPECT_FALSE(DispatchSession::validate(request, &error)) << in_use;
+    EXPECT_NE(error.find("invalid seats_in_use " + std::to_string(in_use) + " on driver_id 3"),
+              std::string::npos)
+        << error;
+  }
+  // The boundaries themselves are valid: a full taxi and an empty one.
+  for (const int in_use : {4, 0}) {
+    request.drivers[0].seats_in_use = in_use;
+    EXPECT_TRUE(DispatchSession::validate(request, &error)) << error;
+  }
+  EXPECT_TRUE(session.dispatch(request).has_value());
+}
+
 }  // namespace
 }  // namespace o2o::service
