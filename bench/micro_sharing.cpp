@@ -1,12 +1,11 @@
 // Micro-benchmarks for the sharing pipeline: shared-route optimization
 // (exhaustive vs Held-Karp DP), feasible-group enumeration (pair-pruned
 // vs exhaustive triples), the three set-packing solvers, and city-scale
-// before/after comparisons of the grid-pruned enumeration engine against
-// the dense serial scan (the EXPERIMENTS.md table).
+// runs of the grid-pruned enumeration engine and full sharing frames
+// (the EXPERIMENTS.md tables).
 //
-// Run with --quick for the CI smoke subset: the dense city-scale
-// reference arms (minutes of single-iteration work) are filtered out and
-// the measurement time per benchmark is cut down.
+// Run with --quick for the CI smoke subset: the 5000-request city arm is
+// filtered out and the measurement time per benchmark is cut down.
 // `--frames N` switches to the perturbed-frame mode: consecutive frames
 // with `--churn X` request churn (default 0.15) share one GroupCache,
 // reporting the cold (first) frame against the warm mean -- the
@@ -175,12 +174,9 @@ void BM_DispatchSharingFrame(benchmark::State& state) {
 BENCHMARK(BM_DispatchSharingFrame)->Args({32, 64})->Args({64, 128})->Args({64, 256});
 
 // ---------------------------------------------------------------------------
-// City-scale before/after: requests over a 40x40 km region with 1-4 km
-// trips, the regime where the derived pick-up radius (θ/2 + direct)
-// prunes the vast majority of the O(R^2) pair candidates. The "Dense"
-// arms run the serial reference scan (GroupOptions::parallel = false) --
-// the engine's behaviour before this optimisation -- and are pinned to
-// one iteration because they evaluate every pair.
+// City scale: requests over a 40x40 km region with 1-4 km trips, the
+// regime where the derived pick-up radius (θ/2 + direct) prunes the vast
+// majority of the O(R^2) pair candidates.
 
 std::vector<trace::Request> make_city_requests(std::size_t count, std::uint64_t seed) {
   constexpr double kExtentKm = 40.0;
@@ -200,16 +196,15 @@ std::vector<trace::Request> make_city_requests(std::size_t count, std::uint64_t 
   return requests;
 }
 
-packing::GroupOptions city_group_options(bool parallel) {
+packing::GroupOptions city_group_options() {
   packing::GroupOptions options;
   options.detour_threshold_km = 2.0;  // half the shortest trip in the mix
-  options.parallel = parallel;
   return options;
 }
 
-void city_enumeration(benchmark::State& state, bool parallel) {
+void BM_CityEnumerationPruned(benchmark::State& state) {
   const auto requests = make_city_requests(static_cast<std::size_t>(state.range(0)), 23);
-  const packing::GroupOptions options = city_group_options(parallel);
+  const packing::GroupOptions options = city_group_options();
   std::size_t groups = 0;
   for (auto _ : state) {
     const auto enumerated = packing::enumerate_share_groups(requests, kOracle, options);
@@ -218,20 +213,10 @@ void city_enumeration(benchmark::State& state, bool parallel) {
   }
   state.counters["groups"] = static_cast<double>(groups);
 }
-
-void BM_CityEnumerationPruned(benchmark::State& state) { city_enumeration(state, true); }
 BENCHMARK(BM_CityEnumerationPruned)
     ->Arg(1000)
     ->Arg(2000)
     ->Arg(5000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_CityEnumerationDense(benchmark::State& state) { city_enumeration(state, false); }
-BENCHMARK(BM_CityEnumerationDense)
-    ->Arg(1000)
-    ->Arg(2000)
-    ->Arg(5000)
-    ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CityPackRequests(benchmark::State& state) {
@@ -239,23 +224,23 @@ void BM_CityPackRequests(benchmark::State& state) {
   // frame the matching stage costs on top.
   const auto requests = make_city_requests(static_cast<std::size_t>(state.range(0)), 24);
   core::SharingParams params;
-  params.grouping = city_group_options(true);
+  params.grouping = city_group_options();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::pack_requests(requests, kOracle, params));
   }
 }
 BENCHMARK(BM_CityPackRequests)->Arg(1000)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-core::SharingParams city_sharing_params(bool parallel) {
+core::SharingParams city_sharing_params() {
   core::SharingParams params;
-  params.grouping = city_group_options(parallel);
+  params.grouping = city_group_options();
   params.preference.passenger_threshold_km = 2.0;
   params.preference.taxi_threshold_score = 8.0;
   params.candidate_taxis_per_unit = 8;
   return params;
 }
 
-void city_frame(benchmark::State& state, bool parallel) {
+void BM_CitySharingFramePruned(benchmark::State& state) {
   const auto requests = make_city_requests(static_cast<std::size_t>(state.range(0)), 24);
   Rng rng(25);
   std::vector<trace::Taxi> taxis;
@@ -265,13 +250,11 @@ void city_frame(benchmark::State& state, bool parallel) {
     taxi.location = {rng.uniform(0, 40), rng.uniform(0, 40)};
     taxis.push_back(taxi);
   }
-  const core::SharingParams params = city_sharing_params(parallel);
+  const core::SharingParams params = city_sharing_params();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::dispatch_sharing(taxis, requests, kOracle, params));
   }
 }
-
-void BM_CitySharingFramePruned(benchmark::State& state) { city_frame(state, true); }
 BENCHMARK(BM_CitySharingFramePruned)
     ->Arg(1000)
     ->Arg(2000)
@@ -290,7 +273,7 @@ void BM_CitySharingFrameTraced(benchmark::State& state) {
     taxi.location = {rng.uniform(0, 40), rng.uniform(0, 40)};
     taxis.push_back(taxi);
   }
-  const core::SharingParams params = city_sharing_params(true);
+  const core::SharingParams params = city_sharing_params();
   obs::TraceSink sink(obs::TraceOptions{.enabled = true, .per_frame = false});
   obs::Activation guard(sink);
   std::uint64_t frame = 0;
@@ -305,13 +288,6 @@ void BM_CitySharingFrameTraced(benchmark::State& state) {
 BENCHMARK(BM_CitySharingFrameTraced)
     ->Arg(1000)
     ->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_CitySharingFrameDense(benchmark::State& state) { city_frame(state, false); }
-BENCHMARK(BM_CitySharingFrameDense)
-    ->Arg(1000)
-    ->Arg(2000)
-    ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -346,17 +322,15 @@ std::vector<trace::Request> perturb_frame(std::vector<trace::Request> requests,
   return next;
 }
 
-// Full-dispatch A/B over the same perturbed frame stream: a persistent
-// STD-P dispatcher driven through hand-built DispatchContexts, once with
-// the incremental frame engine off (persist_candidates / parallel_exact /
-// warm_start_da all false -- the cross-frame verdict cache stays on, so
-// the baseline is the engine before this PR) and once with it on.
-// Matched requests deliberately stay in the stream (the streaming
-// re-dispatch shape where warm-start hints can fire); the fleet is a
-// fixed idle set, so the simulator-side grid patching is covered by the
-// sim_incremental_grid differential test, not here.
+// Full dispatch over the same perturbed frame stream: a persistent STD-P
+// dispatcher with the default configuration, driven through hand-built
+// DispatchContexts, reporting the cold frame and the warm frames'
+// per-stage breakdown. Matched requests deliberately stay in the stream
+// (the streaming re-dispatch shape where warm-start hints can fire); the
+// fleet is a fixed idle set, so the simulator-side grid patching is
+// covered by the sim_incremental_grid differential test, not here.
 
-struct DispatchArmResult {
+struct DispatchRunResult {
   double cold_ms = 0.0;
   double warm_mean_ms = 0.0;
   /// Stage times and counters summed over the warm frames only.
@@ -364,17 +338,13 @@ struct DispatchArmResult {
   int warm_frames = 0;
 };
 
-DispatchArmResult run_dispatch_arm(bool incremental, int frames, std::size_t size,
-                                   double churn_rate) {
+DispatchRunResult run_dispatch(int frames, std::size_t size, double churn_rate) {
   constexpr double kExtentKm = 40.0;
   const DispatchConfig config = DispatchConfig{}
                                     .with_detour_threshold_km(2.0)
                                     .with_passenger_threshold_km(2.0)
                                     .with_taxi_threshold_score(8.0)
-                                    .with_candidate_taxis_per_unit(8)
-                                    .with_persist_candidates(incremental)
-                                    .with_parallel_exact(incremental)
-                                    .with_warm_start_da(incremental);
+                                    .with_candidate_taxis_per_unit(8);
   const auto dispatcher = make_std_p(config);
 
   Rng rng(25);
@@ -393,7 +363,7 @@ DispatchArmResult run_dispatch_arm(bool incremental, int frames, std::size_t siz
 
   obs::TraceSink sink(obs::TraceOptions{.enabled = true});
   obs::Activation guard(sink);
-  DispatchArmResult result;
+  DispatchRunResult result;
   double warm_total_ms = 0.0;
   for (int frame = 0; frame < frames; ++frame) {
     const index::SpatialGrid grid(std::span<const trace::Taxi>(taxis), 1.0);
@@ -436,37 +406,32 @@ DispatchArmResult run_dispatch_arm(bool incremental, int frames, std::size_t siz
   return result;
 }
 
-void print_dispatch_ab(int frames, const std::vector<std::size_t>& sizes,
-                       double churn_rate) {
-  const auto stage_ms = [](const DispatchArmResult& r, obs::Stage stage) {
+void print_dispatch_frames(int frames, const std::vector<std::size_t>& sizes,
+                           double churn_rate) {
+  const auto stage_ms = [](const DispatchRunResult& r, obs::Stage stage) {
     if (r.warm_frames == 0) return 0.0;
     return static_cast<double>(r.warm.stage_ns[static_cast<std::size_t>(stage)]) / 1e6 /
            static_cast<double>(r.warm_frames);
   };
-  const auto counter = [](const DispatchArmResult& r, obs::Counter c) {
+  const auto counter = [](const DispatchRunResult& r, obs::Counter c) {
     return static_cast<unsigned long long>(
         r.warm.counters[static_cast<std::size_t>(c)]);
   };
   std::printf("\nFull STD-P dispatch frames, 700 idle taxis (~%.0f%% churn/frame)\n",
               churn_rate * 100.0);
   std::printf("Warm-frame stage means in ms; counters summed over warm frames.\n");
-  std::printf("%-10s %-12s %-9s %-10s %-9s %-8s %-9s %-8s %-7s %-9s %-10s\n",
-              "requests", "arm", "cold_ms", "warm_mean", "match_ms", "cand_ms",
-              "exact_ms", "reused", "seeds", "batches", "proposals");
+  std::printf("%-10s %-9s %-10s %-9s %-8s %-9s %-8s %-7s %-9s %-10s\n", "requests",
+              "cold_ms", "warm_mean", "match_ms", "cand_ms", "exact_ms", "reused", "seeds",
+              "batches", "proposals");
   for (const std::size_t size : sizes) {
-    for (const bool incremental : {false, true}) {
-      const DispatchArmResult r = run_dispatch_arm(incremental, frames, size, churn_rate);
-      std::printf("%-10zu %-12s %-9.2f %-10.2f %-9.2f %-8.2f %-9.2f %-8llu %-7llu "
-                  "%-9llu %-10llu\n",
-                  size, incremental ? "incremental" : "cold", r.cold_ms, r.warm_mean_ms,
-                  stage_ms(r, obs::Stage::kStableMatching),
-                  stage_ms(r, obs::Stage::kCandidateGen),
-                  stage_ms(r, obs::Stage::kExactEval),
-                  counter(r, obs::Counter::kCandidatesReused),
-                  counter(r, obs::Counter::kDaWarmSeeds),
-                  counter(r, obs::Counter::kExactParallelBatches),
-                  counter(r, obs::Counter::kProposals));
-    }
+    const DispatchRunResult r = run_dispatch(frames, size, churn_rate);
+    std::printf("%-10zu %-9.2f %-10.2f %-9.2f %-8.2f %-9.2f %-8llu %-7llu %-9llu %-10llu\n",
+                size, r.cold_ms, r.warm_mean_ms, stage_ms(r, obs::Stage::kStableMatching),
+                stage_ms(r, obs::Stage::kCandidateGen), stage_ms(r, obs::Stage::kExactEval),
+                counter(r, obs::Counter::kCandidatesReused),
+                counter(r, obs::Counter::kDaWarmSeeds),
+                counter(r, obs::Counter::kExactParallelBatches),
+                counter(r, obs::Counter::kProposals));
   }
 }
 
@@ -480,7 +445,7 @@ int run_frames_mode(int frames, bool quick, double churn_rate) {
               "cold_ms", "warm_mean", "hits", "revalidations", "groups");
   for (const std::size_t size : sizes) {
     auto requests = make_city_requests(size, 29);
-    const packing::GroupOptions options = city_group_options(true);
+    const packing::GroupOptions options = city_group_options();
     packing::GroupCache cache;
     Rng churn(31);
     trace::RequestId next_id = static_cast<trace::RequestId>(size);
@@ -510,15 +475,15 @@ int run_frames_mode(int frames, bool quick, double churn_rate) {
                 static_cast<unsigned long long>(cache.stats().hits),
                 static_cast<unsigned long long>(cache.stats().stores), groups);
   }
-  print_dispatch_ab(frames, sizes, churn_rate);
+  print_dispatch_frames(frames, sizes, churn_rate);
   return 0;
 }
 
 }  // namespace
 
 // Custom main: `--quick` rewrites the flag set for the CI smoke run --
-// everything but the single-iteration dense reference arms and the
-// 5000-request pruned arm, at a reduced per-benchmark measurement time.
+// everything but the 5000-request city arm, at a reduced per-benchmark
+// measurement time.
 int main(int argc, char** argv) {
   bool quick = false;
   int frames = 0;
@@ -551,7 +516,7 @@ int main(int argc, char** argv) {
   }
   if (frames > 0) return run_frames_mode(frames, quick, churn_rate);
   static std::string filter =
-      "--benchmark_filter=-BM_City.*Dense.*|BM_CityEnumerationPruned/5000";
+      "--benchmark_filter=-BM_CityEnumerationPruned/5000";
   static std::string min_time = "--benchmark_min_time=0.05";
   if (quick) {
     args.push_back(filter.data());

@@ -31,7 +31,6 @@ std::string_view config_field_name(ConfigField field) noexcept {
     case ConfigField::kDrainSeconds: return "drain_seconds";
     case ConfigField::kIdleGridCellKm: return "idle_grid_cell_km";
     case ConfigField::kRoadNetwork: return "road_network";
-    case ConfigField::kDeterministicMerge: return "deterministic_merge";
     case ConfigField::kPipelineDepth: return "pipeline_depth";
     case ConfigField::kIngestCapacity: return "ingest_capacity";
     case ConfigField::kDistanceBackend: return "distance_backend";
@@ -106,36 +105,6 @@ DispatchConfig& DispatchConfig::with_require_saving(bool enabled) {
   return *this;
 }
 
-DispatchConfig& DispatchConfig::with_parallel_grouping(bool enabled) {
-  params_.grouping.parallel = enabled;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_simd_prefilter(bool enabled) {
-  params_.grouping.simd_prefilter = enabled;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_direction_cone(bool enabled) {
-  params_.grouping.direction_cone = enabled;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_cross_frame_cache(bool enabled) {
-  params_.grouping.cross_frame_cache = enabled;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_persist_candidates(bool enabled) {
-  params_.grouping.persist_candidates = enabled;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_parallel_exact(bool enabled) {
-  params_.grouping.parallel_exact = enabled;
-  return *this;
-}
-
 DispatchConfig& DispatchConfig::with_packing_solver(core::PackingSolver solver) {
   params_.packing = solver;
   return *this;
@@ -178,11 +147,6 @@ DispatchConfig& DispatchConfig::sharding(core::ShardOptions options) {
 
 DispatchConfig& DispatchConfig::with_parallel_dispatch(bool enabled) {
   params_.sharding.parallel = enabled;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_max_components_hint(std::size_t hint) {
-  params_.sharding.max_components_hint = hint;
   return *this;
 }
 
@@ -309,8 +273,10 @@ std::vector<ConfigError> DispatchConfig::validate() const {
   if (!valid_non_negative(grouping.detour_threshold_km)) {
     fail(ConfigField::kDetourThresholdKm, "detour_threshold_km must be >= 0");
   }
-  if (grouping.max_group_size < 1) {
-    fail(ConfigField::kMaxGroupSize, "max_group_size must be >= 1");
+  // The enumeration engine pools pairs and triples only (the paper's
+  // practical |c_k| <= 3).
+  if (grouping.max_group_size < 2 || grouping.max_group_size > 3) {
+    fail(ConfigField::kMaxGroupSize, "max_group_size must be 2 or 3");
   }
   if (!valid_positive(grouping.pickup_radius_km)) {
     fail(ConfigField::kPickupRadiusKm,
@@ -367,11 +333,6 @@ std::vector<ConfigError> DispatchConfig::validate() const {
     fail(ConfigField::kRoadNetwork,
          "road mode requires a non-null road network (with_road_network(nullptr) "
          "is invalid; replace the whole section via simulation() to leave road mode)");
-  }
-  if (!params_.sharding.deterministic_merge) {
-    fail(ConfigField::kDeterministicMerge,
-         "deterministic_merge cannot be disabled: the sharded component merge is "
-         "always deterministic (see core/shard_engine.h)");
   }
   if (service_.pipeline_depth < 1 || service_.pipeline_depth > 1024) {
     fail(ConfigField::kPipelineDepth, "pipeline_depth must be in [1, 1024]");
@@ -480,12 +441,6 @@ std::vector<std::pair<std::string, std::string>> DispatchConfig::describe() cons
   put("pickup_radius_km", describe_double(grouping.pickup_radius_km));
   put("require_saving", describe_bool(grouping.require_saving));
   put("grow_triples_from_pairs", describe_bool(grouping.grow_triples_from_pairs));
-  put("parallel_grouping", describe_bool(grouping.parallel));
-  put("simd_prefilter", describe_bool(grouping.simd_prefilter));
-  put("direction_cone", describe_bool(grouping.direction_cone));
-  put("cross_frame_cache", describe_bool(grouping.cross_frame_cache));
-  put("persist_candidates", describe_bool(grouping.persist_candidates));
-  put("parallel_exact", describe_bool(grouping.parallel_exact));
   put("packing_solver", std::string(describe_solver(params_.packing)));
   put("packing_objective", std::string(describe_objective(params_.objective)));
   put("taxi_seats", std::to_string(params_.taxi_seats));
@@ -496,8 +451,6 @@ std::vector<std::pair<std::string, std::string>> DispatchConfig::describe() cons
 
   // Sharded matching engine.
   put("parallel_dispatch", describe_bool(params_.sharding.parallel));
-  put("max_components_hint", std::to_string(params_.sharding.max_components_hint));
-  put("deterministic_merge", describe_bool(params_.sharding.deterministic_merge));
 
   // Simulation.
   put("frame_seconds", describe_double(sim_.frame_seconds));

@@ -75,7 +75,6 @@ enum class ConfigField : std::uint8_t {
   kDrainSeconds,
   kIdleGridCellKm,
   kRoadNetwork,
-  kDeterministicMerge,
   kPipelineDepth,
   kIngestCapacity,
   kDistanceBackend,
@@ -118,17 +117,6 @@ class DispatchConfig {
   DispatchConfig& with_max_group_size(int size);
   DispatchConfig& with_pickup_radius_km(double km);
   DispatchConfig& with_require_saving(bool enabled);
-  DispatchConfig& with_parallel_grouping(bool enabled);
-  /// Engine accelerations of the share-group enumeration (all default
-  /// on; all bit-identical to the serial scan — see GroupOptions).
-  DispatchConfig& with_simd_prefilter(bool enabled);
-  DispatchConfig& with_direction_cone(bool enabled);
-  DispatchConfig& with_cross_frame_cache(bool enabled);
-  /// Incremental frame engine (DESIGN.md): persist per-request candidate
-  /// lists across frames / fan exact group evaluation over the thread
-  /// pool. Both default on and both bit-identical to the cold scan.
-  DispatchConfig& with_persist_candidates(bool enabled);
-  DispatchConfig& with_parallel_exact(bool enabled);
   DispatchConfig& with_packing_solver(core::PackingSolver solver);
   DispatchConfig& with_packing_objective(core::PackingObjective objective);
   DispatchConfig& with_taxi_seats(int seats);
@@ -141,14 +129,10 @@ class DispatchConfig {
   DispatchConfig& with_warm_start_da(bool enabled);
 
   // --- sharded matching engine (core/shard_engine.h) --------------------
-  /// Replaces the whole sharding section. `deterministic_merge` must stay
-  /// true — the sharded merge is always deterministic; validate() rejects
-  /// an attempt to turn the contract off.
+  /// Replaces the whole sharding section.
   DispatchConfig& sharding(core::ShardOptions options);
   /// Component-sharded parallel matching on/off (off = serial pass).
   DispatchConfig& with_parallel_dispatch(bool enabled);
-  /// Allocation hint for the per-frame component vector (0 = derive).
-  DispatchConfig& with_max_components_hint(std::size_t hint);
 
   // --- simulation (sim::Simulator) --------------------------------------
   /// Replaces the whole simulation section. The α/β fields of the report

@@ -38,8 +38,7 @@ void for_each_component(const std::vector<ShardComponent>& components,
 
 }  // namespace
 
-ComponentPartition extract_components(const PreferenceProfile& profile,
-                                      std::size_t max_components_hint) {
+ComponentPartition extract_components(const PreferenceProfile& profile) {
   obs::StageTimer timer(obs::Stage::kComponentExtract);
   const std::size_t requests = profile.request_count();
   const std::size_t taxis = profile.taxi_count();
@@ -61,8 +60,7 @@ ComponentPartition extract_components(const PreferenceProfile& profile,
   }
 
   ComponentPartition partition;
-  partition.components.reserve(
-      max_components_hint > 0 ? max_components_hint : std::min(requests, uf.set_count()));
+  partition.components.reserve(std::min(requests, uf.set_count()));
 
   // First-seen scan over requests ascending orders the components by
   // smallest member request id — the deterministic merge order the
@@ -105,7 +103,6 @@ ComponentPartition extract_components(const PreferenceProfile& profile,
 Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide side,
                               const ShardOptions& options,
                               std::span<const int> warm_seed) {
-  O2O_EXPECTS(options.deterministic_merge);
   O2O_EXPECTS(warm_seed.empty() || warm_seed.size() == profile.request_count());
   if (!options.parallel) {
     // The serial fallback is the cold differential reference; seeds are
@@ -115,8 +112,7 @@ Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide sid
                                              : gale_shapley_taxis(profile);
   }
 
-  const ComponentPartition partition =
-      extract_components(profile, options.max_components_hint);
+  const ComponentPartition partition = extract_components(profile);
 
   // Hints arrive request->taxi; the taxi-proposing side validates
   // taxi->request, so invert (lowest request deterministically wins a
@@ -176,7 +172,6 @@ Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide sid
 Matching sharded_taxi_optimal_via_enumeration(const PreferenceProfile& profile,
                                               std::size_t enumeration_cap,
                                               const ShardOptions& options) {
-  O2O_EXPECTS(options.deterministic_merge);
   AllStableOptions enum_options;
   enum_options.max_matchings = enumeration_cap;
   if (!options.parallel) {
@@ -186,8 +181,7 @@ Matching sharded_taxi_optimal_via_enumeration(const PreferenceProfile& profile,
                          : select_taxi_optimal(all.matchings, profile);
   }
 
-  const ComponentPartition partition =
-      extract_components(profile, options.max_components_hint);
+  const ComponentPartition partition = extract_components(profile);
 
   std::vector<int> request_match(profile.request_count(), kDummy);
   for_each_component(partition.components, [&](std::size_t i) {

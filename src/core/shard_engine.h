@@ -31,20 +31,13 @@
 namespace o2o::core {
 
 /// Knobs of the sharded engine, carried by the dispatcher option structs
-/// and surfaced through DispatchConfig::sharding().
+/// and surfaced through DispatchConfig::sharding(). The merge is always
+/// deterministic: components ordered by smallest member request id, each
+/// writing disjoint slots of a shared result.
 struct ShardOptions {
   /// Master switch: false routes to the legacy serial pass verbatim
   /// (counted as obs::Counter::kShardFallbacks).
   bool parallel = true;
-  /// Reserve hint for the component vector; 0 derives it from the
-  /// profile size. Purely an allocation hint — never a limit.
-  std::size_t max_components_hint = 0;
-  /// The merge is *always* deterministic: components ordered by smallest
-  /// member request id, each writing disjoint slots of a shared result.
-  /// The knob exists so the config surface can state that contract;
-  /// turning it off violates a precondition (O2O_EXPECTS) rather than
-  /// unlocking a faster nondeterministic mode.
-  bool deterministic_merge = true;
 
   friend bool operator==(const ShardOptions&, const ShardOptions&) = default;
 };
@@ -69,8 +62,7 @@ struct ComponentPartition {
 
 /// Union-find pass over the candidate lists (obs stage
 /// component_extract; reports shard_components / largest_component_peak).
-ComponentPartition extract_components(const PreferenceProfile& profile,
-                                      std::size_t max_components_hint = 0);
+ComponentPartition extract_components(const PreferenceProfile& profile);
 
 /// Deferred acceptance sharded over components. Bit-identical to
 /// gale_shapley_requests (kPassengers) / gale_shapley_taxis (kTaxis).

@@ -229,7 +229,7 @@ const GroupCache::CandidateFrame& GroupCache::begin_candidates(double pickup_rad
   cand_frame_.churn.clear();
   cand_frame_.clean.assign(n, 0);
   // Replay needs an unbroken chain: lists were synced exactly one frame
-  // ago (a skipped store — tiny frame, knob toggle — cold-starts the
+  // ago (a skipped store — tiny frame, dense-path frame — cold-starts the
   // next one, which is sound and self-heals).
   cand_frame_.warm = same_radius && cand_synced_epoch_ + 1 == epoch_;
   cand_frame_.direct_warm = cand_frame_.warm && cand_direct_valid_;
@@ -423,12 +423,11 @@ FilterStats cone_prune_pairs(std::span<const trace::Request> requests,
   return stats;
 }
 
-FilterStats simd_prefilter_pairs(std::span<const trace::Request> requests,
-                                 const geo::DistanceOracle& oracle,
-                                 std::span<const double> direct,
-                                 const GroupOptions& options,
-                                 std::span<const std::uint64_t> pair_keys,
-                                 std::vector<std::uint8_t>& keep) {
+FilterStats simd_certify_pairs(std::span<const trace::Request> requests,
+                               const geo::DistanceOracle& oracle,
+                               std::span<const double> direct, const GroupOptions& options,
+                               std::span<const std::uint64_t> pair_keys,
+                               std::vector<std::uint8_t>& keep) {
   O2O_EXPECTS(options.require_saving);
   FilterStats stats;
   const std::size_t count = pair_keys.size();

@@ -3,8 +3,8 @@
 // conservative candidate filters (direction cone, SIMD pair certificate)
 // the grid-pruned engine in groups.cpp composes. Everything here only
 // ever *drops provably infeasible candidates* or *replays verbatim
-// verdicts*, so the enumeration output stays bit-identical to the serial
-// dense scan no matter which knobs are on.
+// verdicts*, so the enumeration output stays bit-identical to the dense
+// serial scan whether a cache is passed or not.
 #pragma once
 
 #include <array>
@@ -90,9 +90,9 @@ class GroupCache {
   std::uint64_t epoch() const noexcept { return epoch_; }
   void clear();
 
-  // --- Candidate persistence (GroupOptions::persist_candidates) ---
+  // --- Candidate persistence (sparse path, every cached call) ---
   //
-  // Beyond verdicts, the cache can persist each request's *pair-candidate
+  // Beyond verdicts, the cache persists each request's *pair-candidate
   // neighbor list* and direct distance across frames. The pair-candidate
   // predicate — pick-ups within either rider's padded radius plus the
   // user pickup_radius cut — is purely pairwise in (content, θ,
@@ -101,8 +101,7 @@ class GroupCache {
   // same emission verdict, and warm frames replay it instead of
   // re-running grid queries and dedup. Entries flagged as
   // filter-rejected (direction-cone or SIMD certificate) are proofs of
-  // *exact* infeasibility, so skipping them is output-preserving under
-  // every filter-knob combination.
+  // *exact* infeasibility, so skipping them is output-preserving.
 
   static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
@@ -278,11 +277,10 @@ FilterStats cone_prune_pairs(std::span<const trace::Request> requests,
 /// keep[k] = 0 for pairs that provably fail the saving-or-detour
 /// predicates with kFilterPadKm slack. Requires options.require_saving
 /// (the certificate's order restriction rests on it).
-FilterStats simd_prefilter_pairs(std::span<const trace::Request> requests,
-                                 const geo::DistanceOracle& oracle,
-                                 std::span<const double> direct,
-                                 const GroupOptions& options,
-                                 std::span<const std::uint64_t> pair_keys,
-                                 std::vector<std::uint8_t>& keep);
+FilterStats simd_certify_pairs(std::span<const trace::Request> requests,
+                               const geo::DistanceOracle& oracle,
+                               std::span<const double> direct, const GroupOptions& options,
+                               std::span<const std::uint64_t> pair_keys,
+                               std::vector<std::uint8_t>& keep);
 
 }  // namespace o2o::packing

@@ -27,11 +27,11 @@ constexpr double kGridPadKm = 1e-6;
 /// library — so packing keeps its own copy of the gating policy).
 /// Returns whether the work actually fanned out over the pool.
 bool parallel_eval(std::size_t count, const geo::DistanceOracle& oracle,
-                   bool allow_parallel, const std::function<void(std::size_t)>& body) {
+                   const std::function<void(std::size_t)>& body) {
   // Below this, fan-out overhead dominates the oracle calls saved.
   constexpr std::size_t kSerialCutoff = 16;
   ThreadPool& pool = ThreadPool::shared();
-  if (!allow_parallel || count < kSerialCutoff || pool.worker_count() == 0 ||
+  if (count < kSerialCutoff || pool.worker_count() == 0 ||
       !oracle.capabilities().concurrent_queries) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return false;
@@ -139,62 +139,8 @@ void evaluate_group_into(std::span<const trace::Request> requests,
   }
 }
 
-/// The pre-engine dense serial scan, kept verbatim as the differential
-/// reference (GroupOptions::parallel == false).
-std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> requests,
-                                         const geo::DistanceOracle& oracle,
-                                         const GroupOptions& options, int taxi_seats) {
-  std::vector<ShareGroup> groups;
-  const std::size_t n = requests.size();
-
-  const auto pickups_close = [&](std::size_t i, std::size_t j) {
-    if (options.pickup_radius_km == std::numeric_limits<double>::infinity()) return true;
-    return geo::euclidean_distance(requests[i].pickup, requests[j].pickup) <=
-           options.pickup_radius_km;
-  };
-
-  // Pairs. Remember feasibility for the triple-growing prune.
-  std::vector<std::vector<bool>> pair_feasible;
-  if (options.grow_triples_from_pairs) {
-    pair_feasible.assign(n, std::vector<bool>(n, false));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (!pickups_close(i, j)) continue;
-      bool feasible = false;
-      ShareGroup group = evaluate_group(requests, {i, j}, oracle, options, taxi_seats,
-                                        feasible);
-      if (!feasible) continue;
-      if (options.grow_triples_from_pairs) {
-        pair_feasible[i][j] = pair_feasible[j][i] = true;
-      }
-      groups.push_back(std::move(group));
-    }
-  }
-
-  if (options.max_group_size < 3) return groups;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (options.grow_triples_from_pairs && !pair_feasible[i][j]) continue;
-      for (std::size_t k = j + 1; k < n; ++k) {
-        if (options.grow_triples_from_pairs &&
-            (!pair_feasible[i][k] || !pair_feasible[j][k])) {
-          continue;
-        }
-        if (!pickups_close(i, k) || !pickups_close(j, k)) continue;
-        bool feasible = false;
-        ShareGroup group = evaluate_group(requests, {i, j, k}, oracle, options, taxi_seats,
-                                          feasible);
-        if (feasible) groups.push_back(std::move(group));
-      }
-    }
-  }
-  return groups;
-}
-
-/// The grid-pruned, thread-parallel engine. Produces the serial scan's
-/// exact output: candidate generation only ever *drops* provably
+/// The grid-pruned, thread-parallel engine. Produces the dense serial
+/// scan's exact output: candidate generation only ever *drops* provably
 /// infeasible or radius-excluded pairs, evaluations write disjoint slots
 /// keyed by the deterministic candidate order, and compaction replays
 /// that order serially.
@@ -214,7 +160,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
   const bool derived_valid =
       options.require_saving && std::isfinite(options.detour_threshold_km);
 
-  // Exactly the serial path's predicate (hypot compare — the grid's
+  // Exactly the dense scan's predicate (hypot compare — the grid's
   // squared compare is only ever used with padded radii as a superset).
   const auto pickups_close = [&](std::size_t i, std::size_t j) {
     if (!user_finite) return true;
@@ -227,16 +173,15 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
   // The SIMD certificate's order restriction (a saving pair's optimal
   // route is never sequential) rests on require_saving, not on θ being
   // finite, so it can run even with an infinite detour threshold.
-  const bool simd_gate = options.simd_prefilter && options.require_saving;
-  const bool cone_gate = options.direction_cone && derived_valid;
+  const bool simd_gate = options.require_saving;
+  const bool cone_gate = derived_valid;
 
-  // Candidate persistence (d) rides the sparse (radius) path only: the
-  // dense all-pairs emission has no grid work to save.
+  // Candidate persistence rides the sparse (radius) path only: the dense
+  // all-pairs emission has no grid work to save.
   const bool sparse_path = user_finite || derived_valid;
   const GroupCache::CandidateFrame* cand =
-      (cache != nullptr && options.persist_candidates && sparse_path)
-          ? &cache->begin_candidates(options.pickup_radius_km)
-          : nullptr;
+      (cache != nullptr && sparse_path) ? &cache->begin_candidates(options.pickup_radius_km)
+                                        : nullptr;
 
   std::vector<double> direct(n, 0.0);
   const bool need_direct = derived_valid || simd_gate;
@@ -248,19 +193,19 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
         if (cand->clean[i]) direct[i] = cache->persisted_direct(i);
       }
       const std::vector<std::uint32_t>& churn = cand->churn;
-      parallel_eval(churn.size(), oracle, /*allow_parallel=*/true, [&](std::size_t k) {
+      parallel_eval(churn.size(), oracle, [&](std::size_t k) {
         const std::size_t i = churn[k];
         direct[i] = oracle.distance(requests[i].pickup, requests[i].dropoff);
       });
     } else {
-      parallel_eval(n, oracle, /*allow_parallel=*/true, [&](std::size_t i) {
+      parallel_eval(n, oracle, [&](std::size_t i) {
         direct[i] = oracle.distance(requests[i].pickup, requests[i].dropoff);
       });
     }
   }
 
   // ---- Pair candidates: grid radius queries instead of the n^2 scan,
-  // replaying persisted neighbor lists (d) on warm frames ----
+  // replaying persisted neighbor lists on warm frames ----
   std::vector<std::uint64_t> pair_keys;
   // Pre-filter keys covering every pair with a churn member (every pair
   // on a cold frame), plus the filter verdicts recorded against them —
@@ -352,7 +297,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
         obs::add(obs::Counter::kPairCandidates, reused + store_keys.size());
         obs::add(obs::Counter::kGridCandidatesPruned,
                  n * (n - 1) / 2 - reused - store_keys.size());
-        // Direction cone (b) runs on the churn subset only — replayed
+        // Direction cone runs on the churn subset only — replayed
         // pairs had their cone verdict recorded as flags when fresh.
         store_flags.assign(store_keys.size(), 0);
         std::vector<std::uint64_t> churn_kept = store_keys;
@@ -396,7 +341,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
           store_keys = pair_keys;
           store_flags.assign(store_keys.size(), 0);
         }
-        // ---- Direction-cone prune (b): drop pairs whose pick-ups sit in
+        // ---- Direction-cone prune: drop pairs whose pick-ups sit in
         // neither rider's (direct + θ) ellipse before any oracle work ----
         if (cone_gate && !pair_keys.empty()) {
           const FilterStats cone =
@@ -409,7 +354,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
       }
     }
   }
-  // ---- Resolve pairs: cache replay (c), SIMD certificate (a), exact
+  // ---- Resolve pairs: cache replay, SIMD certificate, exact
   // evaluation for what survives; compact in candidate order ----
   const std::size_t pair_count = pair_keys.size();
   std::vector<ShareGroup> pair_slots(pair_count);
@@ -442,7 +387,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
   for (std::size_t m = 0; m < miss_pos.size(); ++m) miss_keys[m] = pair_keys[miss_pos[m]];
   if (simd_gate && !miss_keys.empty()) {
     const FilterStats filter =
-        simd_prefilter_pairs(requests, oracle, direct, options, miss_keys, miss_keep);
+        simd_certify_pairs(requests, oracle, direct, options, miss_keys, miss_keep);
     obs::add(obs::Counter::kSimdBatches, filter.batches);
     obs::add(obs::Counter::kSimdBatchOccupancy, filter.lanes);
   } else {
@@ -470,8 +415,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
   bool fanned = false;
   {
     obs::StageTimer eval_stage(obs::Stage::kExactEval);
-    fanned = parallel_eval(eval_pos.size(), oracle, options.parallel_exact,
-                           [&](std::size_t e) {
+    fanned = parallel_eval(eval_pos.size(), oracle, [&](std::size_t e) {
       thread_local EvalScratch scratch;
       const std::size_t c = eval_pos[e];
       const std::size_t members[2] = {static_cast<std::size_t>(pair_keys[c] >> 32),
@@ -520,7 +464,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
   if (grow) {
     // Serial order: feasible pairs lexicographically, completions k > j
     // with both (i, k) and (j, k) feasible — one word-AND of the two
-    // adjacency rows per 64 candidates. The serial path's radius checks
+    // adjacency rows per 64 candidates. The dense scan's radius checks
     // on (i, k)/(j, k) are implied: those pairs passed them when their
     // own pair candidacy was evaluated.
     for (const std::uint64_t key : feasible_pairs) {
@@ -531,7 +475,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
       });
     }
   } else {
-    // Exhaustive (test) mode: the serial walk's candidate set verbatim.
+    // Exhaustive (test) mode: the dense scan's candidate set verbatim.
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
         for (std::size_t k = j + 1; k < n; ++k) {
@@ -575,8 +519,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
   bool triple_fanned = false;
   {
     obs::StageTimer eval_stage(obs::Stage::kExactEval);
-    triple_fanned = parallel_eval(triple_eval.size(), oracle, options.parallel_exact,
-                                  [&](std::size_t e) {
+    triple_fanned = parallel_eval(triple_eval.size(), oracle, [&](std::size_t e) {
       thread_local EvalScratch scratch;
       const auto& t = triples[triple_eval[e]];
       const std::size_t members[3] = {t[0], t[1], t[2]};
@@ -617,22 +560,18 @@ std::vector<ShareGroup> enumerate_share_groups(std::span<const trace::Request> r
                                                const geo::DistanceOracle& oracle,
                                                const GroupOptions& options,
                                                int taxi_seats, GroupCache* cache) {
-  O2O_EXPECTS(options.max_group_size >= 2 && options.max_group_size <= 4);
+  O2O_EXPECTS(options.max_group_size >= 2 && options.max_group_size <= 3);
   O2O_EXPECTS(options.detour_threshold_km >= 0.0);
   obs::StageTimer stage(obs::Stage::kGroupEnum);
-  // The cache is an engine feature; the serial reference never sees it.
-  GroupCache* effective =
-      (options.parallel && options.cross_frame_cache) ? cache : nullptr;
   GroupCache::Stats before;
-  if (effective != nullptr) {
-    effective->begin_frame(requests, options, taxi_seats, &oracle);
-    before = effective->stats();
+  if (cache != nullptr) {
+    cache->begin_frame(requests, options, taxi_seats, &oracle);
+    before = cache->stats();
   }
   std::vector<ShareGroup> groups =
-      options.parallel ? enumerate_engine(requests, oracle, options, taxi_seats, effective)
-                       : enumerate_serial(requests, oracle, options, taxi_seats);
-  if (effective != nullptr) {
-    const GroupCache::Stats& after = effective->stats();
+      enumerate_engine(requests, oracle, options, taxi_seats, cache);
+  if (cache != nullptr) {
+    const GroupCache::Stats& after = cache->stats();
     obs::add(obs::Counter::kGroupCacheHits, after.hits - before.hits);
     obs::add(obs::Counter::kGroupCacheRevalidations, after.stores - before.stores);
   }

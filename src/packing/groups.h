@@ -52,56 +52,27 @@ struct GroupOptions {
   /// sharing saves nothing -- the paper's model implicitly assumes rides
   /// overlap, and this constraint makes that explicit.
   bool require_saving = true;
-  /// When true (default), candidate pairs come from a spatial-grid radius
-  /// query over pick-ups (user radius and/or the derived θ-bound above)
-  /// and pair/triple evaluations run on the shared ThreadPool when the
-  /// oracle allows concurrent queries. Output is pinned: the same groups,
-  /// in the same order, bit-for-bit as the serial dense scan (false),
-  /// which is kept as the differential reference.
-  bool parallel = true;
-  /// Engine-only (parallel == true) accelerations. All three are
-  /// conservative -- they only drop provably infeasible candidates or
-  /// replay verbatim verdicts -- so the output stays bit-identical to
-  /// the serial scan in every knob combination (pinned differentially
-  /// in tests/packing).
-  ///
-  /// (a) SoA leg gather + 8-lane SIMD certificate over surviving pair
-  /// candidates: a pair none of whose interleaved stop orders can both
-  /// save distance and keep detours within θ (with padding) skips the
-  /// exact `optimal_route` evaluation. Effective when `require_saving`
-  /// holds (the order restriction rests on it); runtime-dispatched
-  /// AVX2/NEON with a scalar fallback (util/simd.h).
-  bool simd_prefilter = true;
-  /// (b) Destination-bearing cone prune: grid-emitted pairs where
-  /// neither pick-up lies inside the other rider's (direct + θ) ellipse
-  /// are dropped before any oracle work. Active under the same
-  /// conditions as the derived radius (require_saving, finite θ).
-  bool direction_cone = true;
-  /// (c) Consult and update the GroupCache handed to
-  /// enumerate_share_groups, replaying exact verdicts for candidates
-  /// whose members are unchanged since the previous frame.
-  bool cross_frame_cache = true;
-  /// (d) Persist per-request pair-candidate neighbor lists (plus direct
-  /// distances) in the GroupCache so warm frames skip grid queries,
-  /// filters, and dedup for unchanged requests and only run fresh grid
-  /// work on the churn delta. Needs a cache and the sparse (radius)
-  /// path; the dense all-pairs path has nothing to persist.
-  bool persist_candidates = true;
-  /// (e) Fan the exact candidate evaluations (optimal_route + detour
-  /// checks) over the shared ThreadPool when the oracle allows
-  /// concurrent queries. Off forces those evaluations serial even with
-  /// `parallel` engines enabled — the differential lever for pinning
-  /// the parallel exact path against the serial one.
-  bool parallel_exact = true;
 };
 
 class GroupCache;  // cross-frame verdict memo (packing/group_enum.h)
 
 /// Enumerates all feasible groups of size in [2, max_group_size] over
-/// `requests`. Seat demands are honoured against `taxi_seats`. When
-/// `cache` is non-null and options enable the engine + cross_frame_cache,
-/// verdicts persist across calls (the cache rebinds to each call's
-/// request snapshot and invalidates by content stamps).
+/// `requests` (max_group_size is 2 or 3). Seat demands are honoured
+/// against `taxi_seats`.
+///
+/// One engine serves every call: candidate pairs come from a spatial-grid
+/// radius query over pick-ups (the user radius and/or the derived θ-bound
+/// above); when `require_saving` holds, a destination-bearing cone prune
+/// (finite θ only) and an 8-lane SIMD pair certificate drop provably
+/// infeasible candidates before any exact `optimal_route` evaluation; the
+/// exact evaluations fan out over the shared ThreadPool when the oracle
+/// allows concurrent queries. When `cache` is non-null, exact verdicts and
+/// per-request pair-candidate lists persist across calls (the cache
+/// rebinds to each call's request snapshot and invalidates by content
+/// stamps). Every stage only drops provably infeasible candidates or
+/// replays verbatim verdicts, so the output is the dense serial scan's —
+/// the same groups in the same order, bit for bit (pinned against the
+/// test-only reference in tests/reference).
 std::vector<ShareGroup> enumerate_share_groups(std::span<const trace::Request> requests,
                                                const geo::DistanceOracle& oracle,
                                                const GroupOptions& options,

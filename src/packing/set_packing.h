@@ -13,7 +13,7 @@
 // occupancy and set availability are word arrays, so conflict and
 // disjointness checks are word-ANDs. `solve_greedy` and
 // `solve_local_search` keep the exact scan order of the original byte-map
-// implementations (preserved in packing/reference.h) and return identical
+// implementations (preserved in tests/reference) and return identical
 // packings; `solve_exact` finds the same optimum but returns the chosen
 // indices sorted ascending and handles thousands of sets by decomposing
 // the conflict graph into connected components first.

@@ -68,7 +68,7 @@ TEST(DispatchConfig, FluentSettersReachEverySubStruct) {
                                     .with_max_group_size(2)
                                     .with_pickup_radius_km(9.0)
                                     .with_require_saving(false)
-                                    .with_parallel_grouping(false)
+                                    .with_parallel_dispatch(false)
                                     .with_packing_solver(core::PackingSolver::kGreedy)
                                     .with_packing_objective(core::PackingObjective::kRiders)
                                     .with_taxi_seats(6)
@@ -90,7 +90,7 @@ TEST(DispatchConfig, FluentSettersReachEverySubStruct) {
   EXPECT_EQ(config.grouping().max_group_size, 2);
   EXPECT_EQ(config.grouping().pickup_radius_km, 9.0);
   EXPECT_FALSE(config.grouping().require_saving);
-  EXPECT_FALSE(config.grouping().parallel);
+  EXPECT_FALSE(config.sharding().parallel);
   EXPECT_EQ(config.sharing_params().packing, core::PackingSolver::kGreedy);
   EXPECT_EQ(config.sharing_params().objective, core::PackingObjective::kRiders);
   EXPECT_EQ(config.sharing_params().taxi_seats, 6);
@@ -126,6 +126,18 @@ TEST(DispatchConfig, ValidateFlagsBadFieldsWithTypedErrors) {
     EXPECT_FALSE(error.message.empty());
     EXPECT_NE(config_field_name(error.field), "unknown");
   }
+
+  // The enumeration engine pools pairs and triples only: sizes outside
+  // [2, 3] are rejected up front, even with seats to spare, instead of
+  // aborting on the first frame (1, 5) or silently capping at triples (4).
+  for (const int size : {1, 4, 5}) {
+    const auto group_errors =
+        DispatchConfig{}.with_taxi_seats(8).with_max_group_size(size).validate();
+    EXPECT_TRUE(has_error(group_errors, ConfigField::kMaxGroupSize)) << size;
+  }
+  for (const int size : {2, 3}) {
+    EXPECT_TRUE(DispatchConfig{}.with_max_group_size(size).validate().empty()) << size;
+  }
 }
 
 TEST(DispatchConfig, ValidateCrossFieldRules) {
@@ -153,23 +165,6 @@ TEST(DispatchConfig, ValidateCrossFieldRules) {
                   .with_pickup_radius_km(std::numeric_limits<double>::infinity())
                   .validate()
                   .empty());
-}
-
-TEST(DispatchConfig, EngineAccelerationKnobsReachGrouping) {
-  const DispatchConfig config = DispatchConfig{}
-                                    .with_simd_prefilter(false)
-                                    .with_direction_cone(false)
-                                    .with_cross_frame_cache(false);
-  EXPECT_FALSE(config.grouping().simd_prefilter);
-  EXPECT_FALSE(config.grouping().direction_cone);
-  EXPECT_FALSE(config.grouping().cross_frame_cache);
-  EXPECT_TRUE(config.validate().empty());
-
-  // Defaults keep all three accelerations on.
-  const DispatchConfig defaults;
-  EXPECT_TRUE(defaults.grouping().simd_prefilter);
-  EXPECT_TRUE(defaults.grouping().direction_cone);
-  EXPECT_TRUE(defaults.grouping().cross_frame_cache);
 }
 
 TEST(DispatchConfig, CandidateTaxisPerUnitRejectsNegativeCastSentinel) {

@@ -17,7 +17,6 @@
 #include "core/preferences.h"
 #include "core/selectors.h"
 #include "obs/obs.h"
-#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace o2o::core {
@@ -243,17 +242,6 @@ TEST(ShardedGaleShapley, SerialFallbackKnobChangesNothing) {
   expect_equal(sharded_taxi_optimal_via_enumeration(profile, 512, serial),
                sharded_taxi_optimal_via_enumeration(profile, 512),
                "parallel knob, enumeration");
-}
-
-TEST(ShardedGaleShapley, DeterministicMergeCannotBeDisabled) {
-  Rng rng(24);
-  const PreferenceProfile profile = profile_of(random_frame(rng, 4, 4), finite_params());
-  ShardOptions options;
-  options.deterministic_merge = false;
-  EXPECT_THROW(sharded_gale_shapley(profile, ProposalSide::kPassengers, options),
-               ContractViolation);
-  EXPECT_THROW(sharded_taxi_optimal_via_enumeration(profile, 512, options),
-               ContractViolation);
 }
 
 TEST(RestrictProfile, IsExactlyTheGlobalProfileRenamed) {

@@ -1,9 +1,9 @@
 // The group-enumeration pipeline's dedicated suite: the conservative
 // SIMD / cone kernels must keep every exactly-feasible pair (rejection
 // is a proof), the GroupCache must replay verbatim verdicts and honour
-// its invalidation invariants, and every knob combination -- {SIMD,
-// cone, cache-cold, cache-warm} x oracle -- must reproduce the serial
-// dense scan bit for bit, including at θ and radius boundaries.
+// its invalidation invariants, and the engine -- uncached, cache-cold and
+// cache-warm, on every oracle -- must reproduce the dense serial scan
+// (tests/reference) bit for bit, including at θ and radius boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +18,10 @@
 #include "obs/obs.h"
 #include "packing/group_enum.h"
 #include "packing/groups.h"
+#include "tests/reference/groups.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace o2o::packing {
 namespace {
@@ -81,28 +83,25 @@ void expect_groups_equal(const std::vector<ShareGroup>& actual,
   }
 }
 
-/// Runs the engine under every {simd, cone} combination plus a cold and
-/// a warm cached pass, each compared bit-for-bit against the serial
-/// dense scan of the same frame.
-void run_knob_matrix(const std::vector<trace::Request>& requests,
-                     const geo::DistanceOracle& oracle, GroupOptions options) {
-  options.parallel = false;
-  const auto serial = enumerate_share_groups(requests, oracle, options);
-  options.parallel = true;
-  for (const bool simd : {false, true}) {
-    for (const bool cone : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "simd=" << simd << " cone=" << cone);
-      options.simd_prefilter = simd;
-      options.direction_cone = cone;
-      options.cross_frame_cache = false;
-      expect_groups_equal(enumerate_share_groups(requests, oracle, options), serial);
-      options.cross_frame_cache = true;
-      GroupCache cache;
-      expect_groups_equal(enumerate_share_groups(requests, oracle, options, 4, &cache),
-                          serial);  // cold
-      expect_groups_equal(enumerate_share_groups(requests, oracle, options, 4, &cache),
-                          serial);  // warm replay
-    }
+/// Runs the engine without a cache, then a cold and a warm cached pass,
+/// each compared bit-for-bit against the dense serial scan of the same
+/// frame.
+void expect_engine_matches_reference(const std::vector<trace::Request>& requests,
+                                     const geo::DistanceOracle& oracle,
+                                     const GroupOptions& options) {
+  const auto serial = reference::enumerate_serial(requests, oracle, options);
+  {
+    SCOPED_TRACE("no cache");
+    expect_groups_equal(enumerate_share_groups(requests, oracle, options), serial);
+  }
+  GroupCache cache;
+  {
+    SCOPED_TRACE("cold cache");
+    expect_groups_equal(enumerate_share_groups(requests, oracle, options, 4, &cache), serial);
+  }
+  {
+    SCOPED_TRACE("warm cache");
+    expect_groups_equal(enumerate_share_groups(requests, oracle, options, 4, &cache), serial);
   }
 }
 
@@ -146,9 +145,8 @@ std::set<std::pair<std::size_t, std::size_t>> exact_feasible_pairs(
   GroupOptions options;
   options.detour_threshold_km = theta;
   options.max_group_size = 2;
-  options.parallel = false;
   std::set<std::pair<std::size_t, std::size_t>> feasible;
-  for (const ShareGroup& group : enumerate_share_groups(requests, oracle, options)) {
+  for (const ShareGroup& group : reference::enumerate_serial(requests, oracle, options)) {
     feasible.emplace(group.member_indices[0], group.member_indices[1]);
   }
   return feasible;
@@ -407,13 +405,15 @@ TEST(GroupCacheTest, StaleEntriesAreGarbageCollected) {
 }
 
 // ---------------------------------------------------------------------------
-// Knob matrix x oracle differentials.
+// Engine x oracle differentials (uncached, cache-cold, cache-warm). The
+// suite keeps its historical name from when it also crossed the engine's
+// former on/off switches.
 
 TEST(KnobMatrix, EuclideanOracleMatchesSerial) {
   GroupOptions options;
   options.detour_threshold_km = 3.0;
   for (const std::uint64_t seed : {17u, 18u}) {
-    run_knob_matrix(make_city_requests(48, seed, 14.0), kOracle, options);
+    expect_engine_matches_reference(make_city_requests(48, seed, 14.0), kOracle, options);
   }
 }
 
@@ -421,14 +421,14 @@ TEST(KnobMatrix, ManhattanOracleMatchesSerial) {
   const geo::ManhattanOracle oracle;
   GroupOptions options;
   options.detour_threshold_km = 3.0;
-  run_knob_matrix(make_city_requests(44, 19, 13.0), oracle, options);
+  expect_engine_matches_reference(make_city_requests(44, 19, 13.0), oracle, options);
 }
 
 TEST(KnobMatrix, CircuityOracleMatchesSerial) {
   const geo::CircuityOracle oracle(1.3);
   GroupOptions options;
   options.detour_threshold_km = 3.0;
-  run_knob_matrix(make_city_requests(44, 21, 13.0), oracle, options);
+  expect_engine_matches_reference(make_city_requests(44, 21, 13.0), oracle, options);
 }
 
 TEST(KnobMatrix, NetworkOracleMatchesSerial) {
@@ -445,7 +445,7 @@ TEST(KnobMatrix, NetworkOracleMatchesSerial) {
   }
   GroupOptions options;
   options.detour_threshold_km = 2.5;
-  run_knob_matrix(requests, oracle, options);
+  expect_engine_matches_reference(requests, oracle, options);
 }
 
 TEST(KnobMatrix, NoSavingConstraintDisablesSimdAndCone) {
@@ -455,14 +455,14 @@ TEST(KnobMatrix, NoSavingConstraintDisablesSimdAndCone) {
   options.detour_threshold_km = 2.0;
   options.require_saving = false;
   options.pickup_radius_km = 3.0;
-  run_knob_matrix(make_city_requests(36, 25, 10.0), kOracle, options);
+  expect_engine_matches_reference(make_city_requests(36, 25, 10.0), kOracle, options);
 }
 
 TEST(KnobMatrix, TriplesAndSeatLimitsMatchSerial) {
   GroupOptions options;
   options.detour_threshold_km = 4.0;
   const auto requests = make_city_requests(36, 27, 8.0);  // dense: triples exist
-  run_knob_matrix(requests, kOracle, options);
+  expect_engine_matches_reference(requests, kOracle, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -470,7 +470,7 @@ TEST(KnobMatrix, TriplesAndSeatLimitsMatchSerial) {
 
 TEST(ThetaBoundary, ZeroThetaStillPoolsZeroDetourPairs) {
   // Identical trips pool with zero detour and positive saving, so θ = 0
-  // keeps exactly those; every knob combination must agree.
+  // keeps exactly those; the engine must agree on every path.
   std::vector<trace::Request> requests;
   requests.push_back(make_request(0, {0.0, 0.0}, {3.0, 0.0}));
   requests.push_back(make_request(1, {0.0, 0.0}, {3.0, 0.0}));
@@ -478,25 +478,23 @@ TEST(ThetaBoundary, ZeroThetaStillPoolsZeroDetourPairs) {
   requests.push_back(make_request(3, {5.0, 5.0}, {5.0, 8.0}));
   GroupOptions options;
   options.detour_threshold_km = 0.0;
-  options.parallel = false;
-  const auto serial = enumerate_share_groups(requests, kOracle, options);
+  const auto serial = reference::enumerate_serial(requests, kOracle, options);
   ASSERT_EQ(serial.size(), 1u);
   EXPECT_EQ(serial[0].member_indices, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(serial[0].max_detour_km, 0.0);
-  run_knob_matrix(requests, kOracle, options);
+  expect_engine_matches_reference(requests, kOracle, options);
 }
 
 TEST(ThetaBoundary, DetourExactlyAtThetaIsFeasibleOnEveryPath) {
   // Pin θ to a realized max detour: the witness group sits exactly on
   // the boundary (the check is `detour > θ`, so equality is feasible)
-  // and every knob combination must keep it.
+  // and every engine path must keep it.
   const auto requests = make_city_requests(40, 29, 10.0);
   GroupOptions wide;
   wide.detour_threshold_km = 6.0;
   wide.max_group_size = 2;
-  wide.parallel = false;
   double theta = 0.0;
-  for (const ShareGroup& group : enumerate_share_groups(requests, kOracle, wide)) {
+  for (const ShareGroup& group : reference::enumerate_serial(requests, kOracle, wide)) {
     theta = std::max(theta, group.max_detour_km);
   }
   ASSERT_GT(theta, 0.0);
@@ -504,22 +502,21 @@ TEST(ThetaBoundary, DetourExactlyAtThetaIsFeasibleOnEveryPath) {
   GroupOptions edge;
   edge.detour_threshold_km = theta;
   edge.max_group_size = 2;
-  edge.parallel = false;
-  const auto at_edge = enumerate_share_groups(requests, kOracle, edge);
+  const auto at_edge = reference::enumerate_serial(requests, kOracle, edge);
   EXPECT_TRUE(std::any_of(at_edge.begin(), at_edge.end(), [&](const ShareGroup& g) {
     return g.max_detour_km == theta;
   }));
-  run_knob_matrix(requests, kOracle, edge);
+  expect_engine_matches_reference(requests, kOracle, edge);
 
   // One ulp below the witness detour: still bit-identical everywhere,
   // and nothing exceeds the tightened bound.
   GroupOptions below = edge;
   below.detour_threshold_km = std::nextafter(theta, 0.0);
-  const auto under = enumerate_share_groups(requests, kOracle, below);
+  const auto under = reference::enumerate_serial(requests, kOracle, below);
   for (const ShareGroup& group : under) {
     EXPECT_LE(group.max_detour_km, below.detour_threshold_km);
   }
-  run_knob_matrix(requests, kOracle, below);
+  expect_engine_matches_reference(requests, kOracle, below);
 }
 
 TEST(RadiusBoundary, PickupRadiusTieMatchesSerial) {
@@ -538,7 +535,7 @@ TEST(RadiusBoundary, PickupRadiusTieMatchesSerial) {
   GroupOptions options;
   options.detour_threshold_km = 5.0;
   options.pickup_radius_km = 2.0;
-  run_knob_matrix(requests, kOracle, options);
+  expect_engine_matches_reference(requests, kOracle, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -553,12 +550,8 @@ TEST(CrossFrameCache, PerturbedFramesStayBitIdentical) {
   trace::RequestId next_id = 1000;
   for (int frame = 0; frame < 5; ++frame) {
     SCOPED_TRACE(::testing::Message() << "frame=" << frame);
-    GroupOptions warm = options;
-    warm.parallel = true;
-    const auto cached = enumerate_share_groups(requests, kOracle, warm, 4, &cache);
-    GroupOptions serial = options;
-    serial.parallel = false;
-    expect_groups_equal(cached, enumerate_share_groups(requests, kOracle, serial));
+    const auto cached = enumerate_share_groups(requests, kOracle, options, 4, &cache);
+    expect_groups_equal(cached, reference::enumerate_serial(requests, kOracle, options));
 
     // ~15% churn preserving survivor order (the simulator's FIFO shape):
     // drop some riders, edit one in place, append fresh arrivals.
@@ -581,7 +574,7 @@ TEST(CrossFrameCache, PerturbedFramesStayBitIdentical) {
 
 // ---------------------------------------------------------------------------
 // Candidate persistence: warm frames replay persisted neighbor lists and
-// must stay bit-identical to the serial dense scan at every churn rate.
+// must stay bit-identical to the dense serial scan at every churn rate.
 
 /// One simulator-shaped churn step: drop ~rate of the riders (order
 /// preserved), nudge one survivor's pickup in place, append arrivals.
@@ -614,13 +607,8 @@ TEST(CandidatePersistence, ChurnRatesStayBitIdentical) {
     trace::RequestId next_id = 2000;
     for (int frame = 0; frame < 6; ++frame) {
       SCOPED_TRACE(::testing::Message() << "frame=" << frame);
-      GroupOptions warm = options;
-      warm.parallel = true;
-      warm.persist_candidates = true;
-      const auto persisted = enumerate_share_groups(requests, kOracle, warm, 4, &cache);
-      GroupOptions serial = options;
-      serial.parallel = false;
-      expect_groups_equal(persisted, enumerate_share_groups(requests, kOracle, serial));
+      const auto persisted = enumerate_share_groups(requests, kOracle, options, 4, &cache);
+      expect_groups_equal(persisted, reference::enumerate_serial(requests, kOracle, options));
       requests = churn_step(requests, rate, 14.0, rng, next_id);
     }
   }
@@ -632,7 +620,6 @@ TEST(CandidatePersistence, WarmFramesActuallyReuseLists) {
   auto requests = make_city_requests(72, 43, 15.0);
   GroupOptions options;
   options.detour_threshold_km = 3.0;
-  options.parallel = true;
   GroupCache cache;
   Rng rng(111);
   trace::RequestId next_id = 3000;
@@ -651,10 +638,9 @@ TEST(CandidatePersistence, WarmFramesActuallyReuseLists) {
   EXPECT_GT(counter(hot, obs::Counter::kGridPatches), 0u);
 }
 
-TEST(CandidatePersistence, RadiusChangeAndKnobTogglesStaySound) {
-  // Persisted lists are keyed to one pickup radius; changing it (or the
-  // filter knobs, which are *not* part of the fingerprint) mid-stream
-  // must still reproduce the serial scan of every frame.
+TEST(CandidatePersistence, RadiusChangesStaySound) {
+  // Persisted lists are keyed to one pickup radius; changing it
+  // mid-stream must still reproduce the serial scan of every frame.
   auto requests = make_city_requests(56, 47, 13.0);
   GroupOptions options;
   options.detour_threshold_km = 3.0;
@@ -664,15 +650,9 @@ TEST(CandidatePersistence, RadiusChangeAndKnobTogglesStaySound) {
   const double radii[] = {std::numeric_limits<double>::infinity(), 4.0, 4.0, 2.5, 2.5, 4.0};
   for (int frame = 0; frame < 6; ++frame) {
     SCOPED_TRACE(::testing::Message() << "frame=" << frame);
-    GroupOptions warm = options;
-    warm.parallel = true;
-    warm.pickup_radius_km = radii[frame];
-    warm.simd_prefilter = frame % 2 == 0;
-    warm.direction_cone = frame % 3 != 0;
-    const auto persisted = enumerate_share_groups(requests, kOracle, warm, 4, &cache);
-    GroupOptions serial = warm;
-    serial.parallel = false;
-    expect_groups_equal(persisted, enumerate_share_groups(requests, kOracle, serial));
+    options.pickup_radius_km = radii[frame];
+    const auto persisted = enumerate_share_groups(requests, kOracle, options, 4, &cache);
+    expect_groups_equal(persisted, reference::enumerate_serial(requests, kOracle, options));
     requests = churn_step(requests, 0.1, 13.0, rng, next_id);
   }
 }
@@ -683,13 +663,10 @@ TEST(CandidatePersistence, AbsentThenReturningIdReenumeratesFresh) {
   auto requests = make_city_requests(24, 53, 8.0);
   GroupOptions options;
   options.detour_threshold_km = 3.0;
-  options.parallel = true;
   GroupCache cache;
   const auto compare = [&](const std::vector<trace::Request>& frame) {
     const auto persisted = enumerate_share_groups(frame, kOracle, options, 4, &cache);
-    GroupOptions serial = options;
-    serial.parallel = false;
-    expect_groups_equal(persisted, enumerate_share_groups(frame, kOracle, serial));
+    expect_groups_equal(persisted, reference::enumerate_serial(frame, kOracle, options));
   };
   compare(requests);
   auto without = requests;
@@ -711,7 +688,6 @@ TEST(GroupCacheTest, SizeTriggeredSweepEvictsStaleEntries) {
   GroupOptions options;
   options.detour_threshold_km = 50.0;  // dense: every pair evaluated + stored
   options.max_group_size = 2;          // pairs only — the map still floods
-  options.parallel = true;
   options.require_saving = false;
   options.pickup_radius_km = 1e6;  // finite, keeps the sparse path + persistence
   GroupCache cache;
@@ -746,7 +722,6 @@ TEST(ObsCounters, PipelineCountersReachTheActiveSink) {
   const auto requests = make_city_requests(64, 37, 16.0);
   GroupOptions options;
   options.detour_threshold_km = 2.5;
-  options.parallel = true;
   GroupCache cache;
   const auto counter = [](const obs::FrameTrace& frame, obs::Counter which) {
     return frame.counters[static_cast<std::size_t>(which)];
@@ -766,6 +741,28 @@ TEST(ObsCounters, PipelineCountersReachTheActiveSink) {
   enumerate_share_groups(requests, kOracle, options, 4, &cache);
   const obs::FrameTrace hot = sink.end_frame();
   EXPECT_GT(counter(hot, obs::Counter::kGroupCacheHits), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel exact evaluation: a frame with enough surviving candidates fans
+// the exact evaluations out over the pool and still matches the serial
+// scan bit for bit.
+
+TEST(ParallelExact, FanOutMatchesReferenceBitForBit) {
+  if (ThreadPool::shared().worker_count() == 0) {
+    GTEST_SKIP() << "the shared pool has no workers, so nothing can fan out";
+  }
+  obs::TraceSink sink;
+  obs::Activation guard(sink);
+  const auto requests = make_city_requests(96, 61, 12.0);
+  GroupOptions options;
+  options.detour_threshold_km = 3.0;
+  sink.begin_frame(0, 0.0);
+  const auto groups = enumerate_share_groups(requests, kOracle, options);
+  const obs::FrameTrace frame = sink.end_frame();
+  EXPECT_GT(frame.counters[static_cast<std::size_t>(obs::Counter::kExactParallelBatches)],
+            0u);
+  expect_groups_equal(groups, reference::enumerate_serial(requests, kOracle, options));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Differential suite for the parallel grid-pruned sharing engine: the
-// pruned ThreadPool path must reproduce the serial dense scan bit for
+// pruned ThreadPool path must reproduce the dense serial scan bit for
 // bit, the bitset set-packing solvers must reproduce the legacy byte-map
-// solvers (packing/reference.h), and the exact solver must dominate the
-// approximations.
+// solvers (both references live in tests/reference), and the exact solver
+// must dominate the approximations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,9 @@
 
 #include "core/sharing.h"
 #include "packing/groups.h"
-#include "packing/reference.h"
 #include "packing/set_packing.h"
+#include "tests/reference/groups.h"
+#include "tests/reference/set_packing.h"
 #include "util/rng.h"
 
 namespace o2o::packing {
@@ -76,11 +77,9 @@ void expect_groups_equal(const std::vector<ShareGroup>& parallel,
 }
 
 void run_enumeration_differential(const std::vector<trace::Request>& requests,
-                                  GroupOptions options) {
-  options.parallel = true;
+                                  const GroupOptions& options) {
   const auto pruned = enumerate_share_groups(requests, kOracle, options);
-  options.parallel = false;
-  const auto serial = enumerate_share_groups(requests, kOracle, options);
+  const auto serial = reference::enumerate_serial(requests, kOracle, options);
   expect_groups_equal(pruned, serial);
 }
 
@@ -128,7 +127,6 @@ TEST(EnumerationDifferential, PairsOnlyMatches) {
 
 TEST(EnumerationDifferential, ZeroRequestFrame) {
   GroupOptions options;
-  options.parallel = true;
   EXPECT_TRUE(enumerate_share_groups({}, kOracle, options).empty());
 }
 
@@ -141,7 +139,6 @@ TEST(EnumerationDifferential, AllInfeasibleFrame) {
   }
   GroupOptions options;
   options.detour_threshold_km = 1.0;
-  options.parallel = true;
   EXPECT_TRUE(enumerate_share_groups(requests, kOracle, options).empty());
   run_enumeration_differential(requests, options);
 }
@@ -315,7 +312,30 @@ trace::Taxi make_taxi(trace::TaxiId id, geo::Point location, int seats = 4) {
   return taxi;
 }
 
+/// The Euclidean oracle declaring no concurrent queries: every consumer
+/// gated on Capabilities::concurrent_queries (the exact group evaluations,
+/// the profile build) then runs serially on the calling thread, with the
+/// same arithmetic.
+class SerialOnlyOracle final : public geo::DistanceOracle {
+ public:
+  double distance(const geo::Point& a, const geo::Point& b) const override {
+    return kDispatchOracle.distance(a, b);
+  }
+  void distances_from_into(const geo::Point& source, std::span<const geo::Point> targets,
+                           double* out) const override {
+    kDispatchOracle.distances_from_into(source, targets, out);
+  }
+  void distances_to_into(std::span<const geo::Point> sources, const geo::Point& target,
+                         double* out) const override {
+    kDispatchOracle.distances_to_into(sources, target, out);
+  }
+  Capabilities capabilities() const noexcept override {
+    return {.concurrent_queries = false, .symmetric_distances = true};
+  }
+};
+
 TEST(DispatchDifferential, ParallelGroupingKeepsMatchingsIdentical) {
+  const SerialOnlyOracle serial_oracle;
   for (const std::uint64_t seed : {5u, 6u}) {
     Rng rng(seed);
     std::vector<trace::Request> requests;
@@ -335,12 +355,9 @@ TEST(DispatchDifferential, ParallelGroupingKeepsMatchingsIdentical) {
 
     SharingParams params;
     params.grouping.detour_threshold_km = 3.0;
-    params.grouping.parallel = true;
     const SharingOutcome parallel =
         dispatch_sharing(taxis, requests, kDispatchOracle, params);
-    params.grouping.parallel = false;
-    const SharingOutcome serial =
-        dispatch_sharing(taxis, requests, kDispatchOracle, params);
+    const SharingOutcome serial = dispatch_sharing(taxis, requests, serial_oracle, params);
 
     EXPECT_EQ(parallel.feasible_groups, serial.feasible_groups);
     EXPECT_EQ(parallel.packed_groups, serial.packed_groups);

@@ -1,0 +1,59 @@
+#include "tests/reference/groups.h"
+
+#include <limits>
+
+namespace o2o::packing::reference {
+
+std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> requests,
+                                         const geo::DistanceOracle& oracle,
+                                         const GroupOptions& options, int taxi_seats) {
+  std::vector<ShareGroup> groups;
+  const std::size_t n = requests.size();
+
+  const auto pickups_close = [&](std::size_t i, std::size_t j) {
+    if (options.pickup_radius_km == std::numeric_limits<double>::infinity()) return true;
+    return geo::euclidean_distance(requests[i].pickup, requests[j].pickup) <=
+           options.pickup_radius_km;
+  };
+
+  // Pairs. Remember feasibility for the triple-growing prune.
+  std::vector<std::vector<bool>> pair_feasible;
+  if (options.grow_triples_from_pairs) {
+    pair_feasible.assign(n, std::vector<bool>(n, false));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (!pickups_close(i, j)) continue;
+      bool feasible = false;
+      ShareGroup group = evaluate_group(requests, {i, j}, oracle, options, taxi_seats,
+                                        feasible);
+      if (!feasible) continue;
+      if (options.grow_triples_from_pairs) {
+        pair_feasible[i][j] = pair_feasible[j][i] = true;
+      }
+      groups.push_back(std::move(group));
+    }
+  }
+
+  if (options.max_group_size < 3) return groups;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (options.grow_triples_from_pairs && !pair_feasible[i][j]) continue;
+      for (std::size_t k = j + 1; k < n; ++k) {
+        if (options.grow_triples_from_pairs &&
+            (!pair_feasible[i][k] || !pair_feasible[j][k])) {
+          continue;
+        }
+        if (!pickups_close(i, k) || !pickups_close(j, k)) continue;
+        bool feasible = false;
+        ShareGroup group = evaluate_group(requests, {i, j, k}, oracle, options, taxi_seats,
+                                          feasible);
+        if (feasible) groups.push_back(std::move(group));
+      }
+    }
+  }
+  return groups;
+}
+
+}  // namespace o2o::packing::reference

@@ -1,8 +1,9 @@
 // Streaming-vs-batch differential proof obligations: a full synthetic
 // day replayed through the service — wire codec, ingestion ring, and
 // DispatchSession — must reproduce the batch Simulator's report bit for
-// bit, with the incremental knobs (cross-frame cache, persisted
-// candidates, warm-started DA, incremental grid) all off and all on.
+// bit, with the incremental knobs (warm-started DA, incremental grid)
+// both off and both on. The share-group cache and its persisted candidate
+// lists are always on: both sides carry one across frames.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -48,8 +49,6 @@ DispatchConfig tuned_config(bool incremental) {
       .with_taxi_threshold_score(6.0)
       .with_detour_threshold_km(5.0)
       .with_cancel_timeout_seconds(1800.0)
-      .with_cross_frame_cache(incremental)
-      .with_persist_candidates(incremental)
       .with_warm_start_da(incremental)
       .with_incremental_grid(incremental);
 }
