@@ -2,20 +2,19 @@
 //   * point-to-point shortest_path (bounded bidirectional Dijkstra) vs a
 //     full single-source tree per query;
 //   * oracle query throughput cold vs warm cache, and under concurrent
-//     callers (the sharded cache is the contended structure);
+//     callers for both NetworkOracle and CHOracle (the sharded cache and
+//     snap memo are the shared structures);
 //   * per-row pricing pointwise vs the bulk distances_from/distances_to
 //     APIs;
-//   * the headline: network-backed 1k x 10k preference-profile
-//     construction through the engine vs the pre-PR serial oracle
-//     (unsharded forward-tree cache, no snap memo, no bulk calls,
-//     capabilities().concurrent_queries == false).
+//   * network-backed 200 x 2k and 1k x 10k preference-profile
+//     construction, warm and cold.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/preferences.h"
+#include "geo/ch/ch_oracle.h"
 #include "geo/road_network.h"
 #include "util/rng.h"
 
@@ -63,50 +62,6 @@ std::vector<geo::Point> random_points(std::size_t count, std::uint64_t seed) {
   }
   return points;
 }
-
-/// The pre-PR NetworkOracle, kept verbatim as the baseline: one
-/// unsynchronized map of forward trees with evict-oldest-half, a fresh
-/// nearest-node search per endpoint per query, no bulk overrides, and no
-/// concurrent queries — so profile construction runs serially.
-class LegacyNetworkOracle final : public geo::DistanceOracle {
- public:
-  explicit LegacyNetworkOracle(const geo::RoadNetwork& network,
-                               std::size_t cache_capacity = 1024)
-      : network_(network), cache_capacity_(cache_capacity) {}
-
-  double distance(const geo::Point& a, const geo::Point& b) const override {
-    const geo::NodeId from = network_.nearest_node(a);
-    const geo::NodeId to = network_.nearest_node(b);
-    const double snap_a = geo::euclidean_distance(a, network_.node_position(from));
-    const double snap_b = geo::euclidean_distance(b, network_.node_position(to));
-    if (from == to) return geo::euclidean_distance(a, b);
-    const double network_leg = tree_for(from)[static_cast<std::size_t>(to)];
-    return snap_a + network_leg + snap_b;
-  }
-
-  Capabilities capabilities() const noexcept override {
-    return {.concurrent_queries = false, .symmetric_distances = false};
-  }
-
- private:
-  const std::vector<double>& tree_for(geo::NodeId source) const {
-    const auto it = cache_.find(source);
-    if (it != cache_.end()) return it->second;
-    if (cache_.size() >= cache_capacity_) {
-      const std::size_t keep_from = cache_order_.size() / 2;
-      for (std::size_t i = 0; i < keep_from; ++i) cache_.erase(cache_order_[i]);
-      cache_order_.erase(cache_order_.begin(),
-                         cache_order_.begin() + static_cast<std::ptrdiff_t>(keep_from));
-    }
-    cache_order_.push_back(source);
-    return cache_.emplace(source, network_.shortest_paths_from(source)).first->second;
-  }
-
-  const geo::RoadNetwork& network_;
-  std::size_t cache_capacity_;
-  mutable std::unordered_map<geo::NodeId, std::vector<double>> cache_;
-  mutable std::vector<geo::NodeId> cache_order_;
-};
 
 // --- point-to-point: bounded bidirectional search vs a full tree ---------
 
@@ -166,10 +121,10 @@ BENCHMARK(BM_OracleQueriesWarmCache)->Unit(benchmark::kMicrosecond);
 
 // --- serial vs concurrent query throughput -------------------------------
 
-void BM_ConcurrentQueries(benchmark::State& state) {
-  // Shared oracle, per-thread query stream; ->Threads(k) races the
-  // sharded cache from k callers. items/s is the comparable number.
-  static const geo::NetworkOracle oracle(bench_city(), /*cache_capacity=*/4096);
+// Shared oracle, per-thread query stream; ->Threads(k) races the shared
+// cache and snap memo from k callers. items/s is the comparable number.
+template <class Oracle>
+void run_concurrent_queries(benchmark::State& state, const Oracle& oracle) {
   const std::vector<geo::Point> points =
       random_points(257, 31 + static_cast<std::uint64_t>(state.thread_index()));
   oracle.prepare_frame(points);
@@ -180,7 +135,24 @@ void BM_ConcurrentQueries(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
+
+void BM_ConcurrentQueries(benchmark::State& state) {
+  static const geo::NetworkOracle oracle(bench_city(), /*cache_capacity=*/4096);
+  run_concurrent_queries(state, oracle);
+}
 BENCHMARK(BM_ConcurrentQueries)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ConcurrentQueriesCH(benchmark::State& state) {
+  static const geo::CHOracle oracle(bench_city(), geo::ContractionHierarchy::build(bench_city()),
+                                    /*cache_capacity=*/4096);
+  run_concurrent_queries(state, oracle);
+}
+BENCHMARK(BM_ConcurrentQueriesCH)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
@@ -229,57 +201,17 @@ void BM_RowBulkDistancesTo(benchmark::State& state) {
 }
 BENCHMARK(BM_RowBulkDistancesTo)->Unit(benchmark::kMicrosecond);
 
-// --- the headline: network-backed profile construction -------------------
+// --- network-backed profile construction --------------------------------
 //
-// Same instance, same sparse pruning parameters; the only variable is the
-// oracle engine, each at its shipped default configuration. The pre-PR
-// oracle defaults to a 1024-tree cache — smaller than this instance's
-// working set (~1681 distinct taxi nodes + ~875 pickup nodes), so its
-// evict-oldest-half policy thrashes and queries repeatedly pay full
-// Dijkstra builds. The engine's default auto-sizes the cache to the frame
-// working set, so after the prewarm build every tree read is a hit.
-// PrePrBigCache isolates the policy from the sizing: the legacy oracle
-// given a cache big enough to never evict.
+// The oracle at its shipped default auto-sizes the cache to the frame
+// working set (~1681 distinct taxi nodes + ~875 pickup nodes on the 1k x
+// 10k instance), so after the prewarm build every tree read is a hit.
 
 core::PreferenceParams profile_params() {
   core::PreferenceParams params;
   params.passenger_threshold_km = 2.0;
   return params;
 }
-
-void BM_BuildProfileNetworkPrePr(benchmark::State& state) {
-  const Instance instance =
-      make_instance(static_cast<std::size_t>(state.range(0)),
-                    static_cast<std::size_t>(state.range(1)), 5);
-  const LegacyNetworkOracle oracle(bench_city());  // shipped default: 1024 trees
-  (void)build_nonsharing_profile(instance.taxis, instance.requests, oracle,
-                                 profile_params());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(build_nonsharing_profile(instance.taxis, instance.requests,
-                                                      oracle, profile_params()));
-  }
-}
-BENCHMARK(BM_BuildProfileNetworkPrePr)
-    ->Args({200, 2000})
-    ->Args({1000, 10000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BuildProfileNetworkPrePrBigCache(benchmark::State& state) {
-  const Instance instance =
-      make_instance(static_cast<std::size_t>(state.range(0)),
-                    static_cast<std::size_t>(state.range(1)), 5);
-  const LegacyNetworkOracle oracle(bench_city(), /*cache_capacity=*/4096);
-  (void)build_nonsharing_profile(instance.taxis, instance.requests, oracle,
-                                 profile_params());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(build_nonsharing_profile(instance.taxis, instance.requests,
-                                                      oracle, profile_params()));
-  }
-}
-BENCHMARK(BM_BuildProfileNetworkPrePrBigCache)
-    ->Args({200, 2000})
-    ->Args({1000, 10000})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_BuildProfileNetworkEngine(benchmark::State& state) {
   const Instance instance =

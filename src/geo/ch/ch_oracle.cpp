@@ -1,42 +1,31 @@
 #include "geo/ch/ch_oracle.h"
 
 #include <algorithm>
-#include <bit>
+#include <unordered_map>
 #include <utility>
 
-#include "obs/obs.h"
 #include "util/contracts.h"
 
 namespace o2o::geo {
 
 namespace {
 
-/// splitmix64 finisher (same constants as road_network.cpp — space keys
-/// are `(node << 1) | backward`, all-even without mixing).
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+std::size_t space_cache_capacity(const RoadNetwork& network, std::size_t requested) {
+  if (requested != CHOracle::kAutoCapacity) return requested;
+  return std::max<std::size_t>(1024, 2 * network.node_count() + 64);
 }
-
-constexpr std::size_t kSnapMemoPerShardCap = 1 << 14;
 
 }  // namespace
 
 CHOracle::CHOracle(const RoadNetwork& network, ContractionHierarchy ch,
                    std::size_t cache_capacity, std::size_t shard_count)
-    : network_(network), ch_(std::move(ch)) {
+    : network_(network),
+      ch_(std::move(ch)),
+      spaces_(space_cache_capacity(network, cache_capacity), shard_count),
+      snaps_(network, spaces_.shard_count()) {
   O2O_EXPECTS(network.node_count() > 0);
-  O2O_EXPECTS(shard_count > 0);
   O2O_EXPECTS(ch_.node_count() == network.node_count());
   O2O_EXPECTS(ch_.graph_fingerprint() == network.fingerprint());
-  if (cache_capacity == kAutoCapacity) {
-    cache_capacity = std::max<std::size_t>(1024, 2 * network.node_count() + 64);
-  }
-  const std::size_t shards_used = std::min(shard_count, cache_capacity);
-  per_shard_capacity_ = std::max<std::size_t>(1, cache_capacity / shards_used);
-  shards_ = std::vector<Shard>(shards_used);
 }
 
 CHOracle::CHOracle(const RoadNetwork& network, ContractionHierarchy::BuildOptions options,
@@ -44,64 +33,10 @@ CHOracle::CHOracle(const RoadNetwork& network, ContractionHierarchy::BuildOption
     : CHOracle(network, ContractionHierarchy::build(network, options), cache_capacity,
                shard_count) {}
 
-std::size_t CHOracle::SnapKeyHash::operator()(const SnapKey& k) const noexcept {
-  return static_cast<std::size_t>(mix64(k.x_bits ^ mix64(k.y_bits)));
-}
-
-CHOracle::Shard& CHOracle::shard_for(std::uint64_t mixed_hash) const {
-  return shards_[mixed_hash % shards_.size()];
-}
-
-NodeId CHOracle::snap(const Point& p) const {
-  const SnapKey key{std::bit_cast<std::uint64_t>(p.x), std::bit_cast<std::uint64_t>(p.y)};
-  Shard& shard = shard_for(mix64(key.x_bits ^ mix64(key.y_bits)));
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.snap_memo.find(key);
-    if (it != shard.snap_memo.end()) {
-      obs::add(obs::Counter::kSnapHits);
-      return it->second;
-    }
-  }
-  obs::add(obs::Counter::kSnapMisses);
-  const NodeId node = network_.nearest_node(p);
-  std::unique_lock lock(shard.mutex);
-  if (shard.snap_memo.size() >= kSnapMemoPerShardCap) shard.snap_memo.clear();
-  shard.snap_memo.emplace(key, node);
-  return node;
-}
-
 CHOracle::Space CHOracle::space(NodeId node, bool backward) const {
-  const std::uint64_t key = space_key(node, backward);
-  Shard& shard = shard_for(mix64(key));
-  {
-    // Hits need the exclusive lock: the LRU splice mutates the list.
-    std::unique_lock lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      obs::add(obs::Counter::kOracleTreeHits);
-      return it->second->space;
-    }
-  }
-  obs::add(obs::Counter::kOracleTreeMisses);
-  // Miss: run the upward search outside the lock, insert double-checked
-  // (losing a build race wastes one tiny search, never correctness).
-  auto built = std::make_shared<const ContractionHierarchy::SearchSpace>(
-      ch_.search_space(node, backward));
-  std::unique_lock lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->space;
-  }
-  while (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-  }
-  shard.lru.push_front(CacheEntry{key, std::move(built)});
-  shard.index.emplace(key, shard.lru.begin());
-  return shard.lru.front().space;
+  // A miss runs the upward search outside the shard lock.
+  return spaces_.get_or_build(space_key(node, backward),
+                              [&] { return ch_.search_space(node, backward); });
 }
 
 double CHOracle::join(const ContractionHierarchy::SearchSpace& forward,
@@ -127,8 +62,8 @@ double CHOracle::join(const ContractionHierarchy::SearchSpace& forward,
 }
 
 double CHOracle::distance(const Point& a, const Point& b) const {
-  const NodeId from = snap(a);
-  const NodeId to = snap(b);
+  const NodeId from = snaps_.snap(a);
+  const NodeId to = snaps_.snap(b);
   const double snap_a = euclidean_distance(a, network_.node_position(from));
   const double snap_b = euclidean_distance(b, network_.node_position(to));
   if (from == to) return euclidean_distance(a, b);
@@ -154,14 +89,14 @@ std::vector<double> CHOracle::distances_to(std::span<const Point> sources,
 void CHOracle::distances_from_into(const Point& source, std::span<const Point> targets,
                                    double* out) const {
   if (targets.empty()) return;
-  const NodeId from = snap(source);
+  const NodeId from = snaps_.snap(source);
   const double snap_a = euclidean_distance(source, network_.node_position(from));
   // Bucket step, built on first use: an all-same-node batch needs no
   // index. Each target then joins its backward space by probing.
   std::unordered_map<NodeId, double> bucket;
   bool bucket_ready = false;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const NodeId to = snap(targets[i]);
+    const NodeId to = snaps_.snap(targets[i]);
     if (from == to) {
       out[i] = euclidean_distance(source, targets[i]);
       continue;
@@ -188,12 +123,12 @@ void CHOracle::distances_from_into(const Point& source, std::span<const Point> t
 void CHOracle::distances_to_into(std::span<const Point> sources, const Point& target,
                                  double* out) const {
   if (sources.empty()) return;
-  const NodeId to = snap(target);
+  const NodeId to = snaps_.snap(target);
   const double snap_b = euclidean_distance(target, network_.node_position(to));
   std::unordered_map<NodeId, double> bucket;
   bool bucket_ready = false;
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    const NodeId from = snap(sources[i]);
+    const NodeId from = snaps_.snap(sources[i]);
     if (from == to) {
       out[i] = euclidean_distance(sources[i], target);
       continue;
@@ -218,42 +153,13 @@ void CHOracle::distances_to_into(std::span<const Point> sources, const Point& ta
 }
 
 void CHOracle::prepare_frame(std::span<const Point> points) const {
-  std::lock_guard lock(prepare_mutex_);
-  next_prepared_.clear();
-  std::size_t carried = 0;
-  for (const Point& p : points) {
-    const SnapKey key{std::bit_cast<std::uint64_t>(p.x), std::bit_cast<std::uint64_t>(p.y)};
-    const bool seen_last_frame = prepared_.contains(key);
-    next_prepared_.insert(key);
-    if (seen_last_frame) {
-      ++carried;
-      continue;
-    }
-    // Unlike NetworkOracle (whose trees are too big to warm eagerly),
-    // spaces are tiny: warm both directions now so the frame's first
-    // query against this point is pure cache hits.
-    const NodeId node = snap(p);
+  // Unlike NetworkOracle (whose trees are too big to warm eagerly),
+  // spaces are tiny: warm both directions now so the frame's first
+  // query against this point is pure cache hits.
+  snaps_.prepare_frame(points, [this](NodeId node) {
     (void)space(node, /*backward=*/false);
     (void)space(node, /*backward=*/true);
-  }
-  prepared_.swap(next_prepared_);
-  last_prepare_carried_ = carried;
-}
-
-std::size_t CHOracle::cache_size() const {
-  std::size_t total = 0;
-  for (Shard& shard : shards_) {
-    std::shared_lock lock(shard.mutex);
-    total += shard.lru.size();
-  }
-  return total;
-}
-
-bool CHOracle::space_cached(NodeId node, bool backward) const {
-  const std::uint64_t key = space_key(node, backward);
-  Shard& shard = shard_for(mix64(key));
-  std::shared_lock lock(shard.mutex);
-  return shard.index.contains(key);
+  });
 }
 
 }  // namespace o2o::geo

@@ -7,18 +7,14 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/ch/contraction_hierarchy.h"
 #include "geo/distance_oracle.h"
 #include "geo/road_network.h"
+#include "geo/sharded_clock_cache.h"
+#include "geo/snap_memo.h"
 
 namespace o2o::geo {
 
@@ -34,10 +30,10 @@ namespace o2o::geo {
 /// "Distance backends" for the policy and the differential tests that
 /// enforce it).
 ///
-/// Internals mirror NetworkOracle: a sharded exact-key snap memo plus a
-/// sharded true-LRU cache of search spaces (forward and backward per
-/// node), each shard a std::shared_mutex; spaces build outside the shard
-/// lock with a double-checked insert. Bulk rows are bucket-style
+/// Internals are NetworkOracle's: a SnapMemo plus a ShardedClockCache of
+/// search spaces (forward and backward per node); a hit takes only the
+/// shard's shared lock, and spaces build outside it with a double-checked
+/// insert. Bulk rows are bucket-style
 /// many-to-many: the row endpoint's space becomes a hash index once,
 /// then every other endpoint joins its (cached) opposite-direction space
 /// against it — no quadratic meeting-node scans.
@@ -83,7 +79,7 @@ class CHOracle final : public DistanceOracle {
   void prepare_frame(std::span<const Point> points) const override;
 
   /// Points skipped by the last prepare_frame (test/bench probe).
-  std::size_t last_prepare_carried() const noexcept { return last_prepare_carried_; }
+  std::size_t last_prepare_carried() const noexcept { return snaps_.last_prepare_carried(); }
 
   /// Sharded-and-locked caches (concurrent); directed graph (asymmetric).
   Capabilities capabilities() const noexcept override {
@@ -93,43 +89,21 @@ class CHOracle final : public DistanceOracle {
   const ContractionHierarchy& hierarchy() const noexcept { return ch_; }
 
   /// Cached spaces across shards (forward + backward).
-  std::size_t cache_size() const;
-  std::size_t cache_capacity() const noexcept { return per_shard_capacity_ * shards_.size(); }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
+  std::size_t cache_size() const { return spaces_.size(); }
+  std::size_t cache_capacity() const noexcept { return spaces_.capacity(); }
+  std::size_t shard_count() const noexcept { return spaces_.shard_count(); }
   /// Whether `node`'s space is currently cached (test probe).
-  bool space_cached(NodeId node, bool backward) const;
+  bool space_cached(NodeId node, bool backward) const {
+    return spaces_.contains(space_key(node, backward));
+  }
 
  private:
-  using Space = std::shared_ptr<const ContractionHierarchy::SearchSpace>;
-
-  struct CacheEntry {
-    std::uint64_t key = 0;
-    Space space;
-  };
-
-  /// Exact-key snap memo, identical idiom to NetworkOracle::SnapKey.
-  struct SnapKey {
-    std::uint64_t x_bits = 0;
-    std::uint64_t y_bits = 0;
-    bool operator==(const SnapKey&) const = default;
-  };
-  struct SnapKeyHash {
-    std::size_t operator()(const SnapKey& k) const noexcept;
-  };
-
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::list<CacheEntry> lru;  // front = most recently used
-    std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> index;
-    std::unordered_map<SnapKey, NodeId, SnapKeyHash> snap_memo;
-  };
+  using Space = ShardedClockCache<ContractionHierarchy::SearchSpace>::Value;
 
   static std::uint64_t space_key(NodeId node, bool backward) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)) << 1) |
            static_cast<std::uint64_t>(backward);
   }
-  Shard& shard_for(std::uint64_t mixed_hash) const;
-  NodeId snap(const Point& p) const;
   Space space(NodeId node, bool backward) const;
   /// min over meeting nodes of both spaces (merge join; both sorted by
   /// node id). +inf when disjoint — unreachable.
@@ -138,13 +112,8 @@ class CHOracle final : public DistanceOracle {
 
   const RoadNetwork& network_;
   ContractionHierarchy ch_;
-  std::size_t per_shard_capacity_;
-  mutable std::vector<Shard> shards_;
-
-  mutable std::mutex prepare_mutex_;
-  mutable std::unordered_set<SnapKey, SnapKeyHash> prepared_;
-  mutable std::unordered_set<SnapKey, SnapKeyHash> next_prepared_;
-  mutable std::size_t last_prepare_carried_ = 0;
+  ShardedClockCache<ContractionHierarchy::SearchSpace> spaces_;
+  SnapMemo snaps_;
 };
 
 }  // namespace o2o::geo

@@ -6,29 +6,9 @@
 #include <queue>
 #include <utility>
 
-#include "obs/obs.h"
 #include "util/rng.h"
 
 namespace o2o::geo {
-
-namespace {
-
-/// splitmix64 finisher. Tree keys are `(node << 1) | reverse`, so without
-/// mixing every forward key is even and `key % shards` would leave half
-/// the shards idle.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Per-shard bound on the exact-key snap memo. Generous (a frame snapshot
-/// is thousands of points, spread over all shards); on overflow the shard
-/// clears and re-fills — simpler than LRU for entries this cheap.
-constexpr std::size_t kSnapMemoPerShardCap = 1 << 14;
-
-}  // namespace
 
 RoadNetwork::RoadNetwork(const RoadNetwork& other) { copy_from(other); }
 
@@ -429,91 +409,37 @@ std::uint64_t RoadNetwork::fingerprint() const {
 // NetworkOracle
 // ---------------------------------------------------------------------------
 
+namespace {
+
+std::size_t tree_cache_capacity(const RoadNetwork& network, std::size_t requested) {
+  O2O_EXPECTS(network.node_count() > 0);
+  if (requested != NetworkOracle::kAutoCapacity) return requested;
+  // Frame working set: at most one forward and one reverse tree per
+  // node, memory-capped (a tree is node_count doubles). The memory cap
+  // wins over the working-set floor on very large networks.
+  const std::size_t working_set = std::max<std::size_t>(1024, 2 * network.node_count() + 64);
+  const std::size_t memory_bound =
+      (std::size_t{256} << 20) / (sizeof(double) * network.node_count());
+  return std::max<std::size_t>(64, std::min(working_set, memory_bound));
+}
+
+}  // namespace
+
 NetworkOracle::NetworkOracle(const RoadNetwork& network, std::size_t cache_capacity,
                              std::size_t shard_count)
-    : network_(network) {
-  O2O_EXPECTS(network.node_count() > 0);
-  O2O_EXPECTS(shard_count > 0);
-  if (cache_capacity == kAutoCapacity) {
-    // Frame working set: at most one forward and one reverse tree per
-    // node, memory-capped (a tree is node_count doubles). The memory cap
-    // wins over the working-set floor on very large networks.
-    const std::size_t working_set = std::max<std::size_t>(1024, 2 * network.node_count() + 64);
-    const std::size_t memory_bound =
-        (std::size_t{256} << 20) / (sizeof(double) * network.node_count());
-    cache_capacity = std::max<std::size_t>(64, std::min(working_set, memory_bound));
-  }
-  // Never let rounding push the total above the requested capacity: use
-  // at most `cache_capacity` shards, each holding floor(capacity/shards).
-  const std::size_t shards_used = std::min(shard_count, cache_capacity);
-  per_shard_capacity_ = std::max<std::size_t>(1, cache_capacity / shards_used);
-  shards_ = std::vector<Shard>(shards_used);
-}
-
-std::size_t NetworkOracle::SnapKeyHash::operator()(const SnapKey& k) const noexcept {
-  return static_cast<std::size_t>(mix64(k.x_bits ^ mix64(k.y_bits)));
-}
-
-NetworkOracle::Shard& NetworkOracle::shard_for(std::uint64_t mixed_hash) const {
-  return shards_[mixed_hash % shards_.size()];
-}
-
-NodeId NetworkOracle::snap(const Point& p) const {
-  const SnapKey key{std::bit_cast<std::uint64_t>(p.x), std::bit_cast<std::uint64_t>(p.y)};
-  Shard& shard = shard_for(mix64(key.x_bits ^ mix64(key.y_bits)));
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.snap_memo.find(key);
-    if (it != shard.snap_memo.end()) {
-      obs::add(obs::Counter::kSnapHits);
-      return it->second;
-    }
-  }
-  obs::add(obs::Counter::kSnapMisses);
-  const NodeId node = network_.nearest_node(p);
-  std::unique_lock lock(shard.mutex);
-  if (shard.snap_memo.size() >= kSnapMemoPerShardCap) shard.snap_memo.clear();
-  shard.snap_memo.emplace(key, node);
-  return node;
-}
+    : network_(network),
+      trees_(tree_cache_capacity(network, cache_capacity), shard_count),
+      snaps_(network, trees_.shard_count()) {}
 
 NetworkOracle::Tree NetworkOracle::tree(NodeId node, bool reverse) const {
-  const std::uint64_t key = tree_key(node, reverse);
-  Shard& shard = shard_for(mix64(key));
-  {
-    // Hits need the exclusive lock too: the LRU splice mutates the list.
-    std::unique_lock lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      obs::add(obs::Counter::kOracleTreeHits);
-      return it->second->tree;
-    }
-  }
-  obs::add(obs::Counter::kOracleTreeMisses);
-  // Miss: run Dijkstra outside the lock so other threads keep hitting
-  // this shard meanwhile, then insert with a double-check (losing a
-  // build race wastes one tree build, never correctness).
-  auto built = std::make_shared<const std::vector<double>>(
-      reverse ? network_.shortest_paths_to(node) : network_.shortest_paths_from(node));
-  std::unique_lock lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->tree;
-  }
-  while (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-  }
-  shard.lru.push_front(CacheEntry{key, std::move(built)});
-  shard.index.emplace(key, shard.lru.begin());
-  return shard.lru.front().tree;
+  return trees_.get_or_build(tree_key(node, reverse), [&] {
+    return reverse ? network_.shortest_paths_to(node) : network_.shortest_paths_from(node);
+  });
 }
 
 double NetworkOracle::distance(const Point& a, const Point& b) const {
-  const NodeId from = snap(a);
-  const NodeId to = snap(b);
+  const NodeId from = snaps_.snap(a);
+  const NodeId to = snaps_.snap(b);
   const double snap_a = euclidean_distance(a, network_.node_position(from));
   const double snap_b = euclidean_distance(b, network_.node_position(to));
   if (from == to) return euclidean_distance(a, b);
@@ -538,11 +464,11 @@ std::vector<double> NetworkOracle::distances_to(std::span<const Point> sources,
 void NetworkOracle::distances_from_into(const Point& source, std::span<const Point> targets,
                                         double* out) const {
   if (targets.empty()) return;
-  const NodeId from = snap(source);
+  const NodeId from = snaps_.snap(source);
   const double snap_a = euclidean_distance(source, network_.node_position(from));
   Tree tree_ptr;  // fetched on first use: an all-same-node batch needs no tree
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const NodeId to = snap(targets[i]);
+    const NodeId to = snaps_.snap(targets[i]);
     if (from == to) {
       out[i] = euclidean_distance(source, targets[i]);
       continue;
@@ -556,11 +482,11 @@ void NetworkOracle::distances_from_into(const Point& source, std::span<const Poi
 void NetworkOracle::distances_to_into(std::span<const Point> sources, const Point& target,
                                       double* out) const {
   if (sources.empty()) return;
-  const NodeId to = snap(target);
+  const NodeId to = snaps_.snap(target);
   const double snap_b = euclidean_distance(target, network_.node_position(to));
   Tree tree_ptr;
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    const NodeId from = snap(sources[i]);
+    const NodeId from = snaps_.snap(sources[i]);
     if (from == to) {
       out[i] = euclidean_distance(sources[i], target);
       continue;
@@ -572,41 +498,7 @@ void NetworkOracle::distances_to_into(std::span<const Point> sources, const Poin
 }
 
 void NetworkOracle::prepare_frame(std::span<const Point> points) const {
-  // Only the frame's churn pays the snap: a point the previous call
-  // warmed still has its memo entry (the memo only drops entries on the
-  // rare per-shard cap flush, where the lazy path in snap() recovers),
-  // so re-warming it would just take the shard lock to find a hit.
-  std::lock_guard lock(prepare_mutex_);
-  next_prepared_.clear();
-  std::size_t carried = 0;
-  for (const Point& p : points) {
-    const SnapKey key{std::bit_cast<std::uint64_t>(p.x), std::bit_cast<std::uint64_t>(p.y)};
-    const bool seen_last_frame = prepared_.contains(key);
-    next_prepared_.insert(key);
-    if (seen_last_frame) {
-      ++carried;
-      continue;
-    }
-    (void)snap(p);
-  }
-  prepared_.swap(next_prepared_);
-  last_prepare_carried_ = carried;
-}
-
-std::size_t NetworkOracle::cache_size() const {
-  std::size_t total = 0;
-  for (Shard& shard : shards_) {
-    std::shared_lock lock(shard.mutex);
-    total += shard.lru.size();
-  }
-  return total;
-}
-
-bool NetworkOracle::tree_cached(NodeId node, bool reverse) const {
-  const std::uint64_t key = tree_key(node, reverse);
-  Shard& shard = shard_for(mix64(key));
-  std::shared_lock lock(shard.mutex);
-  return shard.index.contains(key);
+  snaps_.prepare_frame(points, [](NodeId) {});
 }
 
 }  // namespace o2o::geo

@@ -8,17 +8,14 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <list>
-#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/distance_oracle.h"
 #include "geo/point.h"
+#include "geo/sharded_clock_cache.h"
+#include "geo/snap_memo.h"
 
 namespace o2o::geo {
 
@@ -148,11 +145,11 @@ class RoadNetwork {
 /// nearest nodes and returns the network shortest-path length plus the
 /// straight-line snap gaps.
 ///
-/// The engine behind it is a sharded cache of Dijkstra trees (forward
+/// The engine behind it is a ShardedClockCache of Dijkstra trees (forward
 /// trees for distance()/distances_from(), reverse trees for
-/// distances_to()), each shard a std::shared_mutex over a true-LRU
-/// (intrusive list + hash index), plus a sharded exact-key snap memo so
-/// repeated endpoints resolve without re-running the ring search. Tree
+/// distances_to()) plus a SnapMemo, so repeated endpoints resolve without
+/// re-running the ring search. A cache hit takes only its shard's shared
+/// lock and a steady-state snap touches no shared cache line; tree
 /// construction happens outside the shard lock, so a miss never blocks
 /// other shards or readers of the same shard's unrelated entries, and
 /// every query is safe to issue from any number of threads —
@@ -197,12 +194,12 @@ class NetworkOracle final : public DistanceOracle {
   /// call are skipped without touching the shard locks, so a
   /// steady-state frame only pays for its churn. (Dijkstra trees are
   /// never built here — they warm lazily on first query and stay
-  /// resident via the LRU sizing; see kAutoCapacity.)
+  /// resident via the cache sizing; see kAutoCapacity.)
   void prepare_frame(std::span<const Point> points) const override;
 
   /// Points skipped by the last prepare_frame because the previous
   /// frame already warmed them (test/bench probe).
-  std::size_t last_prepare_carried() const noexcept { return last_prepare_carried_; }
+  std::size_t last_prepare_carried() const noexcept { return snaps_.last_prepare_carried(); }
 
   /// Every internal cache is sharded and locked (concurrent), but the
   /// graph is directed: forward and reverse shortest paths may differ.
@@ -211,61 +208,28 @@ class NetworkOracle final : public DistanceOracle {
   }
 
   /// Total cached trees across shards (forward + reverse). Always
-  /// <= cache_capacity(); shards evict their own LRU tail independently.
-  std::size_t cache_size() const;
-  std::size_t cache_capacity() const noexcept { return per_shard_capacity_ * shards_.size(); }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
+  /// <= cache_capacity(); shards evict independently.
+  std::size_t cache_size() const { return trees_.size(); }
+  std::size_t cache_capacity() const noexcept { return trees_.capacity(); }
+  std::size_t shard_count() const noexcept { return trees_.shard_count(); }
 
   /// Whether the tree rooted at `node` is currently cached (test probe).
-  bool tree_cached(NodeId node, bool reverse = false) const;
+  bool tree_cached(NodeId node, bool reverse = false) const {
+    return trees_.contains(tree_key(node, reverse));
+  }
 
  private:
-  using Tree = std::shared_ptr<const std::vector<double>>;
-
-  struct CacheEntry {
-    std::uint64_t key = 0;
-    Tree tree;
-  };
-
-  /// Exact-key memo of nearest_node: keyed by the raw coordinate bits, so
-  /// a hit is always the exact same query (no tolerance, no staleness —
-  /// a moved taxi has different bits and simply misses).
-  struct SnapKey {
-    std::uint64_t x_bits = 0;
-    std::uint64_t y_bits = 0;
-    bool operator==(const SnapKey&) const = default;
-  };
-  struct SnapKeyHash {
-    std::size_t operator()(const SnapKey& k) const noexcept;
-  };
-
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    // Tree LRU: list front = most recently used; index points into it.
-    std::list<CacheEntry> lru;
-    std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> index;
-    std::unordered_map<SnapKey, NodeId, SnapKeyHash> snap_memo;
-  };
+  using Tree = ShardedClockCache<std::vector<double>>::Value;
 
   static std::uint64_t tree_key(NodeId node, bool reverse) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)) << 1) |
            static_cast<std::uint64_t>(reverse);
   }
-  Shard& shard_for(std::uint64_t mixed_hash) const;
-  NodeId snap(const Point& p) const;
   Tree tree(NodeId node, bool reverse) const;
 
   const RoadNetwork& network_;
-  std::size_t per_shard_capacity_;
-  mutable std::vector<Shard> shards_;
-
-  // Frame-delta state for prepare_frame: the set of coordinate keys the
-  // previous call warmed. Guarded by its own mutex (prepare_frame may be
-  // invoked concurrently); the query paths never touch it.
-  mutable std::mutex prepare_mutex_;
-  mutable std::unordered_set<SnapKey, SnapKeyHash> prepared_;
-  mutable std::unordered_set<SnapKey, SnapKeyHash> next_prepared_;
-  mutable std::size_t last_prepare_carried_ = 0;
+  ShardedClockCache<std::vector<double>> trees_;
+  SnapMemo snaps_;
 };
 
 }  // namespace o2o::geo

@@ -47,6 +47,13 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// splitmix64 finisher: one SplitMix64 step from state `x`, as a
+/// stateless 64->64 hash. Structured keys such as `(node << 1) | flag`
+/// are all-even, so they go through this before any `% shards`.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  return SplitMix64::mix(x + 0x9e3779b97f4a7c15ULL);
+}
+
 /// xoshiro256++ 1.0. Fast, 256-bit state, passes BigCrush.
 class Xoshiro256pp {
  public:

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -346,6 +347,54 @@ TEST(CHOracle, LruEvictionKeepsAnswersCorrect) {
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_EQ(oracle.distance(points[i - 1], points[i]),
               reference.distance(points[i - 1], points[i]));
+  }
+  EXPECT_LE(oracle.cache_size(), oracle.cache_capacity());
+}
+
+TEST(CHOracle, EvictsUnreferencedSpaceFirst) {
+  // Mirrors NetworkOracle.EvictsLeastRecentlyUsedTree. One shard with room
+  // for three spaces; every query below also hits far's backward space.
+  const RoadNetwork city = RoadNetwork::make_grid_city(4, 4, 1.0);
+  const CHOracle oracle(city, ContractionHierarchy::build(city), /*cache_capacity=*/3,
+                        /*shard_count=*/1);
+  ASSERT_EQ(oracle.cache_capacity(), 3u);
+  const Point far{3, 3};  // node 15, distinct from every source below
+
+  (void)oracle.distance({0, 0}, far);  // forward space at node 0
+  (void)oracle.distance({1, 0}, far);  // forward space at node 1
+  EXPECT_TRUE(oracle.space_cached(0, /*backward=*/false));
+  EXPECT_TRUE(oracle.space_cached(1, /*backward=*/false));
+  EXPECT_TRUE(oracle.space_cached(15, /*backward=*/true));
+  EXPECT_EQ(oracle.cache_size(), 3u);
+
+  (void)oracle.distance({0, 0}, far);  // touch node 0
+  (void)oracle.distance({2, 0}, far);  // node 2's space evicts the stale one
+  EXPECT_TRUE(oracle.space_cached(0, /*backward=*/false)) << "touched space must survive";
+  EXPECT_FALSE(oracle.space_cached(1, /*backward=*/false)) << "stale space must be evicted";
+  EXPECT_TRUE(oracle.space_cached(2, /*backward=*/false));
+  EXPECT_TRUE(oracle.space_cached(15, /*backward=*/true));
+  EXPECT_EQ(oracle.cache_size(), 3u);
+}
+
+TEST(CHOracle, ClockEvictionsRacingSharedHitsKeepAnswersExact) {
+  const RoadNetwork network = integer_grid(10, 10, 97);
+  const std::vector<Point> points = random_points(32, 101, 9.0);
+  // Capacity far below the ~64-space working set; every thread walks the
+  // same points, so hits on a space race its second-chance eviction.
+  const CHOracle oracle(network, ContractionHierarchy::build(network), /*cache_capacity=*/6,
+                        /*shard_count=*/2);
+  const auto answers = fixtures::hammer(oracle, points, /*threads=*/4, /*rounds=*/3);
+  const CHOracle serial(network, ContractionHierarchy::build(network));
+  for (std::size_t t = 0; t < answers.size(); ++t) {
+    const std::vector<double> expected = fixtures::query_stream(serial, points, t);
+    for (const std::vector<double>& round : answers[t]) {
+      ASSERT_EQ(round.size(), expected.size());
+      for (std::size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(round[k]),
+                  std::bit_cast<std::uint64_t>(expected[k]))
+            << "thread " << t << " answer " << k;
+      }
+    }
   }
   EXPECT_LE(oracle.cache_size(), oracle.cache_capacity());
 }

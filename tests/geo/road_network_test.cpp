@@ -5,9 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "geo/sharded_clock_cache.h"
+#include "tests/geo/test_networks.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -441,6 +444,114 @@ TEST(NetworkOracle, ConcurrentQueriesMatchSerialAnswers) {
                        serial.distance(mine[static_cast<std::size_t>(i)],
                                        mine[static_cast<std::size_t>(i) + 1]))
           << "worker " << w << " query " << i;
+    }
+  }
+  EXPECT_LE(oracle.cache_size(), oracle.cache_capacity());
+}
+
+TEST(ShardedClockCache, SecondChanceSparesOnlyReferencedEntries) {
+  const ShardedClockCache<int> cache(/*capacity=*/3, /*shard_count=*/1);
+  for (int key = 1; key <= 3; ++key) {
+    (void)cache.get_or_build(static_cast<std::uint64_t>(key), [key] { return key; });
+  }
+  (void)cache.get_or_build(1, [] { return -1; });  // hit: sets 1's bit
+  (void)cache.get_or_build(3, [] { return -1; });  // hit: sets 3's bit
+  // Tail 1 is spared (bit cleared, moved to the front); 2 is evicted.
+  (void)cache.get_or_build(4, [] { return 4; });
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(3));
+  // 1 spent its second chance and was not hit again; 3 still holds its
+  // bit, so 3 is spared and 1 goes.
+  (void)cache.get_or_build(5, [] { return 5; });
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_TRUE(cache.contains(4));
+  EXPECT_TRUE(cache.contains(5));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(*cache.get_or_build(3, [] { return -1; }), 3) << "a hit never rebuilds";
+}
+
+TEST(ShardedClockCache, HeldValueOutlivesItsEviction) {
+  const ShardedClockCache<std::vector<double>> cache(/*capacity=*/1, /*shard_count=*/4);
+  EXPECT_EQ(cache.shard_count(), 1u) << "never more shards than entries";
+  const auto held = cache.get_or_build(1, [] { return std::vector<double>{1.5, 2.5}; });
+  (void)cache.get_or_build(2, [] { return std::vector<double>{}; });
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_EQ(*held, (std::vector<double>{1.5, 2.5}));
+}
+
+/// D(a, b) with no memo and no cache: the oracle's expression over a
+/// fresh ring search and a fresh Dijkstra tree.
+double uncached_distance(const RoadNetwork& network, const Point& a, const Point& b) {
+  const NodeId from = network.nearest_node(a);
+  const NodeId to = network.nearest_node(b);
+  const double snap_a = euclidean_distance(a, network.node_position(from));
+  const double snap_b = euclidean_distance(b, network.node_position(to));
+  if (from == to) return euclidean_distance(a, b);
+  return snap_a + network.shortest_paths_from(from)[static_cast<std::size_t>(to)] + snap_b;
+}
+
+TEST(NetworkOracle, SnapFrontNeverLeaksBetweenOracles) {
+  // Two cities that snap the same points differently. On one thread the
+  // oracles share that thread's snap front; an entry read by the wrong
+  // oracle would price against the other city's node.
+  const RoadNetwork city_a = RoadNetwork::make_grid_city(8, 8, 1.0, 0.3, 0.1, 81);
+  const RoadNetwork city_b =
+      RoadNetwork::make_grid_city(8, 8, 1.0, 0.3, 0.1, 82, Point{0.5, 0.5});
+  const std::vector<Point> points = fixtures::random_points(40, 83, 7.0);
+  std::size_t disagreeing = 0;
+  for (std::size_t i = 0; i + 1 < points.size(); ++i) {
+    disagreeing += uncached_distance(city_a, points[i], points[i + 1]) !=
+                   uncached_distance(city_b, points[i], points[i + 1]);
+  }
+  ASSERT_GT(disagreeing, points.size() / 2);
+
+  std::optional<NetworkOracle> first(std::in_place, city_a);
+  std::optional<NetworkOracle> second(std::in_place, city_b);
+  const auto alternate = [&](const RoadNetwork& first_city, const RoadNetwork& second_city) {
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i + 1 < points.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(first->distance(points[i], points[i + 1])),
+                  std::bit_cast<std::uint64_t>(
+                      uncached_distance(first_city, points[i], points[i + 1])))
+            << "first oracle, query " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(second->distance(points[i], points[i + 1])),
+                  std::bit_cast<std::uint64_t>(
+                      uncached_distance(second_city, points[i], points[i + 1])))
+            << "second oracle, query " << i;
+      }
+    }
+  };
+  alternate(city_a, city_b);
+  // Recreate each oracle over the other city; the newcomer typically
+  // lands at the destroyed oracle's address, with its entries still in
+  // this thread's front.
+  first.reset();
+  first.emplace(city_b);
+  alternate(city_b, city_b);
+  second.reset();
+  second.emplace(city_a);
+  alternate(city_b, city_a);
+}
+
+TEST(NetworkOracle, ClockEvictionsRacingSharedHitsKeepAnswersExact) {
+  const RoadNetwork city = RoadNetwork::make_grid_city(10, 10, 1.0, 0.25, 0.2, 91);
+  const std::vector<Point> points = fixtures::random_points(32, 93, 9.0);
+  // Capacity far below the ~64-tree working set, and every thread walks
+  // the same points: hits on a tree race its second-chance eviction.
+  const NetworkOracle oracle(city, /*cache_capacity=*/6, /*shard_count=*/2);
+  const auto answers = fixtures::hammer(oracle, points, /*threads=*/4, /*rounds=*/3);
+  const NetworkOracle serial(city);
+  for (std::size_t t = 0; t < answers.size(); ++t) {
+    const std::vector<double> expected = fixtures::query_stream(serial, points, t);
+    for (const std::vector<double>& round : answers[t]) {
+      ASSERT_EQ(round.size(), expected.size());
+      for (std::size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(round[k]),
+                  std::bit_cast<std::uint64_t>(expected[k]))
+            << "thread " << t << " answer " << k;
+      }
     }
   }
   EXPECT_LE(oracle.cache_size(), oracle.cache_capacity());

@@ -1,8 +1,11 @@
-// Road networks and point clouds shared by the oracle, routing and
-// packing suites.
+// Road networks, point clouds and a concurrent query runner shared by
+// the oracle, routing and packing suites.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "geo/road_network.h"
@@ -46,6 +49,48 @@ inline std::vector<Point> random_points(std::size_t count, std::uint64_t seed,
     points.push_back(Point{rng.uniform(0.0, extent), rng.uniform(0.0, extent)});
   }
   return points;
+}
+
+/// Every answer one query stream gets from `oracle`: for each point,
+/// starting at index `first`, its distances_from row, its distances_to
+/// row and one pointwise distance to the next point. The values depend
+/// only on the graph, so every oracle over it must return this stream bit
+/// for bit, whatever its cache held.
+inline std::vector<double> query_stream(const DistanceOracle& oracle,
+                                        std::span<const Point> points, std::size_t first) {
+  const std::size_t n = points.size();
+  std::vector<double> answers;
+  answers.reserve(n * (2 * n + 1));
+  std::vector<double> row(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = (first + k) % n;
+    oracle.distances_from_into(points[i], points, row.data());
+    answers.insert(answers.end(), row.begin(), row.end());
+    oracle.distances_to_into(points, points[i], row.data());
+    answers.insert(answers.end(), row.begin(), row.end());
+    answers.push_back(oracle.distance(points[i], points[(i + 1) % n]));
+  }
+  return answers;
+}
+
+/// Runs `rounds` query streams on each of `threads` raw std::threads at
+/// once; thread t starts every stream at point t. Result [t][r] is
+/// thread t's round r.
+inline std::vector<std::vector<std::vector<double>>> hammer(const DistanceOracle& oracle,
+                                                            std::span<const Point> points,
+                                                            int threads, int rounds) {
+  std::vector<std::vector<std::vector<double>>> answers(static_cast<std::size_t>(threads));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      auto& mine = answers[static_cast<std::size_t>(t)];
+      for (int r = 0; r < rounds; ++r) {
+        mine.push_back(query_stream(oracle, points, static_cast<std::size_t>(t)));
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  return answers;
 }
 
 }  // namespace o2o::geo::fixtures
