@@ -326,9 +326,9 @@ std::vector<trace::Request> perturb_frame(std::vector<trace::Request> requests,
 // dispatcher with the default configuration, driven through hand-built
 // DispatchContexts, reporting the cold frame and the warm frames'
 // per-stage breakdown. Matched requests deliberately stay in the stream
-// (the streaming re-dispatch shape where warm-start hints can fire); the
-// fleet is a fixed idle set, so the simulator-side grid patching is
-// covered by the sim_incremental_grid differential test, not here.
+// (the streaming re-dispatch shape where warm-start hints can fire). The
+// fleet is a fixed idle set whose grid is rebuilt every frame, as
+// FrameSnapshotter::assemble does.
 
 struct DispatchRunResult {
   double cold_ms = 0.0;
@@ -373,7 +373,6 @@ DispatchRunResult run_dispatch(int frames, std::size_t size, double churn_rate) 
     context.pending = requests;
     context.oracle = &kOracle;
     context.idle_grid = &grid;
-    context.trace = &sink;
     context.group_cache = &cache;
     sink.begin_frame(static_cast<std::uint64_t>(frame), context.now_seconds);
     const auto start = std::chrono::steady_clock::now();

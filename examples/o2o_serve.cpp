@@ -38,8 +38,9 @@
 // Malformed input is never fatal: undecodable lines are dropped with a
 // stderr note, and a frame that fails DispatchSession::validate
 // (duplicate order/driver ids, an order with seats < 1, a driver with
-// seats_in_use outside [0, seats]) is discarded whole (no
-// frame_response; counted as frames_rejected).
+// seats_in_use outside [0, seats], a timestamp earlier than the last
+// answered frame's) is discarded whole (no frame_response; counted as
+// frames_rejected).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>

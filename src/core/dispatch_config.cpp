@@ -184,11 +184,6 @@ DispatchConfig& DispatchConfig::with_idle_grid_cell_km(double km) {
   return *this;
 }
 
-DispatchConfig& DispatchConfig::with_incremental_grid(bool enabled) {
-  sim_.incremental_grid = enabled;
-  return *this;
-}
-
 DispatchConfig& DispatchConfig::with_road_network(const geo::RoadNetwork* network) {
   sim_.road_network = network;
   road_mode_ = true;
@@ -458,7 +453,6 @@ std::vector<std::pair<std::string, std::string>> DispatchConfig::describe() cons
   put("cancel_timeout_seconds", describe_double(sim_.cancel_timeout_seconds));
   put("drain_seconds", describe_double(sim_.drain_seconds));
   put("idle_grid_cell_km", describe_double(sim_.idle_grid_cell_km));
-  put("incremental_grid", describe_bool(sim_.incremental_grid));
   put("road_network", sim_.road_network != nullptr ? "set" : "none");
 
   // Distance backend. The fingerprint/artifact hash are only non-"none"

@@ -145,10 +145,6 @@ class DispatchConfig {
   DispatchConfig& with_cancel_timeout_seconds(double seconds);
   DispatchConfig& with_drain_seconds(double seconds);
   DispatchConfig& with_idle_grid_cell_km(double km);
-  /// Patch the idle-taxi snapshot and its spatial index across frames
-  /// instead of rebuilding them (see SimulatorConfig::incremental_grid
-  /// for the permutation caveat). Off by default.
-  DispatchConfig& with_incremental_grid(bool enabled);
   /// Drive taxis along this network's shortest paths. Passing a network
   /// opts into road mode; validate() then rejects a null network (reset
   /// by replacing the whole section via simulation()).

@@ -75,7 +75,8 @@ struct Driver {
 /// barrier. The service is stateless per frame at the contract level
 /// (producers resend the full open-order and driver picture each frame,
 /// like the agent API); acceleration state cached inside a session never
-/// changes results.
+/// changes results. The one cross-frame rule: a frame's timestamp must not
+/// be earlier than the last served frame's.
 struct FrameRequest {
   std::uint64_t frame = 0;
   double timestamp = 0.0;

@@ -179,10 +179,11 @@ std::optional<api::FrameResponse> StreamingService::next_response() {
     wake(space_freed_, /*all=*/true);
 
     // Frames that violate the api contract (duplicate ids, out-of-range
-    // seat values) cross a trust boundary in --stdio/--tcp mode: drop
-    // them here, before the trace sink opens the frame, and keep serving.
+    // seat values, a timestamp earlier than the last served frame's)
+    // cross a trust boundary in --stdio/--tcp mode: drop them here,
+    // before the trace sink opens the frame, and keep serving.
     std::string reject_reason;
-    if (!DispatchSession::validate(*request, &reject_reason)) {
+    if (!session_.validate(*request, &reject_reason)) {
       ++frames_rejected;
       continue;
     }

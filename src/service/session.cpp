@@ -1,14 +1,71 @@
 #include "service/session.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "obs/obs.h"
 #include "util/contracts.h"
 
 namespace o2o::service {
+namespace {
+
+/// Fill step of a streamed frame: the api structs converted into the
+/// snapshotter's buffers in canonical barrier order. Trace request ids
+/// are assigned in time order and fleet ids ascending, so sorting orders
+/// by (timestamp, order_id) and drivers by driver_id reproduces exactly
+/// the span order the batch simulator fills — the keystone of the
+/// streamed-equals-batch bit-identity argument.
+void fill_frame(const api::FrameRequest& request, sim::FrameBuffers& frame) {
+  frame.pending.reserve(request.orders.size());
+  for (const api::Order& order : request.orders) {
+    trace::Request converted;
+    converted.id = order.order_id;
+    converted.time_seconds = order.timestamp;
+    converted.pickup = order.start;
+    converted.dropoff = order.finish;
+    converted.seats = order.seats;
+    frame.pending.push_back(converted);
+  }
+  std::sort(frame.pending.begin(), frame.pending.end(),
+            [](const trace::Request& a, const trace::Request& b) {
+              return a.time_seconds != b.time_seconds ? a.time_seconds < b.time_seconds
+                                                      : a.id < b.id;
+            });
+  std::vector<const api::Driver*> drivers;
+  drivers.reserve(request.drivers.size());
+  for (const api::Driver& driver : request.drivers) drivers.push_back(&driver);
+  std::sort(drivers.begin(), drivers.end(),
+            [](const api::Driver* a, const api::Driver* b) {
+              return a->driver_id < b->driver_id;
+            });
+  for (const api::Driver* driver : drivers) {
+    if (driver->idle()) {
+      trace::Taxi taxi;
+      taxi.id = driver->driver_id;
+      taxi.location = driver->location;
+      taxi.seats = driver->seats;
+      frame.idle.push_back(taxi);
+    } else {
+      sim::BusyTaxiView view;
+      view.taxi.id = driver->driver_id;
+      view.taxi.location = driver->location;
+      view.taxi.seats = driver->seats;
+      view.seats_in_use = driver->seats_in_use;
+      view.onboard = driver->onboard;
+      view.remaining_stops.reserve(driver->route.size());
+      for (const api::DriverStop& stop : driver->route) {
+        view.remaining_stops.push_back(
+            routing::Stop{stop.order_id, stop.is_pickup, stop.point});
+      }
+      view.route_request_seats = driver->route_seats;
+      frame.busy.push_back(std::move(view));
+    }
+  }
+}
+
+}  // namespace
 
 DispatchSession::DispatchSession(std::string_view kind, DispatchConfig config,
                                  const geo::DistanceOracle& oracle)
@@ -16,21 +73,31 @@ DispatchSession::DispatchSession(std::string_view kind, DispatchConfig config,
       oracle_(oracle),
       kind_(kind),
       dispatcher_(make_dispatcher(kind_, config_)),
-      group_cache_(std::make_unique<packing::GroupCache>()) {
+      snapshotter_(oracle_, config_.simulation().idle_grid_cell_km) {
   O2O_EXPECTS(dispatcher_ != nullptr);
   dispatcher_name_ = dispatcher_->name();
 }
 
 void DispatchSession::reset() {
   dispatcher_ = make_dispatcher(kind_, config_);
-  group_cache_ = std::make_unique<packing::GroupCache>();
+  snapshotter_.reset();
+  last_timestamp_.reset();
 }
 
-bool DispatchSession::validate(const api::FrameRequest& request, std::string* error) {
+bool DispatchSession::validate(const api::FrameRequest& request, std::string* error) const {
   const auto reject = [error](std::string reason) {
     if (error != nullptr) *error = std::move(reason);
     return false;
   };
+  if (last_timestamp_ && request.timestamp < *last_timestamp_) {
+    char reason[192];
+    std::snprintf(reason, sizeof(reason),
+                  "non-monotonic timestamp %.17g in frame %llu: the last dispatched frame "
+                  "was at %.17g",
+                  request.timestamp, static_cast<unsigned long long>(request.frame),
+                  *last_timestamp_);
+    return reject(reason);
+  }
   // Sort id copies rather than scanning adjacency of the barrier order:
   // orders sort by (timestamp, id), so equal ids with distinct
   // timestamps would not be adjacent there.
@@ -71,82 +138,9 @@ std::optional<api::FrameResponse> DispatchSession::dispatch(
 
   obs::StageTimer timer(obs::Stage::kServiceFrame);
 
-  // Canonical barrier order. Trace request ids are assigned in time
-  // order and fleet ids ascending, so this reproduces exactly the span
-  // order the batch simulator's snapshotter builds (rebuilt-grid mode) —
-  // the keystone of the streamed-equals-batch bit-identity argument.
-  pending_.clear();
-  pending_.reserve(request.orders.size());
-  for (const api::Order& order : request.orders) {
-    trace::Request converted;
-    converted.id = order.order_id;
-    converted.time_seconds = order.timestamp;
-    converted.pickup = order.start;
-    converted.dropoff = order.finish;
-    converted.seats = order.seats;
-    pending_.push_back(converted);
-  }
-  std::sort(pending_.begin(), pending_.end(),
-            [](const trace::Request& a, const trace::Request& b) {
-              return a.time_seconds != b.time_seconds ? a.time_seconds < b.time_seconds
-                                                      : a.id < b.id;
-            });
-  std::vector<const api::Driver*> drivers;
-  drivers.reserve(request.drivers.size());
-  for (const api::Driver& driver : request.drivers) drivers.push_back(&driver);
-  std::sort(drivers.begin(), drivers.end(),
-            [](const api::Driver* a, const api::Driver* b) {
-              return a->driver_id < b->driver_id;
-            });
-  idle_.clear();
-  busy_.clear();
-  for (const api::Driver* driver : drivers) {
-    if (driver->idle()) {
-      trace::Taxi taxi;
-      taxi.id = driver->driver_id;
-      taxi.location = driver->location;
-      taxi.seats = driver->seats;
-      idle_.push_back(taxi);
-    } else {
-      sim::BusyTaxiView view;
-      view.taxi.id = driver->driver_id;
-      view.taxi.location = driver->location;
-      view.taxi.seats = driver->seats;
-      view.seats_in_use = driver->seats_in_use;
-      view.onboard = driver->onboard;
-      view.remaining_stops.reserve(driver->route.size());
-      for (const api::DriverStop& stop : driver->route) {
-        view.remaining_stops.push_back(
-            routing::Stop{stop.order_id, stop.is_pickup, stop.point});
-      }
-      view.route_request_seats = driver->route_seats;
-      busy_.push_back(std::move(view));
-    }
-  }
-
-  // Fresh spatial index per frame (the session is stateless at the
-  // geometry level; cross-frame acceleration lives in the GroupCache and
-  // the dispatcher's warm-start state, both result-invariant).
-  std::optional<index::SpatialGrid> idle_grid;
-  if (!idle_.empty()) {
-    idle_grid.emplace(std::span<const trace::Taxi>(idle_),
-                      config_.simulation().idle_grid_cell_km);
-  }
-
-  frame_points_.clear();
-  frame_points_.reserve(idle_.size());
-  for (const trace::Taxi& taxi : idle_) frame_points_.push_back(taxi.location);
-  oracle_.prepare_frame(frame_points_);
-
-  sim::DispatchContext context;
-  context.now_seconds = request.timestamp;
-  context.idle_taxis = idle_;
-  context.busy_taxis = busy_;
-  context.pending = pending_;
-  context.oracle = &oracle_;
-  context.idle_grid = idle_grid ? &*idle_grid : nullptr;
-  context.trace = obs::active_sink();
-  context.group_cache = group_cache_.get();
+  fill_frame(request, snapshotter_.fill());
+  const sim::DispatchContext context = snapshotter_.assemble(request.timestamp);
+  last_timestamp_ = request.timestamp;
 
   api::FrameResponse response;
   response.frame = request.frame;

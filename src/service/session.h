@@ -1,26 +1,22 @@
 // DispatchSession: the service-side matcher state that persists across
 // frames. It owns the dispatcher instance (whose warm-start deferred-
-// acceptance state carries between calls), the cross-frame GroupCache,
-// and the per-frame conversion buffers between the o2o::api contract
-// and the internal dispatch types. One session == one logical stream;
-// feeding it the same FrameRequest sequence always produces the same
-// FrameResponse sequence, bit for bit.
+// acceptance state carries between calls) and a sim::FrameSnapshotter,
+// the frame-assembly path the batch simulator uses too: the session only
+// converts the o2o::api structs into the snapshotter's canonical buffers.
+// One session == one logical stream; feeding it the same FrameRequest
+// sequence always produces the same FrameResponse sequence, bit for bit.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/dispatch_config.h"
 #include "geo/distance_oracle.h"
-#include "index/spatial_grid.h"
-#include "packing/group_enum.h"
 #include "service/api.h"
 #include "sim/dispatcher.h"
-#include "trace/fleet.h"
-#include "trace/request.h"
+#include "sim/frame_state.h"
 
 namespace o2o::service {
 
@@ -36,11 +32,13 @@ class DispatchSession {
 
   /// Checks the api contract on a frame that crossed a trust boundary:
   /// duplicate order or driver ids, an order asking for fewer than one
-  /// seat, or a driver whose seats_in_use lies outside [0, seats] fail
-  /// it. Returns false and sets `error` (when non-null) to a message
-  /// naming the violation kind ("duplicate order_id ...", "invalid seats
-  /// ...", "invalid seats_in_use ...") on the first violation.
-  static bool validate(const api::FrameRequest& request, std::string* error = nullptr);
+  /// seat, a driver whose seats_in_use lies outside [0, seats], or a
+  /// timestamp earlier than the last dispatched frame's fail it (equal
+  /// timestamps pass). Returns false and sets `error` (when non-null) to
+  /// a message naming the violation kind ("duplicate order_id ...",
+  /// "invalid seats ...", "invalid seats_in_use ...", "non-monotonic
+  /// timestamp ...") on the first violation.
+  bool validate(const api::FrameRequest& request, std::string* error = nullptr) const;
 
   /// Matches one frame. Orders and drivers are (re)sorted to the
   /// canonical barrier order — orders by (timestamp, order_id), drivers
@@ -50,8 +48,9 @@ class DispatchSession {
   std::optional<api::FrameResponse> dispatch(const api::FrameRequest& request,
                                              std::string* error = nullptr);
 
-  /// Drops all cross-frame state (GroupCache, dispatcher warm starts) by
-  /// rebuilding the dispatcher — the next frame runs cold.
+  /// Drops all cross-frame state (GroupCache, dispatcher warm starts,
+  /// the last frame's timestamp) by rebuilding the dispatcher — the next
+  /// frame runs cold.
   void reset();
 
  private:
@@ -60,13 +59,9 @@ class DispatchSession {
   std::string kind_;
   std::string dispatcher_name_;
   std::unique_ptr<sim::Dispatcher> dispatcher_;
-  std::unique_ptr<packing::GroupCache> group_cache_;
-
-  // Frame conversion buffers (reused across calls).
-  std::vector<trace::Request> pending_;
-  std::vector<trace::Taxi> idle_;
-  std::vector<sim::BusyTaxiView> busy_;
-  std::vector<geo::Point> frame_points_;
+  sim::FrameSnapshotter snapshotter_;
+  /// Timestamp of the last dispatched frame; validate() rejects earlier ones.
+  std::optional<double> last_timestamp_;
 };
 
 }  // namespace o2o::service

@@ -18,10 +18,6 @@ namespace o2o::index {
 class SpatialGrid;
 }  // namespace o2o::index
 
-namespace o2o::obs {
-class TraceSink;
-}  // namespace o2o::obs
-
 namespace o2o::packing {
 class GroupCache;
 }  // namespace o2o::packing
@@ -49,12 +45,9 @@ struct DispatchContext {
   /// Spatial index over `idle_taxis`, keyed by span index (may be null).
   /// Dispatchers use it to prune candidate taxis per request.
   const index::SpatialGrid* idle_grid = nullptr;
-  /// Sink collecting this frame's trace, or null when tracing is off.
-  /// Hot paths report through the ambient obs:: API; this pointer exists
-  /// for dispatchers that want frame-owner calls (context, assignments).
-  obs::TraceSink* trace = nullptr;
-  /// Run-lifetime share-group verdict cache owned by the simulator (one
-  /// per run, reset between runs), or null outside a simulator loop.
+  /// Run-lifetime share-group verdict cache owned by the frame owner's
+  /// FrameSnapshotter (one per simulator run or service session, fresh
+  /// after a reset), or null in a hand-built context.
   /// Sharing dispatchers hand it to enumerate_share_groups so verdicts
   /// persist across consecutive frames; non-sharing dispatchers ignore
   /// it. Frame-owning thread only.

@@ -1,157 +1,51 @@
 #include "sim/frame_state.h"
 
-#include <unordered_set>
-
-#include "util/contracts.h"
+#include <span>
 
 namespace o2o::sim {
 
 FrameSnapshotter::FrameSnapshotter(const geo::DistanceOracle& oracle,
-                                   const SimulatorConfig& config)
-    : oracle_(oracle), config_(config) {
+                                   double idle_grid_cell_km)
+    : oracle_(oracle), idle_grid_cell_km_(idle_grid_cell_km) {
   reset();
 }
 
 void FrameSnapshotter::reset() {
-  idle_.clear();
-  busy_.clear();
-  pending_snapshot_.clear();
+  frame_ = FrameBuffers{};
   idle_grid_.reset();
-  frame_points_.clear();
   group_cache_ = std::make_unique<packing::GroupCache>();
-  idle_pool_.clear();
-  idle_slot_of_.clear();
-  idle_pool_grid_.reset();
 }
 
-void FrameSnapshotter::refresh_idle_pool(
-    std::span<const TaxiState> taxis,
-    const std::unordered_map<trace::TaxiId, std::size_t>& taxi_index) {
-  obs::StageTimer timer(obs::Stage::kGridPatch);
-  if (!idle_pool_grid_) {
-    // First dispatch frame of the run: seed the pool from the current
-    // idle set and bulk-build the grid (which also fixes the bounds the
-    // patched entries clamp to until the next auto-compaction).
-    for (const TaxiState& state : taxis) {
-      if (!state.idle()) continue;
-      trace::Taxi snapshot = state.spec;
-      snapshot.location = state.position;
-      idle_slot_of_.emplace(snapshot.id, idle_pool_.size());
-      idle_pool_.push_back(snapshot);
-    }
-    idle_pool_grid_.emplace(std::span<const trace::Taxi>(idle_pool_),
-                            config_.idle_grid_cell_km);
-    return;
-  }
-
-  // Departures (taxi dispatched since the last frame): swap-removal
-  // keeps the span dense; the displaced last entry is re-keyed to the
-  // freed slot so grid ids stay equal to pool positions.
-  std::vector<trace::TaxiId> departed;
-  for (const trace::Taxi& pooled : idle_pool_) {
-    if (!taxis[taxi_index.at(pooled.id)].idle()) departed.push_back(pooled.id);
-  }
-  for (const trace::TaxiId id : departed) {
-    const std::size_t slot = idle_slot_of_.at(id);
-    const std::size_t last = idle_pool_.size() - 1;
-    idle_pool_grid_->remove(static_cast<std::int32_t>(slot));
-    if (slot != last) {
-      idle_pool_grid_->remove(static_cast<std::int32_t>(last));
-      idle_pool_[slot] = idle_pool_[last];
-      idle_slot_of_[idle_pool_[slot].id] = slot;
-      idle_pool_grid_->insert(static_cast<std::int32_t>(slot), idle_pool_[slot].location);
-    }
-    idle_pool_.pop_back();
-    idle_slot_of_.erase(id);
-  }
-
-  // Arrivals (taxi finished its route) and position refreshes (taxi was
-  // dispatched *and* completed the whole route between two dispatch
-  // frames: idle in both snapshots, standing somewhere new).
-  for (const TaxiState& state : taxis) {
-    if (!state.idle()) continue;
-    const auto slot_it = idle_slot_of_.find(state.spec.id);
-    if (slot_it == idle_slot_of_.end()) {
-      trace::Taxi snapshot = state.spec;
-      snapshot.location = state.position;
-      idle_slot_of_.emplace(snapshot.id, idle_pool_.size());
-      idle_pool_grid_->insert(static_cast<std::int32_t>(idle_pool_.size()),
-                              snapshot.location);
-      idle_pool_.push_back(snapshot);
-    } else if (!(idle_pool_[slot_it->second].location == state.position)) {
-      idle_pool_[slot_it->second].location = state.position;
-      idle_pool_grid_->move(static_cast<std::int32_t>(slot_it->second), state.position);
-    }
-  }
+FrameBuffers& FrameSnapshotter::fill() {
+  frame_.idle.clear();
+  frame_.busy.clear();
+  frame_.pending.clear();
+  return frame_;
 }
 
-DispatchContext FrameSnapshotter::snapshot(
-    std::span<const TaxiState> taxis,
-    const std::unordered_map<trace::TaxiId, std::size_t>& taxi_index,
-    const std::deque<trace::Request>& pending,
-    const std::unordered_map<trace::RequestId, trace::Request>& active_requests,
-    double now) {
-  idle_.clear();
-  busy_.clear();
-  for (const TaxiState& taxi : taxis) {
-    if (taxi.idle()) {
-      if (config_.incremental_grid) continue;  // snapshot lives in idle_pool_
-      trace::Taxi snapshot = taxi.spec;
-      snapshot.location = taxi.position;
-      idle_.push_back(snapshot);
-    } else {
-      BusyTaxiView view;
-      view.taxi = taxi.spec;
-      view.taxi.location = taxi.position;
-      view.remaining_stops.assign(taxi.stops.begin(), taxi.stops.end());
-      view.onboard = taxi.onboard;
-      view.seats_in_use = taxi.seats_in_use;
-      std::unordered_set<trace::RequestId> seen;
-      for (const routing::Stop& stop : taxi.stops) {
-        if (seen.insert(stop.request).second) {
-          view.route_request_seats.emplace_back(stop.request,
-                                                active_requests.at(stop.request).seats);
-        }
-      }
-      busy_.push_back(std::move(view));
-    }
-  }
-  pending_snapshot_.assign(pending.begin(), pending.end());
-
+DispatchContext FrameSnapshotter::assemble(double now) {
   // Index the idle snapshot so dispatchers can prune candidate taxis by
-  // radius instead of scanning the whole fleet — patched across frames
-  // in incremental mode, rebuilt from scratch otherwise.
+  // radius instead of scanning the whole fleet.
   idle_grid_.reset();
-  std::span<const trace::Taxi> idle_span;
-  const index::SpatialGrid* grid_ptr = nullptr;
-  if (config_.incremental_grid) {
-    refresh_idle_pool(taxis, taxi_index);
-    idle_span = idle_pool_;
-    if (!idle_pool_.empty()) grid_ptr = &*idle_pool_grid_;
-  } else {
-    idle_span = idle_;
-    if (!idle_.empty()) {
-      idle_grid_.emplace(std::span<const trace::Taxi>(idle_), config_.idle_grid_cell_km);
-      grid_ptr = &*idle_grid_;
-    }
+  if (!frame_.idle.empty()) {
+    idle_grid_.emplace(std::span<const trace::Taxi>(frame_.idle), idle_grid_cell_km_);
   }
 
   // Warm the oracle for this frame's snapshot: the network oracle
   // resolves every idle-taxi endpoint once up front so each dispatch
   // query hits its snap memo instead of re-running a nearest-node search.
   frame_points_.clear();
-  frame_points_.reserve(idle_span.size());
-  for (const trace::Taxi& taxi : idle_span) frame_points_.push_back(taxi.location);
+  frame_points_.reserve(frame_.idle.size());
+  for (const trace::Taxi& taxi : frame_.idle) frame_points_.push_back(taxi.location);
   oracle_.prepare_frame(frame_points_);
 
   DispatchContext context;
   context.now_seconds = now;
-  context.idle_taxis = idle_span;
-  context.busy_taxis = busy_;
-  context.pending = pending_snapshot_;
+  context.idle_taxis = frame_.idle;
+  context.busy_taxis = frame_.busy;
+  context.pending = frame_.pending;
   context.oracle = &oracle_;
-  context.idle_grid = grid_ptr;
-  context.trace = config_.trace_sink;
+  context.idle_grid = idle_grid_ ? &*idle_grid_ : nullptr;
   context.group_cache = group_cache_.get();
   return context;
 }

@@ -1,128 +1,67 @@
-// Per-frame dispatch state, extracted from the simulator loop so that
-// any frame source — the batch Simulator, the streaming dispatch
-// service's replay driver — assembles DispatchContexts through one code
-// path. The snapshotter owns everything that must persist *between*
-// dispatch calls for the incremental frame engine: the cross-frame
-// GroupCache, and (under SimulatorConfig::incremental_grid) the
-// swap-removal idle pool plus its delta-patched SpatialGrid.
+// Per-frame dispatch state: the one code path that assembles a
+// DispatchContext for every frame owner (the batch Simulator and the
+// streaming service's DispatchSession). A frame is built in two steps.
+// The owner first fills the canonical idle/busy/pending buffers from its
+// own representation (fill()); assemble() then indexes the idle taxis,
+// warms the oracle and hands out the run's GroupCache, the only state
+// that persists between dispatch calls.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/distance_oracle.h"
-#include "geo/road_network.h"
 #include "index/spatial_grid.h"
-#include "obs/obs.h"
 #include "packing/group_enum.h"
 #include "sim/dispatcher.h"
 #include "trace/fleet.h"
-#include "trace/trace.h"
+#include "trace/request.h"
 
 namespace o2o::sim {
 
-struct SimulatorConfig {
-  double frame_seconds = 60.0;
-  double speed_kmh = 20.0;
-  /// Pending requests older than this give up (cancelled). The paper's
-  /// stable dispatch deliberately leaves some requests waiting for a
-  /// nearby busy taxi instead of dispatching a distant idle one.
-  double cancel_timeout_seconds = 3600.0;
-  /// Extra time simulated past the last request so trailing rides finish.
-  double drain_seconds = 1800.0;
-  /// α / β used for the dissatisfaction metrics (the paper sets both 1).
-  double alpha = 1.0;
-  double beta = 1.0;
-  /// Optional kinematic substrate: when set, taxis drive along this
-  /// network's shortest paths between stops instead of straight lines
-  /// (pair it with a NetworkOracle over the same network for a fully
-  /// road-consistent experiment). The network must be laid out in the
-  /// same coordinate frame as the trace.
-  const geo::RoadNetwork* road_network = nullptr;
-  /// Cell size of the per-frame spatial index over idle taxis handed to
-  /// dispatchers via DispatchContext::idle_grid.
-  double idle_grid_cell_km = 1.0;
-  /// Incremental-frame mode (DESIGN.md "Incremental frame engine"): keep
-  /// the idle-taxi snapshot and its spatial index alive across frames
-  /// and patch them on idle/busy transitions instead of rebuilding both
-  /// every frame. The snapshot is maintained with swap-removal, so the
-  /// idle span dispatchers see is a *permutation* of the rebuilt one —
-  /// assignments are identical except when two taxis score exactly equal
-  /// for a request (index tie-breaks may then pick the other one), which
-  /// has measure zero on real traces. Off by default so the rebuilt path
-  /// stays the differential reference.
-  bool incremental_grid = false;
-  /// When set, run() installs the sink as the process-active trace sink
-  /// and drives its frame lifecycle (begin/end around every frame).
-  obs::TraceSink* trace_sink = nullptr;
+/// One frame's dispatch inputs in canonical order: taxis by ascending
+/// id, pending requests by (request time, id). Every frame owner fills
+/// them in this order, which is what makes a streamed frame bit-identical
+/// to the batch simulator's.
+struct FrameBuffers {
+  std::vector<trace::Taxi> idle;          ///< at their current positions
+  std::vector<BusyTaxiView> busy;
+  std::vector<trace::Request> pending;
 };
 
-/// Runtime state of one taxi.
-struct TaxiState {
-  trace::Taxi spec;                      ///< id, seats (location = initial)
-  geo::Point position;
-  std::deque<routing::Stop> stops;       ///< remaining route
-  std::vector<trace::RequestId> onboard; ///< picked up
-  std::vector<trace::RequestId> committed;  ///< dispatched, not yet picked up
-  int seats_in_use = 0;
-  double distance_driven_km = 0.0;
-  /// Current leg's drivable polyline (network mode); rebuilt per leg and
-  /// discarded whenever the route changes.
-  std::vector<geo::Point> leg_waypoints;
-  std::size_t next_waypoint = 0;
-
-  bool idle() const noexcept { return stops.empty(); }
-};
-
-/// Builds each frame's DispatchContext from the live taxi states and the
-/// pending queue, and carries the cross-frame acceleration state. The
-/// spans inside a returned context point into buffers owned here and
-/// stay valid until the next snapshot()/reset() call.
+/// Builds each frame's DispatchContext from the owner-filled buffers and
+/// carries the cross-frame GroupCache. The spans inside a returned
+/// context point into buffers owned here and stay valid until the next
+/// fill()/reset() call.
 class FrameSnapshotter {
  public:
-  FrameSnapshotter(const geo::DistanceOracle& oracle, const SimulatorConfig& config);
+  FrameSnapshotter(const geo::DistanceOracle& oracle, double idle_grid_cell_km);
 
-  /// Drops all cross-frame state (idle pool, patched grid, GroupCache),
-  /// returning the snapshotter to its freshly constructed state, so
-  /// repeated runs of the same owner stay deterministic and independent.
+  /// Drops the cross-frame state (a fresh GroupCache), so the next frame
+  /// runs cold and repeated runs of the same owner stay independent.
   void reset();
 
-  DispatchContext snapshot(
-      std::span<const TaxiState> taxis,
-      const std::unordered_map<trace::TaxiId, std::size_t>& taxi_index,
-      const std::deque<trace::Request>& pending,
-      const std::unordered_map<trace::RequestId, trace::Request>& active_requests,
-      double now);
+  /// Fill step: clears the frame buffers and returns them for the owner
+  /// to refill in canonical order.
+  FrameBuffers& fill();
+
+  /// Assemble step: indexes the idle taxis in a SpatialGrid, prepares
+  /// the oracle for their positions and returns the frame's context.
+  DispatchContext assemble(double now);
 
  private:
-  void refresh_idle_pool(std::span<const TaxiState> taxis,
-                         const std::unordered_map<trace::TaxiId, std::size_t>& taxi_index);
-
   const geo::DistanceOracle& oracle_;
-  const SimulatorConfig& config_;
+  double idle_grid_cell_km_;
 
-  // Per-frame snapshot buffers (rebuilt by every snapshot call).
-  std::vector<trace::Taxi> idle_;
-  std::vector<BusyTaxiView> busy_;
-  std::vector<trace::Request> pending_snapshot_;
+  // Per-frame buffers, refilled every frame.
+  FrameBuffers frame_;
   std::optional<index::SpatialGrid> idle_grid_;
   std::vector<geo::Point> frame_points_;
 
   /// Cross-frame share-group verdict cache handed to dispatchers via
   /// DispatchContext::group_cache. Fresh per reset().
   std::unique_ptr<packing::GroupCache> group_cache_;
-
-  /// Incremental-grid state (config_.incremental_grid): a persistent
-  /// idle-taxi snapshot in swap-removal order plus its spatial index,
-  /// both patched per frame in refresh_idle_pool. Grid ids are pool
-  /// slots, so within_radius results index straight into the span.
-  std::vector<trace::Taxi> idle_pool_;
-  std::unordered_map<trace::TaxiId, std::size_t> idle_slot_of_;
-  std::optional<index::SpatialGrid> idle_pool_grid_;
 };
 
 }  // namespace o2o::sim

@@ -15,7 +15,7 @@ Simulator::Simulator(const trace::Trace& trace, std::vector<trace::Taxi> fleet,
       initial_fleet_(std::move(fleet)),
       oracle_(oracle),
       config_(config),
-      snapshotter_(oracle_, config_) {
+      snapshotter_(oracle_, config_.idle_grid_cell_km) {
   O2O_EXPECTS(config_.frame_seconds > 0.0);
   O2O_EXPECTS(config_.speed_kmh > 0.0);
   O2O_EXPECTS(config_.cancel_timeout_seconds > 0.0);
@@ -36,6 +36,32 @@ void Simulator::reset() {
   snapshotter_.reset();
   report_ = SimulationReport{};
   record_index_.clear();
+}
+
+void Simulator::fill_frame(FrameBuffers& frame) const {
+  for (const TaxiState& taxi : taxis_) {
+    if (taxi.idle()) {
+      trace::Taxi snapshot = taxi.spec;
+      snapshot.location = taxi.position;
+      frame.idle.push_back(snapshot);
+    } else {
+      BusyTaxiView view;
+      view.taxi = taxi.spec;
+      view.taxi.location = taxi.position;
+      view.remaining_stops.assign(taxi.stops.begin(), taxi.stops.end());
+      view.onboard = taxi.onboard;
+      view.seats_in_use = taxi.seats_in_use;
+      std::unordered_set<trace::RequestId> seen;
+      for (const routing::Stop& stop : taxi.stops) {
+        if (seen.insert(stop.request).second) {
+          view.route_request_seats.emplace_back(stop.request,
+                                                active_requests_.at(stop.request).seats);
+        }
+      }
+      frame.busy.push_back(std::move(view));
+    }
+  }
+  frame.pending.assign(pending_.begin(), pending_.end());
 }
 
 RequestRecord& Simulator::record_of(trace::RequestId id) {
@@ -304,8 +330,8 @@ SimulationReport Simulator::run_streamed(const FrameDispatchFn& dispatch_fn,
     cancel_stale(now);
     if (!pending_.empty()) {
       obs::gauge_max(obs::Gauge::kPendingPeak, pending_.size());
-      const DispatchContext context =
-          snapshotter_.snapshot(taxis_, taxi_index_, pending_, active_requests_, now);
+      fill_frame(snapshotter_.fill());
+      const DispatchContext context = snapshotter_.assemble(now);
       for (const DispatchAssignment& assignment : dispatch_fn(context, frame_index)) {
         if (sink != nullptr) sink->add_assignments(assignment.requests.size());
         apply_assignment(assignment, now);

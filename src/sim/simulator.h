@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "geo/distance_oracle.h"
+#include "geo/road_network.h"
+#include "obs/obs.h"
 #include "sim/dispatcher.h"
 #include "sim/frame_state.h"
 #include "sim/report.h"
@@ -20,6 +22,49 @@
 #include "trace/trace.h"
 
 namespace o2o::sim {
+
+struct SimulatorConfig {
+  double frame_seconds = 60.0;
+  double speed_kmh = 20.0;
+  /// Pending requests older than this give up (cancelled). The paper's
+  /// stable dispatch deliberately leaves some requests waiting for a
+  /// nearby busy taxi instead of dispatching a distant idle one.
+  double cancel_timeout_seconds = 3600.0;
+  /// Extra time simulated past the last request so trailing rides finish.
+  double drain_seconds = 1800.0;
+  /// α / β used for the dissatisfaction metrics (the paper sets both 1).
+  double alpha = 1.0;
+  double beta = 1.0;
+  /// Optional kinematic substrate: when set, taxis drive along this
+  /// network's shortest paths between stops instead of straight lines
+  /// (pair it with a NetworkOracle over the same network for a fully
+  /// road-consistent experiment). The network must be laid out in the
+  /// same coordinate frame as the trace.
+  const geo::RoadNetwork* road_network = nullptr;
+  /// Cell size of the per-frame spatial index over idle taxis handed to
+  /// dispatchers via DispatchContext::idle_grid.
+  double idle_grid_cell_km = 1.0;
+  /// When set, run() installs the sink as the process-active trace sink
+  /// and drives its frame lifecycle (begin/end around every frame).
+  obs::TraceSink* trace_sink = nullptr;
+};
+
+/// Runtime state of one taxi.
+struct TaxiState {
+  trace::Taxi spec;                      ///< id, seats (location = initial)
+  geo::Point position;
+  std::deque<routing::Stop> stops;       ///< remaining route
+  std::vector<trace::RequestId> onboard; ///< picked up
+  std::vector<trace::RequestId> committed;  ///< dispatched, not yet picked up
+  int seats_in_use = 0;
+  double distance_driven_km = 0.0;
+  /// Current leg's drivable polyline (network mode); rebuilt per leg and
+  /// discarded whenever the route changes.
+  std::vector<geo::Point> leg_waypoints;
+  std::size_t next_waypoint = 0;
+
+  bool idle() const noexcept { return stops.empty(); }
+};
 
 /// Per-frame dispatch hook for run_streamed: receives the assembled
 /// frame context (and the frame index) and returns the assignments to
@@ -60,10 +105,13 @@ class Simulator {
   SimulationReport report_;
   std::unordered_map<trace::RequestId, std::size_t> record_index_;
   /// Assembles each frame's DispatchContext and owns the cross-frame
-  /// acceleration state (GroupCache, incremental idle pool + grid).
+  /// GroupCache.
   FrameSnapshotter snapshotter_;
 
   void reset();
+  /// Fill step of a frame: the idle and busy taxis and the pending
+  /// queue, converted from the live state into the snapshotter's buffers.
+  void fill_frame(FrameBuffers& frame) const;
   void ingest_arrivals(std::size_t& next_request, double now);
   void cancel_stale(double now);
   void apply_assignment(const DispatchAssignment& assignment, double now);

@@ -228,7 +228,7 @@ TEST(DispatchConfig, DescribeIsAStableCompleteSnapshot) {
   }
   for (const char* expected :
        {"passenger_threshold_km", "detour_threshold_km", "packing_solver",
-        "frame_seconds", "incremental_grid", "road_network", "trace_enabled",
+        "frame_seconds", "road_network", "trace_enabled",
         "pipeline_depth", "ingest_capacity"}) {
     EXPECT_TRUE(keys.count(expected) != 0) << expected;
   }
@@ -241,7 +241,6 @@ TEST(DispatchConfig, DescribeReflectsTheConfiguredValues) {
   const auto described = DispatchConfig{}
                              .with_passenger_threshold_km(7.5)
                              .with_packing_solver(core::PackingSolver::kGreedy)
-                             .with_incremental_grid(true)
                              .with_pipeline_depth(8)
                              .with_ingest_capacity(256)
                              .describe();
@@ -253,7 +252,6 @@ TEST(DispatchConfig, DescribeReflectsTheConfiguredValues) {
   };
   EXPECT_EQ(value_of("passenger_threshold_km"), "7.5");
   EXPECT_EQ(value_of("packing_solver"), "greedy");
-  EXPECT_EQ(value_of("incremental_grid"), "true");
   EXPECT_EQ(value_of("pipeline_depth"), "8");
   EXPECT_EQ(value_of("ingest_capacity"), "256");
   EXPECT_EQ(value_of("road_network"), "none");

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <ctime>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dispatch_config.h"
@@ -293,6 +294,39 @@ TEST(StreamingService, OutOfRangeSeatFramesAreDroppedAndCounted) {
   ASSERT_EQ(sink.frames_recorded(), 1u);
   EXPECT_EQ(sink.aggregate().counters[static_cast<std::size_t>(obs::Counter::kFramesRejected)],
             2u);
+}
+
+// A frame whose timestamp goes backwards never reaches dispatch(): it is
+// counted as rejected and the next in-order frame is answered.
+TEST(StreamingService, BackwardTimestampFramesAreDroppedAndCounted) {
+  const DispatchConfig config = DispatchConfig{}
+                                    .with_passenger_threshold_km(10.0)
+                                    .with_taxi_threshold_score(1.0)
+                                    .with_pipeline_depth(4);
+  StreamingService service("nstd-p", config, kOracle);
+  obs::TraceSink sink;
+  obs::Activation guard(sink);
+
+  for (const auto& [frame, timestamp] :
+       {std::pair<std::uint64_t, double>{0, 60.0}, {1, 10.0}, {2, 120.0}}) {
+    service.submit(order_event(static_cast<std::int32_t>(frame + 1), 0.0, 0.0));
+    service.submit(driver_event(10, 0.5, 0.5));
+    service.submit(api::RideEvent::make_end_frame(frame, timestamp));
+  }
+  service.close();
+
+  auto response = service.next_response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->frame, 0u);
+  response = service.next_response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->frame, 2u);
+  EXPECT_EQ(response->assignments.size(), 1u);
+  EXPECT_FALSE(service.next_response().has_value());
+  // The rejection is reported with the frame that follows it.
+  ASSERT_EQ(sink.frames_recorded(), 2u);
+  EXPECT_EQ(sink.aggregate().counters[static_cast<std::size_t>(obs::Counter::kFramesRejected)],
+            1u);
 }
 
 // A producer thread streams frames while the matcher answers them —

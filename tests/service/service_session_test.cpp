@@ -1,9 +1,9 @@
 // Streaming-vs-batch differential proof obligations: a full synthetic
 // day replayed through the service — wire codec, ingestion ring, and
 // DispatchSession — must reproduce the batch Simulator's report bit for
-// bit, with the incremental knobs (warm-started DA, incremental grid)
-// both off and both on. The share-group cache and its persisted candidate
-// lists are always on: both sides carry one across frames.
+// bit, with warm-started DA off and on. The share-group cache and its
+// persisted candidate lists are always on: both sides carry one across
+// frames.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/dispatch_config.h"
+#include "obs/obs.h"
 #include "service/codec.h"
 #include "service/replay.h"
 #include "service/service.h"
@@ -43,14 +44,13 @@ std::vector<trace::Taxi> fleet_of(std::size_t count) {
   return trace::make_fleet(geo::Rect{{-10, -10}, {10, 10}}, options);
 }
 
-DispatchConfig tuned_config(bool incremental) {
+DispatchConfig tuned_config(bool warm_start) {
   return DispatchConfig{}
       .with_passenger_threshold_km(8.0)
       .with_taxi_threshold_score(6.0)
       .with_detour_threshold_km(5.0)
       .with_cancel_timeout_seconds(1800.0)
-      .with_warm_start_da(incremental)
-      .with_incremental_grid(incremental);
+      .with_warm_start_da(warm_start);
 }
 
 void expect_identical(const sim::SimulationReport& a, const sim::SimulationReport& b) {
@@ -95,8 +95,8 @@ ServeFrameFn ring_codec_server(StreamingService& service) {
   };
 }
 
-void session_differential(std::string_view kind, bool incremental) {
-  const DispatchConfig config = tuned_config(incremental);
+void session_differential(std::string_view kind, bool warm_start) {
+  const DispatchConfig config = tuned_config(warm_start);
   const sim::SimulationReport batch = batch_run(kind, config);
 
   DispatchSession session(kind, config, kOracle);
@@ -108,8 +108,8 @@ void session_differential(std::string_view kind, bool incremental) {
   expect_identical(batch, streamed.report);
 }
 
-void ring_differential(std::string_view kind, bool incremental) {
-  const DispatchConfig config = tuned_config(incremental);
+void ring_differential(std::string_view kind, bool warm_start) {
+  const DispatchConfig config = tuned_config(warm_start);
   const sim::SimulationReport batch = batch_run(kind, config);
 
   StreamingService service(kind, config, kOracle);
@@ -121,31 +121,31 @@ void ring_differential(std::string_view kind, bool incremental) {
 }
 
 TEST(StreamingSession, NonSharingMatchesBatchCold) {
-  session_differential("nstd-p", /*incremental=*/false);
+  session_differential("nstd-p", /*warm_start=*/false);
 }
 
-TEST(StreamingSession, NonSharingMatchesBatchIncremental) {
-  session_differential("nstd-p", /*incremental=*/true);
+TEST(StreamingSession, NonSharingMatchesBatchWarmStart) {
+  session_differential("nstd-p", /*warm_start=*/true);
 }
 
 TEST(StreamingSession, SharingMatchesBatchCold) {
-  session_differential("std-p", /*incremental=*/false);
+  session_differential("std-p", /*warm_start=*/false);
 }
 
-TEST(StreamingSession, SharingMatchesBatchIncremental) {
-  session_differential("std-p", /*incremental=*/true);
+TEST(StreamingSession, SharingMatchesBatchWarmStart) {
+  session_differential("std-p", /*warm_start=*/true);
 }
 
 TEST(StreamingSession, RingPathNonSharingMatchesBatch) {
-  ring_differential("nstd-p", /*incremental=*/true);
+  ring_differential("nstd-p", /*warm_start=*/true);
 }
 
 TEST(StreamingSession, RingPathSharingMatchesBatch) {
-  ring_differential("std-p", /*incremental=*/true);
+  ring_differential("std-p", /*warm_start=*/true);
 }
 
 TEST(StreamingSession, ResetDropsCrossFrameState) {
-  const DispatchConfig config = tuned_config(/*incremental=*/true);
+  const DispatchConfig config = tuned_config(/*warm_start=*/true);
   DispatchSession session("std-p", config, kOracle);
 
   const ReplayResult first =
@@ -186,23 +186,23 @@ TEST(StreamingSession, DuplicateIdsFailValidationInsteadOfAborting) {
   driver.driver_id = 1;
   request.drivers = {driver};
 
+  DispatchSession session("nstd-p", tuned_config(false), kOracle);
   std::string error;
-  EXPECT_FALSE(DispatchSession::validate(request, &error));
+  EXPECT_FALSE(session.validate(request, &error));
   EXPECT_NE(error.find("order_id 7"), std::string::npos) << error;
 
-  DispatchSession session("nstd-p", tuned_config(false), kOracle);
   error.clear();
   EXPECT_FALSE(session.dispatch(request, &error).has_value());
   EXPECT_FALSE(error.empty());
 
   request.orders = {a, b};
   request.drivers = {driver, driver};
-  EXPECT_FALSE(DispatchSession::validate(request, &error));
+  EXPECT_FALSE(session.validate(request, &error));
   EXPECT_NE(error.find("driver_id 1"), std::string::npos) << error;
 
   // With the duplicates gone the same session serves the frame.
   request.drivers = {driver};
-  EXPECT_TRUE(DispatchSession::validate(request));
+  EXPECT_TRUE(session.validate(request));
   EXPECT_TRUE(session.dispatch(request).has_value());
 }
 
@@ -219,13 +219,13 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
   driver.seats = 4;
   request.orders = {order};
   request.drivers = {driver};
-  ASSERT_TRUE(DispatchSession::validate(request));
-
   DispatchSession session("std-p", tuned_config(false), kOracle);
+  ASSERT_TRUE(session.validate(request));
+
   std::string error;
   for (const int seats : {-3, 0}) {
     request.orders[0].seats = seats;
-    EXPECT_FALSE(DispatchSession::validate(request, &error)) << seats;
+    EXPECT_FALSE(session.validate(request, &error)) << seats;
     EXPECT_NE(error.find("invalid seats " + std::to_string(seats) + " on order_id 7"),
               std::string::npos)
         << error;
@@ -237,7 +237,7 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
 
   for (const int in_use : {5, -1}) {
     request.drivers[0].seats_in_use = in_use;
-    EXPECT_FALSE(DispatchSession::validate(request, &error)) << in_use;
+    EXPECT_FALSE(session.validate(request, &error)) << in_use;
     EXPECT_NE(error.find("invalid seats_in_use " + std::to_string(in_use) + " on driver_id 3"),
               std::string::npos)
         << error;
@@ -245,9 +245,78 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
   // The boundaries themselves are valid: a full taxi and an empty one.
   for (const int in_use : {4, 0}) {
     request.drivers[0].seats_in_use = in_use;
-    EXPECT_TRUE(DispatchSession::validate(request, &error)) << error;
+    EXPECT_TRUE(session.validate(request, &error)) << error;
   }
   EXPECT_TRUE(session.dispatch(request).has_value());
+}
+
+/// A small sharing frame at `timestamp`: six riders heading the same
+/// way from neighbouring pickups, three idle drivers nearby.
+api::FrameRequest sharing_frame(std::uint64_t frame, double timestamp) {
+  api::FrameRequest request;
+  request.frame = frame;
+  request.timestamp = timestamp;
+  for (int i = 0; i < 6; ++i) {
+    api::Order order;
+    order.order_id = i + 1;
+    order.timestamp = 10.0 + i;
+    order.start = {0.1 * i, 0.0};
+    order.finish = {4.0 + 0.1 * i, 0.2};
+    request.orders.push_back(order);
+  }
+  for (int i = 0; i < 3; ++i) {
+    api::Driver driver;
+    driver.driver_id = 100 + i;
+    driver.location = {0.2 * i, 0.3};
+    driver.seats = 4;
+    request.drivers.push_back(driver);
+  }
+  return request;
+}
+
+TEST(StreamingSession, BackwardTimestampFailsValidation) {
+  DispatchSession session("nstd-p", tuned_config(false), kOracle);
+  ASSERT_TRUE(session.dispatch(sharing_frame(0, 60.0)).has_value());
+
+  const api::FrameRequest backward = sharing_frame(1, 10.0);
+  std::string error;
+  EXPECT_FALSE(session.validate(backward, &error));
+  EXPECT_NE(error.find("non-monotonic timestamp 10 in frame 1"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(session.dispatch(backward, &error).has_value());
+  EXPECT_NE(error.find("last dispatched frame was at 60"), std::string::npos) << error;
+
+  // The rejected frame left no trace: the stream continues from 60.
+  EXPECT_TRUE(session.dispatch(sharing_frame(2, 120.0)).has_value());
+}
+
+TEST(StreamingSession, EqualTimestampsPassValidation) {
+  DispatchSession session("std-p", tuned_config(false), kOracle);
+  const api::FrameRequest frame = sharing_frame(0, 60.0);
+  ASSERT_TRUE(session.dispatch(frame).has_value());
+  std::string error;
+  EXPECT_TRUE(session.validate(frame, &error)) << error;
+  EXPECT_TRUE(session.dispatch(frame).has_value());
+}
+
+TEST(StreamingSession, FirstFrameAfterResetRunsCold) {
+  DispatchSession session("std-p", tuned_config(true), kOracle);
+  obs::TraceSink sink;
+  obs::Activation guard(sink);
+  const auto cache_hits = [&](const api::FrameRequest& frame) {
+    sink.begin_frame(frame.frame, frame.timestamp);
+    EXPECT_TRUE(session.dispatch(frame).has_value());
+    return sink.end_frame().counters[static_cast<std::size_t>(obs::Counter::kGroupCacheHits)];
+  };
+
+  EXPECT_EQ(cache_hits(sharing_frame(0, 60.0)), 0u);
+  // The same riders one frame later replay their share-group verdicts.
+  EXPECT_GT(cache_hits(sharing_frame(1, 120.0)), 0u);
+
+  // reset() drops the GroupCache and the last timestamp: the replayed
+  // first frame is accepted and answered from an empty cache.
+  session.reset();
+  EXPECT_EQ(cache_hits(sharing_frame(0, 60.0)), 0u);
 }
 
 }  // namespace
