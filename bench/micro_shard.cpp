@@ -1,7 +1,7 @@
 // Micro-benchmarks for the component-sharded stable dispatch engine
 // (core/shard_engine.h): serial-vs-sharded A/B on city-scale frames for
-// deferred acceptance on both proposal sides and for the NSTD-T
-// enumeration path, plus the cost of the union-find extraction itself.
+// deferred acceptance on both proposal sides, plus the cost of the
+// union-find extraction itself.
 //
 // Two geometries, same 40x40 km city:
 //   * hotspot -- demand concentrated in an 8x8 grid of neighbourhood
@@ -14,10 +14,8 @@
 //     shard).
 //
 // The serial arms run ShardOptions::parallel = false, which routes to
-// the exact legacy pass (global deferred acceptance / global Algorithm-2
-// enumeration with the taxi-proposing fallback) -- the engine's
-// behaviour before this change. Run with --quick for the CI smoke
-// subset (the 2000x10000 arms are filtered out).
+// the exact legacy pass (global deferred acceptance). Run with --quick
+// for the CI smoke subset (the 2000x10000 arms are filtered out).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -201,33 +199,6 @@ BENCHMARK(BM_UniformMatchSerial)
     ->Args({2000, 10000})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_UniformMatchSharded)
-    ->Args({2000, 10000})
-    ->Unit(benchmark::kMillisecond);
-
-// The NSTD-T path: Algorithm-2 enumeration + taxi-best selection. The
-// serial arm enumerates the *global* lattice, paying O(R + T) per
-// BreakDispatch attempt across the whole city; the sharded arm pays per
-// component. This is the engine's algorithmic win -- it holds even on a
-// single core, on top of the thread-level one.
-void enumeration_arm(benchmark::State& state, bool parallel) {
-  const core::PreferenceProfile profile = profile_of(hotspot_of(state));
-  core::ShardOptions options;
-  options.parallel = parallel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::sharded_taxi_optimal_via_enumeration(profile, 512, options));
-  }
-  report_partition(state, profile);
-}
-
-void BM_TaxiOptimalEnumSerial(benchmark::State& state) { enumeration_arm(state, false); }
-void BM_TaxiOptimalEnumSharded(benchmark::State& state) { enumeration_arm(state, true); }
-BENCHMARK(BM_TaxiOptimalEnumSerial)
-    ->Args({500, 2500})
-    ->Args({2000, 10000})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TaxiOptimalEnumSharded)
-    ->Args({500, 2500})
     ->Args({2000, 10000})
     ->Unit(benchmark::kMillisecond);
 

@@ -21,7 +21,6 @@ std::string_view config_field_name(ConfigField field) noexcept {
     case ConfigField::kMaxGroupSize: return "max_group_size";
     case ConfigField::kPickupRadiusKm: return "pickup_radius_km";
     case ConfigField::kTaxiSeats: return "taxi_seats";
-    case ConfigField::kEnumerationCap: return "enumeration_cap";
     case ConfigField::kCandidateTaxisPerUnit: return "candidate_taxis_per_unit";
     case ConfigField::kExactMaxSets: return "exact_max_sets";
     case ConfigField::kTraceMaxFrames: return "trace_max_frames";
@@ -72,16 +71,6 @@ DispatchConfig& DispatchConfig::with_spatial_prune(bool enabled) {
 
 DispatchConfig& DispatchConfig::with_proposal_side(core::ProposalSide side) {
   params_.side = side;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_taxi_side_via_enumeration(bool enabled) {
-  taxi_side_via_enumeration_ = enabled;
-  return *this;
-}
-
-DispatchConfig& DispatchConfig::with_enumeration_cap(std::size_t cap) {
-  enumeration_cap_ = cap;
   return *this;
 }
 
@@ -294,10 +283,6 @@ std::vector<ConfigError> DispatchConfig::validate() const {
          "candidate_taxis_per_unit must be <= 2^32-1; use the sentinel 0 for "
          "uncapped (a huge value is usually a negative int cast to size_t)");
   }
-  if (taxi_side_via_enumeration_ && enumeration_cap_ == 0) {
-    fail(ConfigField::kEnumerationCap,
-         "enumeration_cap must be >= 1 when taxi_side_via_enumeration is set");
-  }
   if (params_.packing == core::PackingSolver::kExact && params_.exact_max_sets == 0) {
     fail(ConfigField::kExactMaxSets,
          "exact_max_sets must be >= 1 when the exact packing solver is selected");
@@ -424,10 +409,8 @@ std::vector<std::pair<std::string, std::string>> DispatchConfig::describe() cons
   put("list_cap", std::to_string(pref.list_cap));
   put("spatial_prune", describe_bool(pref.spatial_prune));
 
-  // Matching side / enumeration.
+  // Matching side.
   put("proposal_side", std::string(describe_side(params_.side)));
-  put("taxi_side_via_enumeration", describe_bool(taxi_side_via_enumeration_));
-  put("enumeration_cap", std::to_string(enumeration_cap_));
 
   // Sharing / grouping.
   const packing::GroupOptions& grouping = params_.grouping;
@@ -478,8 +461,6 @@ core::StableDispatcherOptions DispatchConfig::stable_options() const {
   core::StableDispatcherOptions options;
   options.preference = params_.preference;
   options.side = params_.side;
-  options.taxi_side_via_enumeration = taxi_side_via_enumeration_;
-  options.enumeration_cap = enumeration_cap_;
   options.sharding = params_.sharding;
   options.warm_start_da = warm_start_da_;
   return options;

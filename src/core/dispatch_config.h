@@ -65,7 +65,6 @@ enum class ConfigField : std::uint8_t {
   kMaxGroupSize,
   kPickupRadiusKm,
   kTaxiSeats,
-  kEnumerationCap,
   kCandidateTaxisPerUnit,
   kExactMaxSets,
   kTraceMaxFrames,
@@ -105,12 +104,8 @@ class DispatchConfig {
   DispatchConfig& with_list_cap(std::size_t cap);
   DispatchConfig& with_spatial_prune(bool enabled);
 
-  // --- matching side / enumeration (Section IV) ------------------------
+  // --- matching side (Section IV) -------------------------------------
   DispatchConfig& with_proposal_side(core::ProposalSide side);
-  /// NSTD-T via Algorithm 2 enumeration + taxi-best selection instead of
-  /// taxi-proposing deferred acceptance.
-  DispatchConfig& with_taxi_side_via_enumeration(bool enabled);
-  DispatchConfig& with_enumeration_cap(std::size_t cap);
 
   // --- sharing / grouping (Section V) ----------------------------------
   DispatchConfig& with_detour_threshold_km(double theta);
@@ -183,8 +178,6 @@ class DispatchConfig {
   const sim::SimulatorConfig& simulation() const noexcept { return sim_; }
   const ServiceOptions& service() const noexcept { return service_; }
   core::ProposalSide proposal_side() const noexcept { return params_.side; }
-  bool taxi_side_via_enumeration() const noexcept { return taxi_side_via_enumeration_; }
-  std::size_t enumeration_cap() const noexcept { return enumeration_cap_; }
   bool enroute_extension() const noexcept { return enroute_extension_; }
   const geo::DistanceBackendSpec& distance_backend() const noexcept { return backend_; }
   /// 0 until a resolved backend was recorded (or for metric backends).
@@ -210,8 +203,6 @@ class DispatchConfig {
 
  private:
   core::SharingParams params_;  ///< superset: preference + grouping + packing + sharding
-  bool taxi_side_via_enumeration_ = false;
-  std::size_t enumeration_cap_ = 512;
   bool enroute_extension_ = false;
   bool warm_start_da_ = true;
   obs::TraceOptions trace_;

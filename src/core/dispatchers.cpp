@@ -116,19 +116,12 @@ std::vector<sim::DispatchAssignment> StableDispatcher::dispatch(
       build_nonsharing_profile(context.idle_taxis, context.pending, *context.oracle,
                                options_.preference, context.idle_grid);
 
-  Matching matching;
-  if (options_.side == ProposalSide::kTaxis && options_.taxi_side_via_enumeration) {
-    // The enumeration path re-derives the whole lattice; there is no
-    // proposal prefix to skip, so warm hints do not apply.
-    matching = sharded_taxi_optimal_via_enumeration(profile, options_.enumeration_cap,
-                                                    options_.sharding);
-  } else {
-    const std::vector<int> warm_seed =
-        options_.warm_start_da
-            ? map_warm_memory(last_match_, context.idle_taxis, context.pending)
-            : std::vector<int>{};
-    matching = sharded_gale_shapley(profile, options_.side, options_.sharding, warm_seed);
-  }
+  const std::vector<int> warm_seed =
+      options_.warm_start_da
+          ? map_warm_memory(last_match_, context.idle_taxis, context.pending)
+          : std::vector<int>{};
+  const Matching matching =
+      sharded_gale_shapley(profile, options_.side, options_.sharding, warm_seed);
 
   if (options_.warm_start_da) last_match_.clear();
   std::vector<sim::DispatchAssignment> assignments;

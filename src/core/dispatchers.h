@@ -11,7 +11,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/selectors.h"
 #include "core/sharing.h"
 #include "core/stable_matching.h"
 #include "sim/dispatcher.h"
@@ -30,14 +29,11 @@ struct FromConfig {
 
 struct StableDispatcherOptions {
   PreferenceParams preference;
+  /// kTaxis is NSTD-T. The paper picks the taxi-best schedule from
+  /// Algorithm 2's enumeration of every stable schedule; by lattice
+  /// theory that is the taxi-proposing deferred-acceptance outcome, which
+  /// is what runs here (tests cross-check it against Algorithm 2).
   ProposalSide side = ProposalSide::kPassengers;
-  /// When true, NSTD-T is computed the paper's way -- enumerate all
-  /// stable schedules with Algorithm 2 and select the taxi-best -- rather
-  /// than by taxi-proposing deferred acceptance (the two agree; tests
-  /// check it, and micro_algorithms measures the cost gap). Enumeration
-  /// is capped at `enumeration_cap` schedules per frame.
-  bool taxi_side_via_enumeration = false;
-  std::size_t enumeration_cap = 512;
   /// Component-sharded matching engine (core/shard_engine.h). On by
   /// default: the output is bit-identical to the serial pass.
   ShardOptions sharding;
@@ -47,7 +43,7 @@ struct StableDispatcherOptions {
   /// survive the sequential seed validation skip their proposal prefix,
   /// the rest run cold — the output is bit-identical either way, so the
   /// knob only trades memory for proposals. Ignored on the serial
-  /// fallback and the NSTD-T enumeration path (both are cold references).
+  /// fallback (a cold reference).
   bool warm_start_da = true;
 };
 

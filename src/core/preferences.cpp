@@ -41,14 +41,6 @@ std::vector<std::size_t> build_ranks(const std::vector<int>& list, std::size_t n
   return ranks;
 }
 
-std::vector<double> list_scores(const std::vector<int>& list,
-                                const std::vector<double>& scores) {
-  std::vector<double> aligned;
-  aligned.reserve(list.size());
-  for (const int i : list) aligned.push_back(scores[static_cast<std::size_t>(i)]);
-  return aligned;
-}
-
 }  // namespace
 
 void for_each_row(std::size_t count, const geo::DistanceOracle& oracle,
@@ -82,23 +74,18 @@ PreferenceProfile PreferenceProfile::from_scores(
 
   profile.request_prefs_.resize(requests);
   profile.request_ranks_.resize(requests);
-  profile.request_list_scores_.resize(requests);
   for (std::size_t r = 0; r < requests; ++r) {
     profile.request_prefs_[r] = build_list(profile.passenger_scores_[r], list_cap);
     profile.request_ranks_[r] = build_ranks(profile.request_prefs_[r], taxi_count);
-    profile.request_list_scores_[r] =
-        list_scores(profile.request_prefs_[r], profile.passenger_scores_[r]);
   }
 
   profile.taxi_prefs_.resize(taxi_count);
   profile.taxi_ranks_.resize(taxi_count);
-  profile.taxi_list_scores_.resize(taxi_count);
   std::vector<double> column(requests);
   for (std::size_t t = 0; t < taxi_count; ++t) {
     for (std::size_t r = 0; r < requests; ++r) column[r] = profile.taxi_scores_[r][t];
     profile.taxi_prefs_[t] = build_list(column, list_cap);
     profile.taxi_ranks_[t] = build_ranks(profile.taxi_prefs_[t], requests);
-    profile.taxi_list_scores_[t] = list_scores(profile.taxi_prefs_[t], column);
   }
   return profile;
 }
@@ -114,9 +101,7 @@ PreferenceProfile PreferenceProfile::from_candidates(
   profile.request_count_ = requests;
   profile.taxi_count_ = taxi_count;
   profile.request_prefs_.resize(requests);
-  profile.request_list_scores_.resize(requests);
   profile.taxi_prefs_.resize(taxi_count);
-  profile.taxi_list_scores_.resize(taxi_count);
 
   std::size_t total_pairs = 0;
   for (const auto& row : candidates) total_pairs += row.size();
@@ -142,7 +127,6 @@ PreferenceProfile PreferenceProfile::from_candidates(
           (list_cap == 0 || list.size() < list_cap)) {
         it->second.request_rank = list.size();
         list.push_back(candidate.taxi);
-        profile.request_list_scores_[r].push_back(candidate.passenger_score);
       }
     }
   }
@@ -164,13 +148,10 @@ PreferenceProfile PreferenceProfile::from_candidates(
     std::sort(bucket.begin(), bucket.end());
     if (list_cap > 0 && bucket.size() > list_cap) bucket.resize(list_cap);
     auto& list = profile.taxi_prefs_[t];
-    auto& list_scores = profile.taxi_list_scores_[t];
     list.reserve(bucket.size());
-    list_scores.reserve(bucket.size());
     for (std::size_t pos = 0; pos < bucket.size(); ++pos) {
       const int r = bucket[pos].second;
       list.push_back(r);
-      list_scores.push_back(bucket[pos].first);
       profile.pairs_[pair_key(static_cast<std::size_t>(r), t)].taxi_rank = pos;
     }
   }
@@ -247,148 +228,6 @@ double PreferenceProfile::taxi_score(std::size_t t, std::size_t r) const {
   if (!sparse_) return taxi_scores_[r][t];
   const PairEntry* entry = find_pair(r, t);
   return entry == nullptr ? kUnacceptable : entry->taxi_score;
-}
-
-PreferenceProfile::PairScores PreferenceProfile::pair_scores(std::size_t r,
-                                                             std::size_t t) const {
-  O2O_EXPECTS(r < request_count_);
-  O2O_EXPECTS(t < taxi_count_);
-  PairScores scores;
-  if (!sparse_) {
-    scores.passenger = passenger_scores_[r][t];
-    scores.taxi = taxi_scores_[r][t];
-    scores.request_listed = request_ranks_[r][t] != kNoRank;
-    scores.taxi_listed = taxi_ranks_[t][r] != kNoRank;
-    return scores;
-  }
-  const PairEntry* entry = find_pair(r, t);
-  if (entry == nullptr) return scores;
-  scores.passenger = entry->passenger_score;
-  scores.taxi = entry->taxi_score;
-  scores.request_listed = entry->request_rank != kNoRank;
-  scores.taxi_listed = entry->taxi_rank != kNoRank;
-  return scores;
-}
-
-PreferenceProfile restrict_profile(const PreferenceProfile& profile,
-                                   std::span<const int> requests,
-                                   std::span<const int> taxis) {
-  // Global-id -> local-slot scratch; filling it also validates that the
-  // spans are strictly ascending and in range.
-  std::vector<int> request_slot(profile.request_count(), -1);
-  std::vector<int> taxi_slot(profile.taxi_count(), -1);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    O2O_EXPECTS(requests[i] >= 0 &&
-                static_cast<std::size_t>(requests[i]) < profile.request_count());
-    O2O_EXPECTS(i == 0 || requests[i - 1] < requests[i]);
-    request_slot[static_cast<std::size_t>(requests[i])] = static_cast<int>(i);
-  }
-  for (std::size_t j = 0; j < taxis.size(); ++j) {
-    O2O_EXPECTS(taxis[j] >= 0 && static_cast<std::size_t>(taxis[j]) < profile.taxi_count());
-    O2O_EXPECTS(j == 0 || taxis[j - 1] < taxis[j]);
-    taxi_slot[static_cast<std::size_t>(taxis[j])] = static_cast<int>(j);
-  }
-
-  // The restriction *is* the global profile with indices renamed: lists
-  // keep their order (a monotone index remap preserves the (score, index)
-  // tie-break), ranks are list positions, and a pair's score counts only
-  // while it sits on that side's list — a pair the taxi capped off or
-  // refused by threshold stays past the dummy here too. So the result is
-  // assembled straight from the global lists and their aligned scores, no
-  // re-sorting and no per-pair rank/score probes; that assembly cost is
-  // what bounds the sharded enumeration path (see core/shard_engine.h).
-  //
-  // Small restrictions (the common component case) get the dense
-  // rank/score arrays so the per-component BreakDispatch loop indexes
-  // arrays instead of hashing; big ones keep the sparse representation.
-  // Both are invisible to callers (tests/core/shard_engine_test.cpp
-  // checks both).
-  constexpr std::size_t kDenseCellLimit = std::size_t{1} << 18;
-  const bool dense = requests.size() * taxis.size() <= kDenseCellLimit;
-
-  PreferenceProfile sub;
-  sub.sparse_ = !dense;
-  sub.request_count_ = requests.size();
-  sub.taxi_count_ = taxis.size();
-  sub.request_prefs_.resize(requests.size());
-  sub.request_list_scores_.resize(requests.size());
-  sub.taxi_prefs_.resize(taxis.size());
-  sub.taxi_list_scores_.resize(taxis.size());
-  if (dense) {
-    sub.request_ranks_.assign(
-        requests.size(),
-        std::vector<std::size_t>(taxis.size(), PreferenceProfile::kNoRank));
-    sub.taxi_ranks_.assign(
-        taxis.size(),
-        std::vector<std::size_t>(requests.size(), PreferenceProfile::kNoRank));
-    sub.passenger_scores_.assign(requests.size(),
-                                 std::vector<double>(taxis.size(), kUnacceptable));
-    sub.taxi_scores_.assign(requests.size(),
-                            std::vector<double>(taxis.size(), kUnacceptable));
-  }
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto r = static_cast<std::size_t>(requests[i]);
-    const std::vector<int>& list = profile.request_prefs_[r];
-    const std::vector<double>& scores = profile.request_list_scores_[r];
-    std::vector<int>& local = sub.request_prefs_[i];
-    local.reserve(list.size());
-    for (std::size_t pos = 0; pos < list.size(); ++pos) {
-      const int slot = taxi_slot[static_cast<std::size_t>(list[pos])];
-      O2O_EXPECTS(slot >= 0);  // selection closed under listed pairs
-      local.push_back(slot);
-      if (dense) {
-        sub.request_ranks_[i][static_cast<std::size_t>(slot)] = pos;
-        sub.passenger_scores_[i][static_cast<std::size_t>(slot)] = scores[pos];
-      }
-    }
-    sub.request_list_scores_[i] = scores;
-  }
-  for (std::size_t j = 0; j < taxis.size(); ++j) {
-    const auto t = static_cast<std::size_t>(taxis[j]);
-    const std::vector<int>& list = profile.taxi_prefs_[t];
-    const std::vector<double>& scores = profile.taxi_list_scores_[t];
-    std::vector<int>& local = sub.taxi_prefs_[j];
-    local.reserve(list.size());
-    for (std::size_t pos = 0; pos < list.size(); ++pos) {
-      const int slot = request_slot[static_cast<std::size_t>(list[pos])];
-      O2O_EXPECTS(slot >= 0);  // selection closed under listed pairs
-      local.push_back(slot);
-      if (dense) {
-        sub.taxi_ranks_[j][static_cast<std::size_t>(slot)] = pos;
-        sub.taxi_scores_[static_cast<std::size_t>(slot)][j] = scores[pos];
-      }
-    }
-    sub.taxi_list_scores_[j] = scores;
-  }
-
-  if (!dense) {
-    std::size_t total_pairs = 0;
-    for (const auto& list : sub.request_prefs_) total_pairs += list.size();
-    for (const auto& list : sub.taxi_prefs_) total_pairs += list.size();
-    sub.pairs_.reserve(total_pairs);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const std::vector<int>& list = sub.request_prefs_[i];
-      const std::vector<double>& scores = sub.request_list_scores_[i];
-      for (std::size_t pos = 0; pos < list.size(); ++pos) {
-        sub.pairs_.emplace(
-            PreferenceProfile::pair_key(i, static_cast<std::size_t>(list[pos])),
-            PreferenceProfile::PairEntry{scores[pos], kUnacceptable, pos,
-                                         PreferenceProfile::kNoRank});
-      }
-    }
-    for (std::size_t j = 0; j < taxis.size(); ++j) {
-      const std::vector<int>& list = sub.taxi_prefs_[j];
-      const std::vector<double>& scores = sub.taxi_list_scores_[j];
-      for (std::size_t pos = 0; pos < list.size(); ++pos) {
-        PreferenceProfile::PairEntry& entry = sub.pairs_[PreferenceProfile::pair_key(
-            static_cast<std::size_t>(list[pos]), j)];
-        entry.taxi_score = scores[pos];
-        entry.taxi_rank = pos;
-      }
-    }
-  }
-  return sub;
 }
 
 PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,

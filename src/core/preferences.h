@@ -121,25 +121,9 @@ class PreferenceProfile {
   double passenger_score(std::size_t r, std::size_t t) const;
   double taxi_score(std::size_t t, std::size_t r) const;
 
-  /// Everything about one (request, taxi) pair in a single lookup — one
-  /// hash probe in sparse mode instead of one per accessor. The batched
-  /// form keeps restrict_profile off the per-accessor probes on the
-  /// sharded hot path.
-  struct PairScores {
-    double passenger = kUnacceptable;
-    double taxi = kUnacceptable;
-    bool request_listed = false;  ///< t appears on r's list
-    bool taxi_listed = false;     ///< r appears on t's list
-  };
-  PairScores pair_scores(std::size_t r, std::size_t t) const;
-
   static constexpr std::size_t kNoRank = std::numeric_limits<std::size_t>::max();
 
  private:
-  friend PreferenceProfile restrict_profile(const PreferenceProfile& profile,
-                                            std::span<const int> requests,
-                                            std::span<const int> taxis);
-
   struct PairEntry {
     double passenger_score = kUnacceptable;
     double taxi_score = kUnacceptable;
@@ -157,15 +141,6 @@ class PreferenceProfile {
   std::size_t taxi_count_ = 0;
   std::vector<std::vector<int>> request_prefs_;
   std::vector<std::vector<int>> taxi_prefs_;
-  // Scores aligned with the lists: request_list_scores_[r][k] is the
-  // passenger score of request_prefs_[r][k]; taxi_list_scores_[t][k] the
-  // taxi score of taxi_prefs_[t][k]. Restriction to a component is the
-  // global profile with indices renamed (see restrict_profile), so these
-  // let it be assembled list-by-list with no re-sorting and no per-pair
-  // rank/score lookups — the cost that would otherwise dominate the
-  // sharded enumeration path.
-  std::vector<std::vector<double>> request_list_scores_;
-  std::vector<std::vector<double>> taxi_list_scores_;
   // Dense storage (array-backed rank/score lookup).
   std::vector<std::vector<std::size_t>> request_ranks_;  // [r][t]
   std::vector<std::vector<std::size_t>> taxi_ranks_;     // [t][r]
@@ -189,19 +164,6 @@ PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,
                                            const geo::DistanceOracle& oracle,
                                            const PreferenceParams& params,
                                            const index::SpatialGrid* taxi_grid = nullptr);
-
-/// The profile restricted to `requests` × `taxis` (ascending global
-/// indices), with both sides remapped to local positions. Every listed
-/// pair of a kept request or taxi must stay inside the selection — true
-/// by construction for connected components of the candidate graph (see
-/// core/shard_engine.h), and asserted. List orders, ranks and
-/// acceptability are preserved exactly: the restriction's lists are the
-/// global lists with indices renamed, so any matching of the restriction
-/// maps back to a matching of the full profile with identical stability
-/// structure.
-PreferenceProfile restrict_profile(const PreferenceProfile& profile,
-                                   std::span<const int> requests,
-                                   std::span<const int> taxis);
 
 /// Runs body(i) for every i in [0, count) — on the shared ThreadPool when
 /// `oracle` allows concurrent queries and the range is large enough to pay

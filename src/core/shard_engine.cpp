@@ -5,8 +5,6 @@
 #include <functional>
 #include <numeric>
 
-#include "core/all_stable.h"
-#include "core/selectors.h"
 #include "index/union_find.h"
 #include "obs/obs.h"
 #include "util/contracts.h"
@@ -164,53 +162,6 @@ Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide sid
     }
     O2O_ENSURES(detail::component_stable(profile, component.requests, component.taxis,
                                          request_match, taxi_match));
-  });
-
-  return make_matching(std::move(request_match), profile.taxi_count());
-}
-
-Matching sharded_taxi_optimal_via_enumeration(const PreferenceProfile& profile,
-                                              std::size_t enumeration_cap,
-                                              const ShardOptions& options) {
-  AllStableOptions enum_options;
-  enum_options.max_matchings = enumeration_cap;
-  if (!options.parallel) {
-    obs::add(obs::Counter::kShardFallbacks);
-    const AllStableResult all = enumerate_all_stable(profile, enum_options);
-    return all.truncated ? gale_shapley_taxis(profile)
-                         : select_taxi_optimal(all.matchings, profile);
-  }
-
-  const ComponentPartition partition = extract_components(profile);
-
-  std::vector<int> request_match(profile.request_count(), kDummy);
-  for_each_component(partition.components, [&](std::size_t i) {
-    const ShardComponent& component = partition.components[i];
-    // The component's lattice is a factor of the global one, so the
-    // per-component taxi-best schedules compose to the global taxi-best
-    // pick; a truncated component degrades to taxi-proposing deferred
-    // acceptance exactly like the serial path does globally (both yield
-    // the taxi-optimal schedule, so the outputs still agree).
-    //
-    // A component spanning the whole frame (the percolated giant-
-    // component regime) *is* the global problem with identical indices,
-    // so skip the restriction and enumerate in place — sharding then
-    // costs only the extraction pass on top of the serial arm.
-    const bool spans_frame = component.requests.size() == profile.request_count() &&
-                             component.taxis.size() == profile.taxi_count();
-    const PreferenceProfile restricted =
-        spans_frame ? PreferenceProfile{}
-                    : restrict_profile(profile, component.requests, component.taxis);
-    const PreferenceProfile& sub = spans_frame ? profile : restricted;
-    const AllStableResult all = enumerate_all_stable(sub, enum_options);
-    const Matching local = all.truncated ? gale_shapley_taxis(sub)
-                                         : select_taxi_optimal(all.matchings, sub);
-    for (std::size_t k = 0; k < component.requests.size(); ++k) {
-      const int local_taxi = local.request_to_taxi[k];
-      if (local_taxi == kDummy) continue;
-      request_match[static_cast<std::size_t>(component.requests[k])] =
-          component.taxis[static_cast<std::size_t>(local_taxi)];
-    }
   });
 
   return make_matching(std::move(request_match), profile.taxi_count());

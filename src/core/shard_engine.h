@@ -2,24 +2,20 @@
 //
 // The sparse PreferenceProfile induces a bipartite graph over (requests,
 // taxis): every listed pair — on either side's candidate list — is an
-// edge. Deferred acceptance, BreakDispatch (Rules 1–3) and Definition-1
-// stability only ever propagate influence along listed pairs, and the
-// dummy thresholds are per-agent, so the matching problem factorizes
-// *exactly* over the connected components of that graph: no proposal,
-// refusal or blocking pair can cross a component boundary, and the
-// stable-matching lattice of the whole profile is the product of the
-// per-component lattices (so the per-component taxi-optima compose to
-// the global taxi-optimum).
+// edge. Deferred acceptance and Definition-1 stability only ever
+// propagate influence along listed pairs, and the dummy thresholds are
+// per-agent, so the matching problem factorizes *exactly* over the
+// connected components of that graph: no proposal, refusal or blocking
+// pair can cross a component boundary.
 //
 // The engine extracts components with a union-find pass, runs the
-// paper's proposal loop — or the Algorithm-2 enumeration behind NSTD-T's
-// selection — independently per component on the shared ThreadPool, and
-// merges by letting each component write its members' slots in a shared,
-// preallocated result (components are ordered by smallest member request
-// id; slots are disjoint, so the merge is deterministic no matter how
-// the pool schedules the tasks). Output is bit-identical to the serial
-// path; tests/core/shard_engine_test.cpp proves it differentially and
-// bench/micro_shard measures the speedup.
+// paper's proposal loop independently per component on the shared
+// ThreadPool, and merges by letting each component write its members'
+// slots in a shared, preallocated result (components are ordered by
+// smallest member request id; slots are disjoint, so the merge is
+// deterministic no matter how the pool schedules the tasks). Output is
+// bit-identical to the serial path; tests/core/shard_engine_test.cpp
+// proves it differentially and bench/micro_shard measures the speedup.
 #pragma once
 
 #include <cstddef>
@@ -79,13 +75,5 @@ ComponentPartition extract_components(const PreferenceProfile& profile);
 Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide side,
                               const ShardOptions& options = {},
                               std::span<const int> warm_seed = {});
-
-/// The NSTD-T enumeration path — Algorithm 2 + taxi-best selection, with
-/// the taxi-proposing fallback on truncation — sharded over components:
-/// each component enumerates its own lattice (same cap) and selects its
-/// taxi-best schedule. Bit-identical to the serial enumeration path.
-Matching sharded_taxi_optimal_via_enumeration(const PreferenceProfile& profile,
-                                              std::size_t enumeration_cap,
-                                              const ShardOptions& options = {});
 
 }  // namespace o2o::core

@@ -8,16 +8,49 @@
 
 namespace o2o::index {
 
-SpatialGrid::SpatialGrid(geo::Rect bounds, double cell_km)
-    : bounds_(bounds), cell_km_(cell_km) {
+SpatialGrid::SpatialGrid(geo::Rect bounds, double cell_km) : SpatialGrid(bounds, cell_km, 0) {}
+
+SpatialGrid::SpatialGrid(geo::Rect bounds, double cell_km, std::size_t points)
+    : requested_cell_km_(cell_km) {
   O2O_EXPECTS(cell_km > 0.0);
+  reset_geometry(bounds, points);
+}
+
+void SpatialGrid::reset_geometry(geo::Rect bounds, std::size_t points) {
   O2O_EXPECTS(bounds.width() > 0.0 && bounds.height() > 0.0);
-  cols_ = std::max(1, static_cast<int>(std::ceil(bounds.width() / cell_km)));
-  rows_ = std::max(1, static_cast<int>(std::ceil(bounds.height() / cell_km)));
-  cells_.resize(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_));
+  // Cells along one side; an extent too wide for a double gets a single
+  // cell, which keeps every query exact (nothing lies beyond it).
+  const auto cells_along = [](double extent, double cell) {
+    return std::isfinite(extent) ? std::max(1.0, std::ceil(extent / cell)) : 1.0;
+  };
+  // Far-apart points would otherwise size the grid by their distance, not
+  // their number: cap the cell count at max(2^18, 4 × points) by widening
+  // the cell. The cap binds only beyond 512 × 512 requested cells, and
+  // queries stay exact at any cell size.
+  const double cap =
+      static_cast<double>(std::max<std::size_t>(std::size_t{1} << 18, 4 * points));
+  double cell = requested_cell_km_;
+  while (cells_along(bounds.width(), cell) * cells_along(bounds.height(), cell) > cap) {
+    cell *= 2.0;
+  }
+  bounds_ = bounds;
+  cell_km_ = cell;
+  cols_ = static_cast<int>(cells_along(bounds.width(), cell));
+  rows_ = static_cast<int>(cells_along(bounds.height(), cell));
+  cells_.assign(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_), {});
 }
 
 namespace {
+
+/// Cell coordinate of a km offset from the grid origin, clamped to
+/// [0, count) while still a double: a far-off point, an infinite query
+/// radius or a NaN never reaches the int conversion out of range.
+int cell_coord(double offset_km, double cell_km, int count) noexcept {
+  const double cell = offset_km / cell_km;
+  if (!(cell >= 1.0)) return 0;  // also catches NaN
+  if (cell >= static_cast<double>(count - 1)) return count - 1;
+  return static_cast<int>(cell);
+}
 
 geo::Rect padded_point_bounds(std::span<const geo::Point> points, double pad_km) {
   if (points.empty()) return geo::Rect{{0.0, 0.0}, {1.0, 1.0}};
@@ -45,7 +78,7 @@ geo::Rect padded_taxi_bounds(std::span<const trace::Taxi> taxis, double pad_km) 
 }  // namespace
 
 SpatialGrid::SpatialGrid(std::span<const trace::Taxi> taxis, double cell_km)
-    : SpatialGrid(padded_taxi_bounds(taxis, cell_km), cell_km) {
+    : SpatialGrid(padded_taxi_bounds(taxis, cell_km), cell_km, taxis.size()) {
   positions_.reserve(taxis.size());
   for (std::size_t i = 0; i < taxis.size(); ++i) {
     const auto key = static_cast<std::int32_t>(i);
@@ -55,7 +88,7 @@ SpatialGrid::SpatialGrid(std::span<const trace::Taxi> taxis, double cell_km)
 }
 
 SpatialGrid::SpatialGrid(std::span<const geo::Point> points, double cell_km)
-    : SpatialGrid(padded_point_bounds(points, cell_km), cell_km) {
+    : SpatialGrid(padded_point_bounds(points, cell_km), cell_km, points.size()) {
   positions_.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto key = static_cast<std::int32_t>(i);
@@ -66,7 +99,7 @@ SpatialGrid::SpatialGrid(std::span<const geo::Point> points, double cell_km)
 
 SpatialGrid::SpatialGrid(std::span<const std::int32_t> ids,
                          std::span<const geo::Point> points, double cell_km)
-    : SpatialGrid(padded_point_bounds(points, cell_km), cell_km) {
+    : SpatialGrid(padded_point_bounds(points, cell_km), cell_km, points.size()) {
   O2O_EXPECTS(ids.size() == points.size());
   positions_.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -82,8 +115,8 @@ SpatialGrid::SpatialGrid(std::span<const std::int32_t> ids,
 }
 
 std::size_t SpatialGrid::cell_index(const geo::Point& p) const noexcept {
-  const int cx = std::clamp(static_cast<int>((p.x - bounds_.lo.x) / cell_km_), 0, cols_ - 1);
-  const int cy = std::clamp(static_cast<int>((p.y - bounds_.lo.y) / cell_km_), 0, rows_ - 1);
+  const int cx = cell_coord(p.x - bounds_.lo.x, cell_km_, cols_);
+  const int cy = cell_coord(p.y - bounds_.lo.y, cell_km_, rows_);
   return static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_) +
          static_cast<std::size_t>(cx);
 }
@@ -166,10 +199,7 @@ void SpatialGrid::compact() {
   std::vector<geo::Point> points;
   points.reserve(live.size());
   for (const auto& [id, p] : live) points.push_back(p);
-  bounds_ = padded_point_bounds(points, cell_km_);
-  cols_ = std::max(1, static_cast<int>(std::ceil(bounds_.width() / cell_km_)));
-  rows_ = std::max(1, static_cast<int>(std::ceil(bounds_.height() / cell_km_)));
-  cells_.assign(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_), {});
+  reset_geometry(padded_point_bounds(points, requested_cell_km_), points.size());
   for (const auto& [id, p] : live) {
     cells_[cell_index(p)].push_back(CellEntry{id, p});
   }
@@ -199,8 +229,8 @@ std::vector<std::int32_t> SpatialGrid::k_nearest(
     const std::function<bool(std::int32_t)>& accept) const {
   std::vector<std::pair<double, std::int32_t>> found;  // (squared distance, id)
   if (k == 0 || positions_.empty()) return {};
-  const int cx = std::clamp(static_cast<int>((p.x - bounds_.lo.x) / cell_km_), 0, cols_ - 1);
-  const int cy = std::clamp(static_cast<int>((p.y - bounds_.lo.y) / cell_km_), 0, rows_ - 1);
+  const int cx = cell_coord(p.x - bounds_.lo.x, cell_km_, cols_);
+  const int cy = cell_coord(p.y - bounds_.lo.y, cell_km_, rows_);
   const int max_ring = std::max(cols_, rows_);
   for (int ring = 0; ring <= max_ring; ++ring) {
     // Once we hold k candidates, a further ring can only help if its
@@ -246,14 +276,10 @@ void SpatialGrid::within_radius_into(const geo::Point& p, double radius_km,
                                      std::vector<std::int32_t>& out) const {
   O2O_EXPECTS(radius_km >= 0.0);
   const double r_sq = radius_km * radius_km;
-  const int lo_x = std::clamp(
-      static_cast<int>((p.x - radius_km - bounds_.lo.x) / cell_km_), 0, cols_ - 1);
-  const int hi_x = std::clamp(
-      static_cast<int>((p.x + radius_km - bounds_.lo.x) / cell_km_), 0, cols_ - 1);
-  const int lo_y = std::clamp(
-      static_cast<int>((p.y - radius_km - bounds_.lo.y) / cell_km_), 0, rows_ - 1);
-  const int hi_y = std::clamp(
-      static_cast<int>((p.y + radius_km - bounds_.lo.y) / cell_km_), 0, rows_ - 1);
+  const int lo_x = cell_coord(p.x - radius_km - bounds_.lo.x, cell_km_, cols_);
+  const int hi_x = cell_coord(p.x + radius_km - bounds_.lo.x, cell_km_, cols_);
+  const int lo_y = cell_coord(p.y - radius_km - bounds_.lo.y, cell_km_, rows_);
+  const int hi_y = cell_coord(p.y + radius_km - bounds_.lo.y, cell_km_, rows_);
   for (int y = lo_y; y <= hi_y; ++y) {
     for (int x = lo_x; x <= hi_x; ++x) {
       for (const CellEntry& e :

@@ -1,6 +1,8 @@
 // Uniform spatial grid over integer-keyed moving objects (taxis). Backs
 // the Greedy baseline's nearest-idle-taxi query, preference-list capping,
-// and the RAII baseline's spatio-temporal retrieval.
+// and the RAII baseline's spatio-temporal retrieval. However far apart
+// the points are, the grid holds at most max(2^18, 4 × points) cells:
+// the cell widens until the count fits.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +67,9 @@ class SpatialGrid {
 
   bool contains(std::int32_t id) const noexcept;
   std::size_t size() const noexcept { return positions_.size(); }
+  /// Allocated cells: at most max(2^18, 4 × objects at the last build or
+  /// compaction), however far apart the objects are.
+  std::size_t cell_count() const noexcept { return cells_.size(); }
   std::optional<geo::Point> position(std::int32_t id) const;
 
   /// Nearest object to `p` accepted by `accept` (straight-line metric,
@@ -95,10 +100,17 @@ class SpatialGrid {
     geo::Point position;
   };
 
+  SpatialGrid(geo::Rect bounds, double cell_km, std::size_t points);
+
+  /// Sets bounds_, cell_km_ (the requested cell, widened to fit the cap)
+  /// and cols_/rows_, and allocates empty cells.
+  void reset_geometry(geo::Rect bounds, std::size_t points);
+
+  double requested_cell_km_;
   geo::Rect bounds_;
-  double cell_km_;
-  int cols_;
-  int rows_;
+  double cell_km_ = 0.0;
+  int cols_ = 1;
+  int rows_ = 1;
   std::vector<std::vector<CellEntry>> cells_;
   std::unordered_map<std::int32_t, geo::Point> positions_;
   std::size_t mutations_ = 0;

@@ -35,8 +35,6 @@ TEST(DispatchConfig, DefaultsMatchLegacyStructs) {
   EXPECT_EQ(stable.preference.list_cap, legacy_stable.preference.list_cap);
   EXPECT_EQ(stable.preference.spatial_prune, legacy_stable.preference.spatial_prune);
   EXPECT_EQ(stable.side, legacy_stable.side);
-  EXPECT_EQ(stable.taxi_side_via_enumeration, legacy_stable.taxi_side_via_enumeration);
-  EXPECT_EQ(stable.enumeration_cap, legacy_stable.enumeration_cap);
 
   const core::SharingStableDispatcherOptions sharing = config.sharing_options();
   EXPECT_EQ(sharing.enroute_extension, legacy_sharing.enroute_extension);
@@ -62,8 +60,6 @@ TEST(DispatchConfig, FluentSettersReachEverySubStruct) {
                                     .with_list_cap(16)
                                     .with_spatial_prune(false)
                                     .with_proposal_side(core::ProposalSide::kTaxis)
-                                    .with_taxi_side_via_enumeration(true)
-                                    .with_enumeration_cap(128)
                                     .with_detour_threshold_km(4.0)
                                     .with_max_group_size(2)
                                     .with_pickup_radius_km(9.0)
@@ -84,8 +80,6 @@ TEST(DispatchConfig, FluentSettersReachEverySubStruct) {
   EXPECT_EQ(config.preference().list_cap, 16u);
   EXPECT_FALSE(config.preference().spatial_prune);
   EXPECT_EQ(config.proposal_side(), core::ProposalSide::kTaxis);
-  EXPECT_TRUE(config.taxi_side_via_enumeration());
-  EXPECT_EQ(config.enumeration_cap(), 128u);
   EXPECT_EQ(config.grouping().detour_threshold_km, 4.0);
   EXPECT_EQ(config.grouping().max_group_size, 2);
   EXPECT_EQ(config.grouping().pickup_radius_km, 9.0);
@@ -101,7 +95,7 @@ TEST(DispatchConfig, FluentSettersReachEverySubStruct) {
   EXPECT_TRUE(config.validate().empty());
 
   // Projections carry the same values to the legacy structs.
-  EXPECT_EQ(config.stable_options().enumeration_cap, 128u);
+  EXPECT_EQ(config.stable_options().side, core::ProposalSide::kTaxis);
   EXPECT_TRUE(config.sharing_options().enroute_extension);
 }
 
@@ -144,11 +138,6 @@ TEST(DispatchConfig, ValidateCrossFieldRules) {
   EXPECT_TRUE(has_error(
       DispatchConfig{}.with_taxi_seats(2).with_max_group_size(3).validate(),
       ConfigField::kTaxiSeats));
-  EXPECT_TRUE(has_error(DispatchConfig{}
-                            .with_taxi_side_via_enumeration(true)
-                            .with_enumeration_cap(0)
-                            .validate(),
-                        ConfigField::kEnumerationCap));
   EXPECT_TRUE(has_error(DispatchConfig{}
                             .with_packing_solver(core::PackingSolver::kExact)
                             .with_exact_max_sets(0)

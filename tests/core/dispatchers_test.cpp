@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/all_stable.h"
+#include "core/selectors.h"
 #include "util/rng.h"
 
 namespace o2o::core {
@@ -84,21 +85,35 @@ TEST(StableDispatcher, AssignmentsMirrorTheStableMatching) {
   }
 }
 
+// NSTD-T runs taxi-proposing deferred acceptance; the paper defines it
+// as the taxi-best pick from Algorithm 2's enumeration of every stable
+// schedule. Lattice theory makes the two the same schedule -- check it
+// at the dispatcher level.
 TEST(StableDispatcher, EnumerationPathMatchesTaxiProposing) {
   Rng rng(42);
   for (int trial = 0; trial < 5; ++trial) {
     const Frame frame = random_frame(rng, 5, 7);
-    StableDispatcherOptions direct;
-    direct.side = ProposalSide::kTaxis;
-    StableDispatcherOptions enumerated = direct;
-    enumerated.taxi_side_via_enumeration = true;
-    StableDispatcher a(direct, FromConfig{}), b(enumerated, FromConfig{});
-    const auto direct_out = a.dispatch(frame.context());
-    const auto enumerated_out = b.dispatch(frame.context());
-    ASSERT_EQ(direct_out.size(), enumerated_out.size());
-    for (std::size_t i = 0; i < direct_out.size(); ++i) {
-      EXPECT_EQ(direct_out[i].taxi, enumerated_out[i].taxi);
-      EXPECT_EQ(direct_out[i].requests, enumerated_out[i].requests);
+    StableDispatcherOptions options;
+    options.side = ProposalSide::kTaxis;
+    StableDispatcher dispatcher(options, FromConfig{});
+    const auto assignments = dispatcher.dispatch(frame.context());
+
+    const PreferenceProfile profile = build_nonsharing_profile(
+        frame.taxis, frame.requests, kOracle, options.preference);
+    const AllStableResult all = enumerate_all_stable(profile);
+    ASSERT_FALSE(all.truncated);
+    const Matching& expected = select_taxi_optimal(all.matchings, profile);
+    ASSERT_EQ(assignments.size(), expected.matched_count());
+    for (const auto& assignment : assignments) {
+      ASSERT_EQ(assignment.requests.size(), 1u);
+      std::size_t r = 0, t = 0;
+      for (std::size_t i = 0; i < frame.requests.size(); ++i) {
+        if (frame.requests[i].id == assignment.requests[0]) r = i;
+      }
+      for (std::size_t i = 0; i < frame.taxis.size(); ++i) {
+        if (frame.taxis[i].id == assignment.taxi) t = i;
+      }
+      EXPECT_EQ(expected.request_to_taxi[r], static_cast<int>(t));
     }
   }
 }

@@ -1,8 +1,7 @@
 // Differential proof obligations for the component-sharded engine
 // (core/shard_engine.h): on every geometry the sharded path must be
 // bit-identical to the serial pass it replaces — for both proposal
-// sides, for the NSTD-T enumeration path, and end to end through all
-// four stable dispatchers.
+// sides, and end to end through all four stable dispatchers.
 #include "core/shard_engine.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +11,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/all_stable.h"
 #include "core/dispatchers.h"
 #include "core/preferences.h"
-#include "core/selectors.h"
 #include "obs/obs.h"
 #include "util/rng.h"
 
@@ -187,27 +184,6 @@ TEST(ShardedGaleShapley, MatchesSerialAcrossGeometriesAndSides) {
   }
 }
 
-TEST(ShardedEnumeration, MatchesTheSerialTaxiOptimalPath) {
-  Rng rng(22);
-  for (int trial = 0; trial < 6; ++trial) {
-    const Frame frames[] = {random_frame(rng, 8, 10), clustered_frame(rng, 3, 3, 4),
-                            giant_frame(rng, 6, 7)};
-    for (const Frame& frame : frames) {
-      const PreferenceProfile profile = profile_of(frame, finite_params());
-      for (const std::size_t cap : {std::size_t{512}, std::size_t{1}}) {
-        AllStableOptions options;
-        options.max_matchings = cap;
-        const AllStableResult all = enumerate_all_stable(profile, options);
-        const Matching serial = all.truncated
-                                    ? gale_shapley_taxis(profile)
-                                    : select_taxi_optimal(all.matchings, profile);
-        expect_equal(serial, sharded_taxi_optimal_via_enumeration(profile, cap),
-                     "enumeration path");
-      }
-    }
-  }
-}
-
 TEST(ShardedGaleShapley, EmptyFramesComeBackAllDummy) {
   const PreferenceProfile no_requests = PreferenceProfile::from_scores({}, {}, 5);
   for (const ProposalSide side : {ProposalSide::kPassengers, ProposalSide::kTaxis}) {
@@ -223,10 +199,6 @@ TEST(ShardedGaleShapley, EmptyFramesComeBackAllDummy) {
     EXPECT_EQ(matching.request_to_taxi, (std::vector<int>(3, kDummy)));
     EXPECT_TRUE(matching.taxi_to_request.empty());
   }
-  expect_equal(sharded_taxi_optimal_via_enumeration(no_requests, 512),
-               gale_shapley_taxis(no_requests), "enumeration, zero requests");
-  expect_equal(sharded_taxi_optimal_via_enumeration(no_taxis, 512),
-               gale_shapley_taxis(no_taxis), "enumeration, zero taxis");
 }
 
 TEST(ShardedGaleShapley, SerialFallbackKnobChangesNothing) {
@@ -238,50 +210,6 @@ TEST(ShardedGaleShapley, SerialFallbackKnobChangesNothing) {
   for (const ProposalSide side : {ProposalSide::kPassengers, ProposalSide::kTaxis}) {
     expect_equal(sharded_gale_shapley(profile, side, serial),
                  sharded_gale_shapley(profile, side), "parallel knob");
-  }
-  expect_equal(sharded_taxi_optimal_via_enumeration(profile, 512, serial),
-               sharded_taxi_optimal_via_enumeration(profile, 512),
-               "parallel knob, enumeration");
-}
-
-TEST(RestrictProfile, IsExactlyTheGlobalProfileRenamed) {
-  Rng rng(25);
-  const PreferenceProfile profile =
-      profile_of(clustered_frame(rng, 3, 4, 5), finite_params());
-  const ComponentPartition partition = extract_components(profile);
-  ASSERT_GE(partition.components.size(), 3u);
-  for (const ShardComponent& component : partition.components) {
-    const PreferenceProfile sub =
-        restrict_profile(profile, component.requests, component.taxis);
-    ASSERT_EQ(sub.request_count(), component.requests.size());
-    ASSERT_EQ(sub.taxi_count(), component.taxis.size());
-    for (std::size_t lr = 0; lr < sub.request_count(); ++lr) {
-      const std::size_t gr = static_cast<std::size_t>(component.requests[lr]);
-      const std::vector<int>& global_list = profile.request_list(gr);
-      const std::vector<int>& local_list = sub.request_list(lr);
-      ASSERT_EQ(local_list.size(), global_list.size());
-      for (std::size_t i = 0; i < local_list.size(); ++i) {
-        // Same taxi (renamed), same score, same rank position.
-        const std::size_t gt =
-            static_cast<std::size_t>(component.taxis[local_list[i]]);
-        EXPECT_EQ(static_cast<int>(gt), global_list[i]);
-        EXPECT_EQ(sub.passenger_score(lr, static_cast<std::size_t>(local_list[i])),
-                  profile.passenger_score(gr, gt));
-      }
-    }
-    for (std::size_t lt = 0; lt < sub.taxi_count(); ++lt) {
-      const std::size_t gt = static_cast<std::size_t>(component.taxis[lt]);
-      const std::vector<int>& global_list = profile.taxi_list(gt);
-      const std::vector<int>& local_list = sub.taxi_list(lt);
-      ASSERT_EQ(local_list.size(), global_list.size());
-      for (std::size_t i = 0; i < local_list.size(); ++i) {
-        const std::size_t gr =
-            static_cast<std::size_t>(component.requests[local_list[i]]);
-        EXPECT_EQ(static_cast<int>(gr), global_list[i]);
-        EXPECT_EQ(sub.taxi_score(lt, static_cast<std::size_t>(local_list[i])),
-                  profile.taxi_score(gt, gr));
-      }
-    }
   }
 }
 
@@ -427,7 +355,6 @@ TEST(Dispatchers, AllFourAgreeShardedVersusSerialEndToEnd) {
       nstd_p.preference = finite_params();
       StableDispatcherOptions nstd_t = nstd_p;
       nstd_t.side = ProposalSide::kTaxis;
-      nstd_t.taxi_side_via_enumeration = true;
       SharingStableDispatcherOptions std_p;
       std_p.params.preference = finite_params();
       SharingStableDispatcherOptions std_t = std_p;

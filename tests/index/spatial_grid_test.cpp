@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -298,6 +300,63 @@ TEST(SpatialGridBulk, QueriesFarOutsideThePaddedBoundsStillWork) {
   auto all = grid.within_radius({500.0, 500.0}, 1000.0);
   std::sort(all.begin(), all.end());
   EXPECT_EQ(all, (std::vector<std::int32_t>{0, 1}));
+}
+
+/// Every query answer checked against a scan of `objects`; radii stay
+/// below 1e154 so the squared-distance test cannot overflow.
+void expect_exact_queries(const SpatialGrid& grid,
+                          const std::vector<std::pair<std::int32_t, geo::Point>>& objects,
+                          const std::vector<geo::Point>& queries) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const geo::Point& q : queries) {
+    for (const double radius : {0.0, 1.0, 500.0, 2e5, kInf}) {
+      auto found = grid.within_radius(q, radius);
+      std::sort(found.begin(), found.end());
+      std::vector<std::int32_t> expected;
+      for (const auto& [id, pos] : objects) {
+        if (geo::euclidean_distance(q, pos) <= radius) expected.push_back(id);
+      }
+      EXPECT_EQ(found, expected) << q.x << "," << q.y << " r=" << radius;
+    }
+  }
+}
+
+TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
+  // 90,000 km apart at a 0.25 km cell would be 1.3e11 cells; the grid
+  // widens its cell instead.
+  const std::vector<geo::Point> points{{0.5, 0.5}, {90000.0, 90000.0}};
+  const SpatialGrid grid(std::span<const geo::Point>(points), 0.25);
+  EXPECT_LE(grid.cell_count(), std::size_t{1} << 18);
+  expect_exact_queries(grid, {{0, points[0]}, {1, points[1]}},
+                       {{0.0, 0.0}, {0.5, 0.5}, {45000.0, 45000.0}, {90000.0, 89999.5},
+                        {-1e6, 3.0}});
+  EXPECT_EQ(grid.nearest({1.0, 1.0}), std::optional<std::int32_t>{0});
+  EXPECT_EQ(grid.nearest({89000.0, 90000.0}), std::optional<std::int32_t>{1});
+
+  // A point at 1e300 (finite, still a valid double) neither overflows
+  // the cell arithmetic nor escapes a query.
+  const std::vector<geo::Point> extreme{{0.5, 0.5}, {90000.0, 90000.0}, {1e300, 1e300}};
+  const SpatialGrid wide(std::span<const geo::Point>(extreme), 0.25);
+  EXPECT_LE(wide.cell_count(), std::size_t{1} << 18);
+  expect_exact_queries(wide, {{0, extreme[0]}, {1, extreme[1]}, {2, extreme[2]}},
+                       {{0.0, 0.0}, {90000.0, 90000.0}, {1e300, 1e300}, {1e300, 0.0}});
+
+  // An extent past the largest double (width overflows to infinity).
+  const std::vector<geo::Point> widest{{-1.7e308, 0.0}, {1.7e308, 0.0}, {0.0, 3.0}};
+  const SpatialGrid widest_grid(std::span<const geo::Point>(widest), 0.25);
+  EXPECT_LE(widest_grid.cell_count(), std::size_t{1} << 18);
+  expect_exact_queries(widest_grid, {{0, widest[0]}, {1, widest[1]}, {2, widest[2]}},
+                       {{0.0, 0.0}, {1.7e308, 0.0}, {-1.7e308, 1.0}});
+}
+
+TEST(SpatialGridDelta, CompactionAfterAFarMoveKeepsTheCellCountBounded) {
+  std::vector<trace::Taxi> taxis{{0, {0.0, 0.0}, 4}, {1, {1.0, 0.0}, 4}};
+  SpatialGrid grid(std::span<const trace::Taxi>(taxis), 0.25);
+  grid.move(1, {90000.0, 90000.0});
+  grid.compact();
+  EXPECT_LE(grid.cell_count(), std::size_t{1} << 18);
+  expect_exact_queries(grid, {{0, {0.0, 0.0}}, {1, {90000.0, 90000.0}}},
+                       {{0.0, 0.0}, {90000.0, 90000.0}, {30.0, -7.0}});
 }
 
 }  // namespace

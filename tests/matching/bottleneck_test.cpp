@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "matching/brute_force.h"
+#include "tests/reference/brute_force.h"
 #include "util/rng.h"
 
 namespace o2o::matching {
@@ -81,7 +81,7 @@ TEST_P(BottleneckVsBruteForce, ObjectiveMatchesExhaustiveSearch) {
       }
     }
     const Assignment fast = solve_min_max(costs);
-    const Assignment exact = brute_force_min_max(costs);
+    const Assignment exact = reference::brute_force_min_max(costs);
     EXPECT_TRUE(is_valid_assignment(costs, fast));
     EXPECT_EQ(assignment_size(fast), assignment_size(exact)) << "trial " << trial;
     if (assignment_size(exact) > 0) {
@@ -108,7 +108,7 @@ TEST(Bottleneck, BottleneckNeverExceedsMinCostBottleneck) {
       for (std::size_t c = 0; c < 5; ++c) costs.at(r, c) = rng.uniform(0.0, 30.0);
     }
     const Assignment min_max = solve_min_max(costs);
-    const Assignment min_cost = brute_force_min_cost(costs);
+    const Assignment min_cost = reference::brute_force_min_cost(costs);
     EXPECT_LE(assignment_bottleneck(costs, min_max),
               assignment_bottleneck(costs, min_cost) + 1e-9);
   }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "matching/brute_force.h"
+#include "tests/reference/brute_force.h"
 #include "util/rng.h"
 
 namespace o2o::matching {
@@ -106,7 +106,7 @@ TEST_P(HungarianVsBruteForce, ObjectiveMatchesExhaustiveSearch) {
       }
     }
     const Assignment fast = solve_min_cost(costs);
-    const Assignment exact = brute_force_min_cost(costs);
+    const Assignment exact = reference::brute_force_min_cost(costs);
     EXPECT_TRUE(is_valid_assignment(costs, fast));
     EXPECT_EQ(assignment_size(fast), assignment_size(exact)) << "trial " << trial;
     EXPECT_NEAR(assignment_cost(costs, fast), assignment_cost(costs, exact), 1e-9)

@@ -250,6 +250,33 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
   EXPECT_TRUE(session.dispatch(request).has_value());
 }
 
+TEST(StreamingSession, FarApartDriversStillGetAFrameResponse) {
+  // Drivers 90,000 km apart once sized the idle grid by their distance
+  // (bad_alloc); the frame must be answered like any other.
+  api::FrameRequest request;
+  request.timestamp = 60.0;
+  api::Order order;
+  order.order_id = 1;
+  order.finish = {2.0, 2.0};
+  request.orders = {order};
+  api::Driver near;
+  near.driver_id = 7;
+  near.location = {0.5, 0.5};
+  api::Driver far = near;
+  far.driver_id = 8;
+  far.location = {90000.0, 90000.0};
+  request.drivers = {near, far};
+  for (const char* kind : {"nstd-p", "nstd-t", "std-p", "std-t"}) {
+    DispatchSession session(kind, DispatchConfig{}, kOracle);
+    std::string error;
+    const auto response = session.dispatch(request, &error);
+    ASSERT_TRUE(response.has_value()) << kind << ": " << error;
+    ASSERT_EQ(response->assignments.size(), 1u) << kind;
+    EXPECT_EQ(response->assignments[0].driver_id, 7) << kind;
+    EXPECT_EQ(response->assignments[0].order_ids, (std::vector<api::OrderId>{1})) << kind;
+  }
+}
+
 /// A small sharing frame at `timestamp`: six riders heading the same
 /// way from neighbouring pickups, three idle drivers nearby.
 api::FrameRequest sharing_frame(std::uint64_t frame, double timestamp) {
