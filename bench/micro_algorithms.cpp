@@ -83,33 +83,15 @@ void BM_BuildCappedPreferenceProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCappedPreferenceProfile)->Range(32, 512);
 
-// The sparse-vs-dense head-to-head at city scale: a 20x20 km region, a
-// 2 km passenger threshold, and far more taxis than requests. The dense
-// path scores every (request, taxi) pair; the pruned path only touches
-// taxis the grid returns within the threshold.
-void BM_BuildProfileDenseAtScale(benchmark::State& state) {
-  const Instance instance =
-      make_instance(static_cast<std::size_t>(state.range(0)),
-                    static_cast<std::size_t>(state.range(1)), 5);
-  core::PreferenceParams params;
-  params.passenger_threshold_km = 2.0;
-  params.spatial_prune = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        build_nonsharing_profile(instance.taxis, instance.requests, kOracle, params));
-  }
-}
-BENCHMARK(BM_BuildProfileDenseAtScale)
-    ->Args({200, 2000})
-    ->Args({1000, 10000})
-    ->Unit(benchmark::kMillisecond);
-
+// City scale: a 20x20 km region, a 2 km passenger threshold, and far
+// more taxis than requests. Only taxis the grid returns within the
+// threshold are scored.
 void BM_BuildProfileSparseAtScale(benchmark::State& state) {
   const Instance instance =
       make_instance(static_cast<std::size_t>(state.range(0)),
                     static_cast<std::size_t>(state.range(1)), 5);
   core::PreferenceParams params;
-  params.passenger_threshold_km = 2.0;  // spatial_prune defaults to true
+  params.passenger_threshold_km = 2.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         build_nonsharing_profile(instance.taxis, instance.requests, kOracle, params));

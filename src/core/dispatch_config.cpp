@@ -64,11 +64,6 @@ DispatchConfig& DispatchConfig::with_list_cap(std::size_t cap) {
   return *this;
 }
 
-DispatchConfig& DispatchConfig::with_spatial_prune(bool enabled) {
-  params_.preference.spatial_prune = enabled;
-  return *this;
-}
-
 DispatchConfig& DispatchConfig::with_proposal_side(core::ProposalSide side) {
   params_.side = side;
   return *this;
@@ -407,7 +402,6 @@ std::vector<std::pair<std::string, std::string>> DispatchConfig::describe() cons
   put("passenger_threshold_km", describe_double(pref.passenger_threshold_km));
   put("taxi_threshold_score", describe_double(pref.taxi_threshold_score));
   put("list_cap", std::to_string(pref.list_cap));
-  put("spatial_prune", describe_bool(pref.spatial_prune));
 
   // Matching side.
   put("proposal_side", std::string(describe_side(params_.side)));

@@ -102,7 +102,6 @@ class DispatchConfig {
   DispatchConfig& with_passenger_threshold_km(double km);
   DispatchConfig& with_taxi_threshold_score(double score);
   DispatchConfig& with_list_cap(std::size_t cap);
-  DispatchConfig& with_spatial_prune(bool enabled);
 
   // --- matching side (Section IV) -------------------------------------
   DispatchConfig& with_proposal_side(core::ProposalSide side);

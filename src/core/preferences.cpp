@@ -13,36 +13,6 @@
 
 namespace o2o::core {
 
-namespace {
-
-/// Sorts candidate indices by (score, index) and truncates at the dummy
-/// (kUnacceptable) and at the optional list cap.
-std::vector<int> build_list(const std::vector<double>& scores, std::size_t list_cap) {
-  std::vector<int> order;
-  order.reserve(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (scores[i] != kUnacceptable) order.push_back(static_cast<int>(i));
-  }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double sa = scores[static_cast<std::size_t>(a)];
-    const double sb = scores[static_cast<std::size_t>(b)];
-    if (sa != sb) return sa < sb;
-    return a < b;
-  });
-  if (list_cap > 0 && order.size() > list_cap) order.resize(list_cap);
-  return order;
-}
-
-std::vector<std::size_t> build_ranks(const std::vector<int>& list, std::size_t n) {
-  std::vector<std::size_t> ranks(n, PreferenceProfile::kNoRank);
-  for (std::size_t pos = 0; pos < list.size(); ++pos) {
-    ranks[static_cast<std::size_t>(list[pos])] = pos;
-  }
-  return ranks;
-}
-
-}  // namespace
-
 void for_each_row(std::size_t count, const geo::DistanceOracle& oracle,
                   const std::function<void(std::size_t)>& body) {
   // Below this, fan-out overhead dominates the oracle calls saved.
@@ -61,33 +31,18 @@ PreferenceProfile PreferenceProfile::from_scores(
     std::size_t list_cap) {
   const std::size_t requests = passenger_scores.size();
   O2O_EXPECTS(taxi_scores.size() == requests);
+  std::vector<std::vector<Candidate>> rows(requests);
   for (std::size_t r = 0; r < requests; ++r) {
     O2O_EXPECTS(passenger_scores[r].size() == taxi_count);
     O2O_EXPECTS(taxi_scores[r].size() == taxi_count);
+    for (std::size_t t = 0; t < taxi_count; ++t) {
+      const double passenger = passenger_scores[r][t];
+      const double taxi = taxi_scores[r][t];
+      if (passenger == kUnacceptable && taxi == kUnacceptable) continue;
+      rows[r].push_back({static_cast<int>(t), passenger, taxi});
+    }
   }
-
-  PreferenceProfile profile;
-  profile.request_count_ = requests;
-  profile.taxi_count_ = taxi_count;
-  profile.passenger_scores_ = std::move(passenger_scores);
-  profile.taxi_scores_ = std::move(taxi_scores);
-
-  profile.request_prefs_.resize(requests);
-  profile.request_ranks_.resize(requests);
-  for (std::size_t r = 0; r < requests; ++r) {
-    profile.request_prefs_[r] = build_list(profile.passenger_scores_[r], list_cap);
-    profile.request_ranks_[r] = build_ranks(profile.request_prefs_[r], taxi_count);
-  }
-
-  profile.taxi_prefs_.resize(taxi_count);
-  profile.taxi_ranks_.resize(taxi_count);
-  std::vector<double> column(requests);
-  for (std::size_t t = 0; t < taxi_count; ++t) {
-    for (std::size_t r = 0; r < requests; ++r) column[r] = profile.taxi_scores_[r][t];
-    profile.taxi_prefs_[t] = build_list(column, list_cap);
-    profile.taxi_ranks_[t] = build_ranks(profile.taxi_prefs_[t], requests);
-  }
-  return profile;
+  return from_candidates(std::move(rows), taxi_count, list_cap);
 }
 
 PreferenceProfile PreferenceProfile::from_candidates(
@@ -97,7 +52,6 @@ PreferenceProfile PreferenceProfile::from_candidates(
   O2O_EXPECTS(requests <= (std::uint64_t{1} << 32));
 
   PreferenceProfile profile;
-  profile.sparse_ = true;
   profile.request_count_ = requests;
   profile.taxi_count_ = taxi_count;
   profile.request_prefs_.resize(requests);
@@ -132,8 +86,7 @@ PreferenceProfile PreferenceProfile::from_candidates(
   }
 
   // Taxi lists: bucket acceptable candidates per taxi, then order each
-  // bucket by (taxi score, request index) — the same strict order the
-  // dense path produces.
+  // bucket by (taxi score, request index).
   std::vector<std::vector<std::pair<double, int>>> buckets(taxi_count);
   for (std::size_t r = 0; r < requests; ++r) {
     for (const Candidate& candidate : candidates[r]) {
@@ -177,7 +130,6 @@ const std::vector<int>& PreferenceProfile::taxi_list(std::size_t t) const {
 std::size_t PreferenceProfile::request_rank(std::size_t r, std::size_t t) const {
   O2O_EXPECTS(r < request_count_);
   O2O_EXPECTS(t < taxi_count_);
-  if (!sparse_) return request_ranks_[r][t];
   const PairEntry* entry = find_pair(r, t);
   return entry == nullptr ? kNoRank : entry->request_rank;
 }
@@ -185,19 +137,15 @@ std::size_t PreferenceProfile::request_rank(std::size_t r, std::size_t t) const 
 std::size_t PreferenceProfile::taxi_rank(std::size_t t, std::size_t r) const {
   O2O_EXPECTS(t < taxi_count_);
   O2O_EXPECTS(r < request_count_);
-  if (!sparse_) return taxi_ranks_[t][r];
   const PairEntry* entry = find_pair(r, t);
   return entry == nullptr ? kNoRank : entry->taxi_rank;
 }
 
 bool PreferenceProfile::acceptable(std::size_t r, std::size_t t) const {
-  if (sparse_) {
-    O2O_EXPECTS(r < request_count_);
-    O2O_EXPECTS(t < taxi_count_);
-    const PairEntry* entry = find_pair(r, t);
-    return entry != nullptr && entry->request_rank != kNoRank && entry->taxi_rank != kNoRank;
-  }
-  return request_rank(r, t) != kNoRank && taxi_rank(t, r) != kNoRank;
+  O2O_EXPECTS(r < request_count_);
+  O2O_EXPECTS(t < taxi_count_);
+  const PairEntry* entry = find_pair(r, t);
+  return entry != nullptr && entry->request_rank != kNoRank && entry->taxi_rank != kNoRank;
 }
 
 bool PreferenceProfile::request_prefers(std::size_t r, int a, int b) const {
@@ -217,7 +165,6 @@ bool PreferenceProfile::taxi_prefers(std::size_t t, int a, int b) const {
 double PreferenceProfile::passenger_score(std::size_t r, std::size_t t) const {
   O2O_EXPECTS(r < request_count_);
   O2O_EXPECTS(t < taxi_count_);
-  if (!sparse_) return passenger_scores_[r][t];
   const PairEntry* entry = find_pair(r, t);
   return entry == nullptr ? kUnacceptable : entry->passenger_score;
 }
@@ -225,9 +172,21 @@ double PreferenceProfile::passenger_score(std::size_t r, std::size_t t) const {
 double PreferenceProfile::taxi_score(std::size_t t, std::size_t r) const {
   O2O_EXPECTS(t < taxi_count_);
   O2O_EXPECTS(r < request_count_);
-  if (!sparse_) return taxi_scores_[r][t];
   const PairEntry* entry = find_pair(r, t);
   return entry == nullptr ? kUnacceptable : entry->taxi_score;
+}
+
+const index::SpatialGrid* candidate_grid(std::span<const trace::Taxi> taxis,
+                                         double passenger_threshold_km,
+                                         const index::SpatialGrid* taxi_grid,
+                                         std::optional<index::SpatialGrid>& local_grid) {
+  if (!std::isfinite(passenger_threshold_km) || taxis.empty()) return nullptr;
+  if (taxi_grid == nullptr) {
+    const double cell_km = std::clamp(passenger_threshold_km / 2.0, 0.25, 8.0);
+    taxi_grid = &local_grid.emplace(taxis, cell_km);
+  }
+  O2O_EXPECTS(taxi_grid->size() == taxis.size());
+  return taxi_grid;
 }
 
 PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,
@@ -239,68 +198,33 @@ PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,
   const std::size_t n_taxis = taxis.size();
   obs::StageTimer stage(obs::Stage::kProfileBuild);
 
-  const bool prune = params.spatial_prune &&
-                     std::isfinite(params.passenger_threshold_km) && n_taxis > 0;
-  if (!prune) {
-    std::vector<geo::Point> taxi_locations(n_taxis);
-    for (std::size_t t = 0; t < n_taxis; ++t) taxi_locations[t] = taxis[t].location;
-    std::vector<std::vector<double>> passenger_scores(n_requests,
-                                                      std::vector<double>(n_taxis));
-    std::vector<std::vector<double>> taxi_scores(n_requests, std::vector<double>(n_taxis));
-    for_each_row(n_requests, oracle, [&](std::size_t r) {
-      const trace::Request& request = requests[r];
-      const double trip = oracle.distance(request.pickup, request.dropoff);
-      // One bulk call per row: D(taxi -> pickup) for every taxi. The
-      // network oracle serves the whole row from a single reverse tree
-      // rooted at the pickup instead of one forward tree per taxi.
-      const std::vector<double> pickups = oracle.distances_to(taxi_locations, request.pickup);
-      for (std::size_t t = 0; t < n_taxis; ++t) {
-        const trace::Taxi& taxi = taxis[t];
-        if (taxi.seats < request.seats) {
-          // Not enough seats: the paper places the pair past the dummy on
-          // both sides (the request "will put t_i to the end of its
-          // preference order"), i.e. it is never matched.
-          passenger_scores[r][t] = kUnacceptable;
-          taxi_scores[r][t] = kUnacceptable;
-          continue;
-        }
-        const double pickup = pickups[t];
-        const double driver = pickup - params.alpha * trip;
-        passenger_scores[r][t] =
-            pickup <= params.passenger_threshold_km ? pickup : kUnacceptable;
-        taxi_scores[r][t] = driver <= params.taxi_threshold_score ? driver : kUnacceptable;
-      }
-    });
-    obs::add(obs::Counter::kPreferencePairs, n_requests * n_taxis);
-    obs::gauge_max(obs::Gauge::kProfilePairsPeak, n_requests * n_taxis);
-    return PreferenceProfile::from_scores(std::move(passenger_scores),
-                                          std::move(taxi_scores), n_taxis, params.list_cap);
-  }
-
-  // Sparse path: only taxis inside the passenger-threshold radius can be
-  // acceptable to the passenger (every oracle's distance dominates the
-  // straight-line distance the grid filters on), and pairs acceptable
-  // only to the taxi can never match, so candidate rows from the radius
-  // query reproduce the dense matchings exactly.
+  // Only taxis inside the passenger-threshold radius can be acceptable to
+  // the passenger (every oracle's distance dominates the straight-line
+  // distance the grid filters on), and pairs acceptable only to the taxi
+  // can never match, so candidate rows from the radius query lose no
+  // matching.
   std::optional<index::SpatialGrid> local_grid;
-  if (taxi_grid == nullptr) {
-    const double cell_km = std::clamp(params.passenger_threshold_km / 2.0, 0.25, 8.0);
-    local_grid.emplace(taxis, cell_km);
-    taxi_grid = &*local_grid;
-  }
-  O2O_EXPECTS(taxi_grid->size() == n_taxis);
+  const index::SpatialGrid* grid =
+      candidate_grid(taxis, params.passenger_threshold_km, taxi_grid, local_grid);
 
   std::vector<std::vector<PreferenceProfile::Candidate>> rows(n_requests);
   for_each_row(n_requests, oracle, [&](std::size_t r) {
     const trace::Request& request = requests[r];
     const double trip = oracle.distance(request.pickup, request.dropoff);
-    std::vector<std::int32_t> nearby =
-        taxi_grid->within_radius(request.pickup, params.passenger_threshold_km);
-    std::sort(nearby.begin(), nearby.end());
-    obs::add(obs::Counter::kGridCandidates, nearby.size());
-    obs::add(obs::Counter::kGridCandidatesPruned, n_taxis - nearby.size());
+    std::vector<std::int32_t> nearby;
+    if (grid != nullptr) {
+      nearby = grid->within_radius(request.pickup, params.passenger_threshold_km);
+      std::sort(nearby.begin(), nearby.end());
+      obs::add(obs::Counter::kGridCandidates, nearby.size());
+      obs::add(obs::Counter::kGridCandidatesPruned, n_taxis - nearby.size());
+    } else {
+      nearby.resize(n_taxis);
+      std::iota(nearby.begin(), nearby.end(), 0);
+    }
     // Seat-feasible candidates first, then one bulk distance call for the
-    // whole row (one reverse tree on the network oracle).
+    // whole row (one reverse tree on the network oracle). A taxi with too
+    // few seats is past the dummy on both sides (the request "will put
+    // t_i to the end of its preference order"), so its pair is omitted.
     std::vector<std::int32_t> feasible;
     std::vector<geo::Point> locations;
     feasible.reserve(nearby.size());

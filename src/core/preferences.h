@@ -9,23 +9,24 @@
 // expresses "no dispatch" / "no service" and handles |R| != |T|.
 //
 // PreferenceProfile is deliberately agnostic of geometry: it is built
-// from score matrices (dense) or per-request candidate rows (sparse), so
-// the sharing dispatcher reuses it for packed super-requests with the
-// D_ck(...) score definitions.
+// from per-request candidate rows, so the sharing dispatcher reuses it
+// for packed super-requests with the D_ck(...) score definitions.
 //
-// The sparse representation stores only scored (request, taxi) pairs —
-// preference lists plus a hash-based rank/score lookup — instead of the
-// |R|×|T| matrices. With a finite passenger threshold, candidate rows
-// come from a SpatialGrid radius query, so construction cost scales with
-// the number of nearby taxis rather than the fleet size. Pairs beyond
-// the passenger threshold can never be matched (the request ranks them
-// past its dummy), and dropping them preserves the relative order of
-// every taxi list, so both representations yield identical matchings.
+// A profile stores only the scored (request, taxi) pairs: the preference
+// lists plus a hash from each pair to its ranks and scores, never an
+// |R|×|T| matrix. A pair unacceptable on both sides is simply absent.
+// With a finite passenger threshold the candidate rows come from a
+// SpatialGrid radius query, so construction cost scales with the number
+// of nearby taxis rather than the fleet size: pairs beyond the threshold
+// can never be matched (the request ranks them past its dummy), and
+// dropping them preserves the relative order of every taxi list. The
+// dense all-pairs builds that pin this live in tests/reference/profiles.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -56,18 +57,13 @@ struct PreferenceParams {
   /// Optional ablation knob: keep only the best `list_cap` entries of
   /// every preference list (0 = full lists).
   std::size_t list_cap = 0;
-  /// When the passenger threshold is finite, score only taxis inside a
-  /// spatial-grid radius query instead of all |R|×|T| pairs. Produces
-  /// identical matchings; set to false to force the dense path.
-  bool spatial_prune = true;
 };
 
-/// Strict, truncated preference lists plus O(1) rank lookup. Row r /
-/// column t of the score matrices corresponds to request r and taxi t
-/// (or packed super-request r in the sharing case).
+/// Strict, truncated preference lists plus O(1) rank lookup over request
+/// r and taxi t (or packed super-request r in the sharing case).
 class PreferenceProfile {
  public:
-  /// One scored (request, taxi) pair of a sparse candidate row. Either
+  /// One scored (request, taxi) pair of a candidate row. Either
   /// score may be kUnacceptable, but a pair unacceptable on both sides
   /// should simply be omitted.
   struct Candidate {
@@ -76,26 +72,23 @@ class PreferenceProfile {
     double taxi_score = kUnacceptable;
   };
 
-  /// Builds lists from dense score matrices (lower score = more
-  /// preferred; kUnacceptable = past the dummy). Ties break toward the
-  /// lower index, making all orders strict and runs deterministic.
-  /// `taxi_count` is explicit so a zero-request frame still reports the
-  /// live fleet size.
+  /// Builds lists from [request][taxi] score matrices (lower score = more
+  /// preferred; kUnacceptable = past the dummy) by handing every pair
+  /// acceptable on at least one side to from_candidates. `taxi_count` is
+  /// explicit so a zero-request frame still reports the live fleet size.
   static PreferenceProfile from_scores(std::vector<std::vector<double>> passenger_scores,
                                        std::vector<std::vector<double>> taxi_scores,
                                        std::size_t taxi_count, std::size_t list_cap = 0);
 
-  /// Builds a sparse profile from per-request candidate rows. Each
-  /// (request, taxi) pair may appear at most once; unlisted pairs are
-  /// unacceptable on both sides. Same ordering and tie-breaking rules as
-  /// from_scores.
+  /// Builds a profile from per-request candidate rows. Each (request,
+  /// taxi) pair may appear at most once; unlisted pairs are unacceptable
+  /// on both sides. Ties break toward the lower index, making all orders
+  /// strict and runs deterministic.
   static PreferenceProfile from_candidates(std::vector<std::vector<Candidate>> candidates,
                                            std::size_t taxi_count, std::size_t list_cap = 0);
 
   std::size_t request_count() const noexcept { return request_count_; }
   std::size_t taxi_count() const noexcept { return taxi_count_; }
-  /// Whether this profile uses the sparse (hash-backed) representation.
-  bool sparse() const noexcept { return sparse_; }
 
   /// Request r's taxi list, most preferred first, truncated at the dummy.
   const std::vector<int>& request_list(std::size_t r) const;
@@ -117,7 +110,7 @@ class PreferenceProfile {
   bool taxi_prefers(std::size_t t, int a, int b) const;
 
   /// Raw scores (kUnacceptable past the dummy), for schedule evaluation.
-  /// In sparse mode, unlisted pairs report kUnacceptable.
+  /// Unlisted pairs report kUnacceptable.
   double passenger_score(std::size_t r, std::size_t t) const;
   double taxi_score(std::size_t t, std::size_t r) const;
 
@@ -136,17 +129,11 @@ class PreferenceProfile {
   }
   const PairEntry* find_pair(std::size_t r, std::size_t t) const;
 
-  bool sparse_ = false;
   std::size_t request_count_ = 0;
   std::size_t taxi_count_ = 0;
   std::vector<std::vector<int>> request_prefs_;
   std::vector<std::vector<int>> taxi_prefs_;
-  // Dense storage (array-backed rank/score lookup).
-  std::vector<std::vector<std::size_t>> request_ranks_;  // [r][t]
-  std::vector<std::vector<std::size_t>> taxi_ranks_;     // [t][r]
-  std::vector<std::vector<double>> passenger_scores_;    // [r][t]
-  std::vector<std::vector<double>> taxi_scores_;         // [r][t]
-  // Sparse storage: (r, t) -> ranks and scores for listed pairs only.
+  // (r, t) -> ranks and scores for listed pairs only.
   std::unordered_map<std::uint64_t, PairEntry> pairs_;
 };
 
@@ -155,15 +142,25 @@ class PreferenceProfile {
 /// pairs are unacceptable on both sides (the paper pushes them past the
 /// dummy).
 ///
-/// With `params.spatial_prune` and a finite passenger threshold the
-/// profile is built sparsely from a grid radius query. `taxi_grid`, when
-/// given, must be keyed by position in `taxis` (see the SpatialGrid span
-/// constructor); when null a local grid is built on the fly.
+/// With a finite passenger threshold each request's candidates come from
+/// a grid radius query (see candidate_grid); otherwise every taxi is a
+/// candidate.
 PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,
                                            std::span<const trace::Request> requests,
                                            const geo::DistanceOracle& oracle,
                                            const PreferenceParams& params,
                                            const index::SpatialGrid* taxi_grid = nullptr);
+
+/// The grid a profile build draws candidate taxis from. Null when the
+/// passenger threshold is infinite or there are no taxis: every taxi is
+/// then a candidate. Otherwise `taxi_grid` when given (it must be keyed by
+/// position in `taxis`, see the SpatialGrid span constructor), else a
+/// frame-local grid with clamp(τ_p / 2, 0.25, 8) km cells built into
+/// `local_grid`.
+const index::SpatialGrid* candidate_grid(std::span<const trace::Taxi> taxis,
+                                         double passenger_threshold_km,
+                                         const index::SpatialGrid* taxi_grid,
+                                         std::optional<index::SpatialGrid>& local_grid);
 
 /// Runs body(i) for every i in [0, count) — on the shared ThreadPool when
 /// `oracle` allows concurrent queries and the range is large enough to pay

@@ -1,6 +1,6 @@
 // Component-sharded stable dispatch.
 //
-// The sparse PreferenceProfile induces a bipartite graph over (requests,
+// A PreferenceProfile induces a bipartite graph over (requests,
 // taxis): every listed pair — on either side's candidate list — is an
 // edge. Deferred acceptance and Definition-1 stability only ever
 // propagate influence along listed pairs, and the dummy thresholds are

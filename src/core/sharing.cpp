@@ -1,7 +1,6 @@
 #include "core/sharing.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -148,19 +147,12 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
     solvers.emplace_back(std::move(riders), oracle);
   }
 
-  // Sparse candidate rows over (unit, taxi), plus the per-unit routes for
+  // Candidate rows over (unit, taxi), plus the per-unit routes for
   // kept candidates, aligned with the rows (ascending taxi index).
   const double passenger_threshold = params.preference.passenger_threshold_km;
-  const bool prune = params.preference.spatial_prune &&
-                     std::isfinite(passenger_threshold) && n_taxis > 0;
   std::optional<index::SpatialGrid> local_grid;
-  if (prune && taxi_grid == nullptr) {
-    const double cell_km = std::clamp(passenger_threshold / 2.0, 0.25, 8.0);
-    local_grid.emplace(taxis, cell_km);
-    taxi_grid = &*local_grid;
-  }
-  if (!prune) taxi_grid = nullptr;
-  if (taxi_grid != nullptr) O2O_EXPECTS(taxi_grid->size() == n_taxis);
+  const index::SpatialGrid* grid =
+      candidate_grid(taxis, passenger_threshold, taxi_grid, local_grid);
 
   std::vector<std::vector<PreferenceProfile::Candidate>> rows(n_units);
   std::vector<std::vector<std::pair<int, routing::Route>>> unit_routes(n_units);
@@ -172,12 +164,12 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
     // some member's oracle pick-up distance is within the passenger
     // threshold, and oracle distances dominate the straight-line metric
     // the grid filters on — so the union of the members' radius queries
-    // covers every taxi the dense scan would keep.
+    // covers every taxi a scan over the whole fleet would keep.
     std::vector<int> candidate_ids;
-    if (taxi_grid != nullptr) {
+    if (grid != nullptr) {
       for (std::size_t index : member_indices) {
         const std::vector<std::int32_t> nearby =
-            taxi_grid->within_radius(requests[index].pickup, passenger_threshold);
+            grid->within_radius(requests[index].pickup, passenger_threshold);
         candidate_ids.insert(candidate_ids.end(), nearby.begin(), nearby.end());
       }
       std::sort(candidate_ids.begin(), candidate_ids.end());

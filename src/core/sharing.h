@@ -112,10 +112,10 @@ SharingUnits pack_requests(std::span<const trace::Request> requests,
                            const geo::DistanceOracle& oracle, const SharingParams& params,
                            packing::GroupCache* group_cache = nullptr);
 
-/// Full Algorithm 3. With spatial pruning enabled and a finite passenger
-/// threshold, each unit's candidate taxis come from grid radius queries
-/// around its members' pick-ups; `taxi_grid`, when given, must be keyed
-/// by position in `taxis` (see the SpatialGrid span constructor).
+/// Full Algorithm 3. With a finite passenger threshold, each unit's
+/// candidate taxis come from grid radius queries around its members'
+/// pick-ups (see candidate_grid for `taxi_grid`); otherwise every taxi
+/// is a candidate.
 ///
 /// `request_warm_taxi` (optional; empty disables) carries per-request
 /// warm-start hints — requests.size() entries, each a taxi index into

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/obs.h"
 #include "util/contracts.h"
@@ -61,10 +62,19 @@ geo::Rect padded_point_bounds(std::span<const geo::Point> points, double pad_km)
     box.hi.x = std::max(box.hi.x, p.x);
     box.hi.y = std::max(box.hi.y, p.y);
   }
-  box.lo.x -= pad_km;
-  box.lo.y -= pad_km;
-  box.hi.x += pad_km;
-  box.hi.y += pad_km;
+  // Far from the origin a coordinate's ulp exceeds the pad, which is
+  // then absorbed; step one ulp outward instead so no side of the box
+  // ever has zero extent.
+  const auto widen = [pad_km](double& lo, double& hi) {
+    lo -= pad_km;
+    hi += pad_km;
+    if (!(lo < hi)) {
+      lo = std::nextafter(lo, -std::numeric_limits<double>::infinity());
+      hi = std::nextafter(hi, std::numeric_limits<double>::infinity());
+    }
+  };
+  widen(box.lo.x, box.hi.x);
+  widen(box.lo.y, box.hi.y);
   return box;
 }
 

@@ -35,7 +35,7 @@ namespace o2o::obs {
 /// whole dispatcher call and overlaps the others; the remaining stages
 /// are pairwise disjoint.
 enum class Stage : std::uint8_t {
-  kProfileBuild,      ///< preference profile construction (sparse or dense)
+  kProfileBuild,      ///< preference profile construction
   kComponentExtract,  ///< union-find pass over the candidate graph (sharded engine)
   kStableMatching,    ///< deferred-acceptance rounds (Algorithm 1 / mirror)
   kBreakDispatch,     ///< Algorithm 2 enumeration via BreakDispatch

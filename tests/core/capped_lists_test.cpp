@@ -6,6 +6,7 @@
 #include "core/sharing.h"
 #include "core/stable_matching.h"
 #include "tests/core/test_helpers.h"
+#include "tests/reference/profiles.h"
 #include "util/rng.h"
 
 namespace o2o::core {
@@ -180,12 +181,10 @@ TEST(CappedLists, HardCapComposesWithSpatialPruning) {
   pruned.grouping.detour_threshold_km = 0.1;
   pruned.candidate_taxis_per_unit = 2;
   pruned.preference.passenger_threshold_km = 2.0;
-  SharingParams dense = pruned;
-  dense.preference.spatial_prune = false;
   const SharingOutcome a =
       dispatch_sharing(instance.taxis, instance.requests, kEuclidean, pruned);
   const SharingOutcome b =
-      dispatch_sharing(instance.taxis, instance.requests, kEuclidean, dense);
+      reference::dense_dispatch_sharing(instance.taxis, instance.requests, kEuclidean, pruned);
   ASSERT_EQ(a.assignments.size(), 2u);
   EXPECT_TRUE(a.unserved_request_indices.empty());
   ASSERT_EQ(b.assignments.size(), a.assignments.size());

@@ -33,7 +33,6 @@ TEST(DispatchConfig, DefaultsMatchLegacyStructs) {
   EXPECT_EQ(stable.preference.taxi_threshold_score,
             legacy_stable.preference.taxi_threshold_score);
   EXPECT_EQ(stable.preference.list_cap, legacy_stable.preference.list_cap);
-  EXPECT_EQ(stable.preference.spatial_prune, legacy_stable.preference.spatial_prune);
   EXPECT_EQ(stable.side, legacy_stable.side);
 
   const core::SharingStableDispatcherOptions sharing = config.sharing_options();
@@ -58,7 +57,6 @@ TEST(DispatchConfig, FluentSettersReachEverySubStruct) {
                                     .with_passenger_threshold_km(7.5)
                                     .with_taxi_threshold_score(3.0)
                                     .with_list_cap(16)
-                                    .with_spatial_prune(false)
                                     .with_proposal_side(core::ProposalSide::kTaxis)
                                     .with_detour_threshold_km(4.0)
                                     .with_max_group_size(2)
@@ -78,7 +76,6 @@ TEST(DispatchConfig, FluentSettersReachEverySubStruct) {
   EXPECT_EQ(config.preference().passenger_threshold_km, 7.5);
   EXPECT_EQ(config.preference().taxi_threshold_score, 3.0);
   EXPECT_EQ(config.preference().list_cap, 16u);
-  EXPECT_FALSE(config.preference().spatial_prune);
   EXPECT_EQ(config.proposal_side(), core::ProposalSide::kTaxis);
   EXPECT_EQ(config.grouping().detour_threshold_km, 4.0);
   EXPECT_EQ(config.grouping().max_group_size, 2);

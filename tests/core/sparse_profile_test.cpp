@@ -1,9 +1,11 @@
-// Differential tests for the sparse, grid-pruned preference profile: on
-// the same instance, the sparse path (spatial_prune with a finite
-// passenger threshold) must reproduce the dense path's matchings exactly
-// — pairs beyond the passenger threshold can never match, and dropping
+// Differential tests for the grid-pruned preference profile: on the same
+// instance, build_nonsharing_profile and dispatch_sharing must reproduce
+// the dense all-pairs references in tests/reference/profiles exactly —
+// pairs beyond the passenger threshold can never match, and dropping
 // them preserves the relative order of every preference list.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 #include "core/all_stable.h"
@@ -12,6 +14,7 @@
 #include "geo/road_network.h"
 #include "index/spatial_grid.h"
 #include "tests/core/test_helpers.h"
+#include "tests/reference/profiles.h"
 #include "util/rng.h"
 
 namespace o2o::core {
@@ -28,12 +31,6 @@ PreferenceParams pruned_params() {
   return params;
 }
 
-PreferenceParams dense_params() {
-  PreferenceParams params = pruned_params();
-  params.spatial_prune = false;
-  return params;
-}
-
 /// Sorted set of matchings for order-insensitive comparison.
 std::vector<std::vector<int>> matching_set(const std::vector<Matching>& matchings) {
   std::vector<std::vector<int>> keys;
@@ -45,8 +42,6 @@ std::vector<std::vector<int>> matching_set(const std::vector<Matching>& matching
 
 void expect_equivalent_profiles(const PreferenceProfile& dense,
                                 const PreferenceProfile& sparse) {
-  ASSERT_FALSE(dense.sparse());
-  ASSERT_TRUE(sparse.sparse());
   ASSERT_EQ(dense.request_count(), sparse.request_count());
   ASSERT_EQ(dense.taxi_count(), sparse.taxi_count());
   for (std::size_t r = 0; r < dense.request_count(); ++r) {
@@ -75,8 +70,8 @@ TEST(SparseProfile, MatchesDenseMatchingsOnRandomInstances) {
     for (const geo::DistanceOracle* oracle :
          {static_cast<const geo::DistanceOracle*>(&kEuclidean),
           static_cast<const geo::DistanceOracle*>(&kManhattan)}) {
-      const auto dense = build_nonsharing_profile(instance.taxis, instance.requests,
-                                                  *oracle, dense_params());
+      const auto dense = reference::dense_nonsharing_profile(
+          instance.taxis, instance.requests, *oracle, pruned_params());
       const auto sparse = build_nonsharing_profile(instance.taxis, instance.requests,
                                                    *oracle, pruned_params());
       expect_equivalent_profiles(dense, sparse);
@@ -100,8 +95,8 @@ TEST(SparseProfile, ExplicitBulkGridMatchesLocalGrid) {
                                                     kEuclidean, pruned_params(), &grid);
     const auto without = build_nonsharing_profile(instance.taxis, instance.requests,
                                                   kEuclidean, pruned_params());
-    const auto dense = build_nonsharing_profile(instance.taxis, instance.requests,
-                                                kEuclidean, dense_params());
+    const auto dense = reference::dense_nonsharing_profile(instance.taxis, instance.requests,
+                                                           kEuclidean, pruned_params());
     expect_equivalent_profiles(dense, with_grid);
     for (std::size_t r = 0; r < with_grid.request_count(); ++r) {
       EXPECT_EQ(with_grid.request_list(r), without.request_list(r));
@@ -117,8 +112,8 @@ TEST(SparseProfile, EnumerationAgreesOnSmallInstances) {
   Rng rng(213);
   for (int trial = 0; trial < 8; ++trial) {
     const auto instance = random_instance(rng, 7, 5);
-    const auto dense = build_nonsharing_profile(instance.taxis, instance.requests,
-                                                kEuclidean, dense_params());
+    const auto dense = reference::dense_nonsharing_profile(instance.taxis, instance.requests,
+                                                           kEuclidean, pruned_params());
     const auto sparse = build_nonsharing_profile(instance.taxis, instance.requests,
                                                  kEuclidean, pruned_params());
     const AllStableResult dense_all = enumerate_all_stable(dense);
@@ -137,8 +132,8 @@ TEST(SparseProfile, NetworkOracleStillPrunesExactly) {
   // Road distances dominate the straight-line metric the grid filters on
   // (snap gaps plus a path no shorter than the chord), so pruning stays
   // exact under the network oracle too. Since the sharded-cache rebuild
-  // this oracle also allows concurrent queries, so dense and sparse both
-  // go through the (potentially parallel) row fan-out.
+  // this oracle also allows concurrent queries, so the pruned build goes
+  // through the (potentially parallel) row fan-out.
   const geo::RoadNetwork network =
       geo::RoadNetwork::make_grid_city(6, 6, 2.0, /*jitter_km=*/0.2,
                                        /*closure_fraction=*/0.1, /*seed=*/5);
@@ -149,10 +144,8 @@ TEST(SparseProfile, NetworkOracleStillPrunesExactly) {
     const auto instance = random_instance(rng, 8, 12);
     PreferenceParams pruned = pruned_params();
     pruned.passenger_threshold_km = 5.0;
-    PreferenceParams dense_p = pruned;
-    dense_p.spatial_prune = false;
     const auto dense =
-        build_nonsharing_profile(instance.taxis, instance.requests, oracle, dense_p);
+        reference::dense_nonsharing_profile(instance.taxis, instance.requests, oracle, pruned);
     const auto sparse =
         build_nonsharing_profile(instance.taxis, instance.requests, oracle, pruned);
     expect_equivalent_profiles(dense, sparse);
@@ -161,53 +154,23 @@ TEST(SparseProfile, NetworkOracleStillPrunesExactly) {
   }
 }
 
-/// Forwards every query to an inner oracle but reports concurrent queries
-/// unsafe, forcing for_each_row down the serial path. Lets the tests pin
-/// parallel-vs-serial equivalence on the same distance values.
-class SerialOnlyOracle final : public geo::DistanceOracle {
- public:
-  explicit SerialOnlyOracle(const geo::DistanceOracle& inner) : inner_(inner) {}
-  double distance(const geo::Point& a, const geo::Point& b) const override {
-    return inner_.distance(a, b);
-  }
-  std::vector<double> distances_from(const geo::Point& source,
-                                     std::span<const geo::Point> targets) const override {
-    return inner_.distances_from(source, targets);
-  }
-  std::vector<double> distances_to(std::span<const geo::Point> sources,
-                                   const geo::Point& target) const override {
-    return inner_.distances_to(sources, target);
-  }
-  geo::DistanceOracle::Capabilities capabilities() const noexcept override {
-    auto caps = inner_.capabilities();
-    caps.concurrent_queries = false;
-    return caps;
-  }
-
- private:
-  const geo::DistanceOracle& inner_;
-};
-
 TEST(SparseProfile, NetworkParallelBuildMatchesSerialDenseBuild) {
-  // The tentpole's acceptance bar: a large network-backed instance built
-  // sparse through the (parallel-eligible) fan-out must produce the same
-  // profile and matchings as the dense build forced down the serial path.
+  // A large network-backed instance built through the (parallel-eligible)
+  // fan-out must produce the same profile and matchings as the serial
+  // dense reference.
   const geo::RoadNetwork network =
       geo::RoadNetwork::make_grid_city(12, 12, 1.5, /*jitter_km=*/0.3,
                                        /*closure_fraction=*/0.15, /*seed=*/9);
   const geo::NetworkOracle oracle(network, /*cache_capacity=*/2048);
   ASSERT_TRUE(oracle.capabilities().concurrent_queries);
-  const SerialOnlyOracle serial(oracle);
 
   Rng rng(218);
   const auto instance = random_instance(rng, 64, 96);  // clears the serial cutoff
   PreferenceParams pruned = pruned_params();
   pruned.passenger_threshold_km = 6.0;
-  PreferenceParams dense_p = pruned;
-  dense_p.spatial_prune = false;
 
   const auto dense_serial =
-      build_nonsharing_profile(instance.taxis, instance.requests, serial, dense_p);
+      reference::dense_nonsharing_profile(instance.taxis, instance.requests, oracle, pruned);
   const auto sparse_parallel =
       build_nonsharing_profile(instance.taxis, instance.requests, oracle, pruned);
   expect_equivalent_profiles(dense_serial, sparse_parallel);
@@ -215,6 +178,60 @@ TEST(SparseProfile, NetworkParallelBuildMatchesSerialDenseBuild) {
             gale_shapley_requests(sparse_parallel).request_to_taxi);
   EXPECT_EQ(gale_shapley_taxis(dense_serial).request_to_taxi,
             gale_shapley_taxis(sparse_parallel).request_to_taxi);
+}
+
+TEST(SparseProfile, InfiniteThresholdMatchesDenseReference) {
+  // At tau_p = infinity no grid is built: every seat-feasible taxi is a
+  // candidate, so the profile must equal the dense reference on both
+  // sides — lists, ranks and bitwise scores — under every oracle.
+  const geo::RoadNetwork network =
+      geo::RoadNetwork::make_grid_city(6, 6, 2.0, /*jitter_km=*/0.2,
+                                       /*closure_fraction=*/0.1, /*seed=*/7);
+  const geo::NetworkOracle road(network);
+  Rng rng(219);
+  for (int trial = 0; trial < 4; ++trial) {
+    auto instance = random_instance(rng, 20, 24);
+    // Two-seat requests against one-seat taxis are past the dummy.
+    for (std::size_t t = 0; t < instance.taxis.size(); t += 3) instance.taxis[t].seats = 1;
+    for (std::size_t r = 0; r < instance.requests.size(); r += 4) {
+      instance.requests[r].seats = 2;
+    }
+    PreferenceParams params;
+    params.taxi_threshold_score = 2.0;
+    params.list_cap = trial % 2 == 0 ? 0 : 5;
+    for (const geo::DistanceOracle* oracle :
+         {static_cast<const geo::DistanceOracle*>(&kEuclidean),
+          static_cast<const geo::DistanceOracle*>(&kManhattan),
+          static_cast<const geo::DistanceOracle*>(&road)}) {
+      const auto dense = reference::dense_nonsharing_profile(
+          instance.taxis, instance.requests, *oracle, params);
+      const auto built =
+          build_nonsharing_profile(instance.taxis, instance.requests, *oracle, params);
+      ASSERT_EQ(dense.request_count(), built.request_count());
+      ASSERT_EQ(dense.taxi_count(), built.taxi_count());
+      for (std::size_t t = 0; t < dense.taxi_count(); ++t) {
+        EXPECT_EQ(dense.taxi_list(t), built.taxi_list(t)) << "taxi " << t;
+      }
+      for (std::size_t r = 0; r < dense.request_count(); ++r) {
+        EXPECT_EQ(dense.request_list(r), built.request_list(r)) << "request " << r;
+        for (std::size_t t = 0; t < dense.taxi_count(); ++t) {
+          EXPECT_EQ(dense.request_rank(r, t), built.request_rank(r, t));
+          EXPECT_EQ(dense.taxi_rank(t, r), built.taxi_rank(t, r));
+          EXPECT_EQ(dense.acceptable(r, t), built.acceptable(r, t));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(dense.passenger_score(r, t)),
+                    std::bit_cast<std::uint64_t>(built.passenger_score(r, t)));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(dense.taxi_score(t, r)),
+                    std::bit_cast<std::uint64_t>(built.taxi_score(t, r)));
+        }
+      }
+      EXPECT_EQ(gale_shapley_requests(dense).request_to_taxi,
+                gale_shapley_requests(built).request_to_taxi)
+          << "trial " << trial;
+      EXPECT_EQ(gale_shapley_taxis(dense).request_to_taxi,
+                gale_shapley_taxis(built).request_to_taxi)
+          << "trial " << trial;
+    }
+  }
 }
 
 TEST(SparseProfile, SharingDispatchAgreesWithDensePath) {
@@ -235,13 +252,10 @@ TEST(SparseProfile, SharingDispatchAgreesWithDensePath) {
     SharingParams pruned;
     pruned.preference.passenger_threshold_km = 4.0;
     pruned.grouping.detour_threshold_km = 3.0;
-    SharingParams dense = pruned;
-    dense.preference.spatial_prune = false;
     for (const ProposalSide side : {ProposalSide::kPassengers, ProposalSide::kTaxis}) {
       pruned.side = side;
-      dense.side = side;
       const auto a = dispatch_sharing(taxis, requests, kEuclidean, pruned);
-      const auto b = dispatch_sharing(taxis, requests, kEuclidean, dense);
+      const auto b = reference::dense_dispatch_sharing(taxis, requests, kEuclidean, pruned);
       EXPECT_EQ(a.unserved_request_indices, b.unserved_request_indices);
       ASSERT_EQ(a.assignments.size(), b.assignments.size());
       for (std::size_t i = 0; i < a.assignments.size(); ++i) {

@@ -347,6 +347,22 @@ TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
   EXPECT_LE(widest_grid.cell_count(), std::size_t{1} << 18);
   expect_exact_queries(widest_grid, {{0, widest[0]}, {1, widest[1]}, {2, widest[2]}},
                        {{0.0, 0.0}, {1.7e308, 0.0}, {-1.7e308, 1.0}});
+
+  // Far from the origin a coordinate's ulp exceeds the pad: a lone point
+  // or a column of equal coordinates must still get a box of positive
+  // extent.
+  for (const double far : {1e16, 1e18, 1.7e308}) {
+    const std::vector<geo::Point> single{{far, far}};
+    const SpatialGrid lone(std::span<const geo::Point>(single), 0.25);
+    EXPECT_LE(lone.cell_count(), std::size_t{1} << 18) << far;
+    expect_exact_queries(lone, {{0, single[0]}}, {{far, far}, {0.0, 0.0}, {far, 0.0}});
+
+    const std::vector<geo::Point> column{{far, 0.0}, {far, 5.0}, {far, far}};
+    const SpatialGrid equal_x(std::span<const geo::Point>(column), 0.25);
+    EXPECT_LE(equal_x.cell_count(), std::size_t{1} << 18) << far;
+    expect_exact_queries(equal_x, {{0, column[0]}, {1, column[1]}, {2, column[2]}},
+                         {{far, 0.0}, {far, 4.5}, {far, far}, {0.0, 0.0}});
+  }
 }
 
 TEST(SpatialGridDelta, CompactionAfterAFarMoveKeepsTheCellCountBounded) {

@@ -8,6 +8,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/dispatch_config.h"
@@ -252,28 +253,38 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
 
 TEST(StreamingSession, FarApartDriversStillGetAFrameResponse) {
   // Drivers 90,000 km apart once sized the idle grid by their distance
-  // (bad_alloc); the frame must be answered like any other.
-  api::FrameRequest request;
-  request.timestamp = 60.0;
-  api::Order order;
-  order.order_id = 1;
-  order.finish = {2.0, 2.0};
-  request.orders = {order};
+  // (bad_alloc), and a lone driver at 1e18 km once got an idle grid of
+  // zero extent (its ulp swallowed the pad); each frame must be answered
+  // like any other. At the default tau_p = infinity the lone driver is
+  // still an acceptable match.
   api::Driver near;
   near.driver_id = 7;
   near.location = {0.5, 0.5};
   api::Driver far = near;
   far.driver_id = 8;
   far.location = {90000.0, 90000.0};
-  request.drivers = {near, far};
-  for (const char* kind : {"nstd-p", "nstd-t", "std-p", "std-t"}) {
-    DispatchSession session(kind, DispatchConfig{}, kOracle);
-    std::string error;
-    const auto response = session.dispatch(request, &error);
-    ASSERT_TRUE(response.has_value()) << kind << ": " << error;
-    ASSERT_EQ(response->assignments.size(), 1u) << kind;
-    EXPECT_EQ(response->assignments[0].driver_id, 7) << kind;
-    EXPECT_EQ(response->assignments[0].order_ids, (std::vector<api::OrderId>{1})) << kind;
+  api::Driver farthest = near;
+  farthest.driver_id = 8;
+  farthest.location = {1e18, 1e18};
+  const std::vector<std::pair<std::vector<api::Driver>, api::DriverId>> inputs{
+      {{near, far}, 7}, {{farthest}, 8}};
+  for (const auto& [drivers, matched] : inputs) {
+    api::FrameRequest request;
+    request.timestamp = 60.0;
+    api::Order order;
+    order.order_id = 1;
+    order.finish = {2.0, 2.0};
+    request.orders = {order};
+    request.drivers = drivers;
+    for (const char* kind : {"nstd-p", "nstd-t", "std-p", "std-t"}) {
+      DispatchSession session(kind, DispatchConfig{}, kOracle);
+      std::string error;
+      const auto response = session.dispatch(request, &error);
+      ASSERT_TRUE(response.has_value()) << kind << ": " << error;
+      ASSERT_EQ(response->assignments.size(), 1u) << kind;
+      EXPECT_EQ(response->assignments[0].driver_id, matched) << kind;
+      EXPECT_EQ(response->assignments[0].order_ids, (std::vector<api::OrderId>{1})) << kind;
+    }
   }
 }
 
