@@ -1,14 +1,12 @@
 // Ablation: the distance substrate. The paper models the city as a
 // Euclidean surface; this bench re-runs the non-sharing comparison with
 // D(.,.) supplied by (a) straight-line distance, (b) a circuity-scaled
-// oracle (the standard 1.3x road-distance approximation), (c) true
-// shortest paths priced by cached Dijkstra trees, and (d) the same
-// shortest paths priced by a contraction hierarchy -- in cases (c) and
-// (d) the taxis also *drive* along the network's shortest paths, so
-// distances, travel times and metrics are all road-consistent. The
-// qualitative ordering of the algorithms should survive the change of
-// substrate, and the CH arm should reproduce the Dijkstra arm (same
-// metric, different engine) -- that is what this bench checks.
+// oracle (the standard 1.3x road-distance approximation) and (c) true
+// shortest paths priced by cached Dijkstra trees -- in case (c) the
+// taxis also *drive* along the network's shortest paths, so distances,
+// travel times and metrics are all road-consistent. The qualitative
+// ordering of the algorithms should survive the change of substrate --
+// that is what this bench checks.
 //
 //   ./build/bench/ablation_network [--graph=CITY.gr,CITY.co | --graph=CITY.osm]
 //
@@ -79,16 +77,6 @@ int main(int argc, char** argv) {
     circuity.circuity_factor = 1.3;
     arms.push_back({"circuity_1.3", geo::make_distance_oracle(circuity), false});
     arms.push_back({"road_dijkstra", geo::make_distance_oracle(road_source), true});
-    // The CH arm prices the identical graph through the contraction
-    // hierarchy: the adopted network is shared, so the hierarchy is
-    // built over bitwise the same edges the Dijkstra arm prices.
-    geo::DistanceBackendSpec ch = road_source;
-    ch.kind = geo::DistanceBackendKind::kContractionHierarchy;
-    ch.network = arms.back().backend.network;
-    ch.dimacs_gr.clear();
-    ch.dimacs_co.clear();
-    ch.osm_xml.clear();
-    arms.push_back({"road_ch", geo::make_distance_oracle(ch), true});
   } catch (const std::exception& error) {
     std::fprintf(stderr, "cannot resolve backend: %s\n", error.what());
     return 2;

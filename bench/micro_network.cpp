@@ -2,8 +2,8 @@
 //   * point-to-point shortest_path (bounded bidirectional Dijkstra) vs a
 //     full single-source tree per query;
 //   * oracle query throughput cold vs warm cache, and under concurrent
-//     callers for both NetworkOracle and CHOracle (the sharded cache and
-//     snap memo are the shared structures);
+//     callers (the sharded tree cache and snap memo are the shared
+//     structures);
 //   * per-row pricing pointwise vs the bulk distances_from/distances_to
 //     APIs;
 //   * network-backed 200 x 2k and 1k x 10k preference-profile
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/preferences.h"
-#include "geo/ch/ch_oracle.h"
 #include "geo/road_network.h"
 #include "util/rng.h"
 
@@ -123,8 +122,8 @@ BENCHMARK(BM_OracleQueriesWarmCache)->Unit(benchmark::kMicrosecond);
 
 // Shared oracle, per-thread query stream; ->Threads(k) races the shared
 // cache and snap memo from k callers. items/s is the comparable number.
-template <class Oracle>
-void run_concurrent_queries(benchmark::State& state, const Oracle& oracle) {
+void BM_ConcurrentQueries(benchmark::State& state) {
+  static const geo::NetworkOracle oracle(bench_city(), /*cache_capacity=*/4096);
   const std::vector<geo::Point> points =
       random_points(257, 31 + static_cast<std::uint64_t>(state.thread_index()));
   oracle.prepare_frame(points);
@@ -135,24 +134,7 @@ void run_concurrent_queries(benchmark::State& state, const Oracle& oracle) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-
-void BM_ConcurrentQueries(benchmark::State& state) {
-  static const geo::NetworkOracle oracle(bench_city(), /*cache_capacity=*/4096);
-  run_concurrent_queries(state, oracle);
-}
 BENCHMARK(BM_ConcurrentQueries)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConcurrentQueriesCH(benchmark::State& state) {
-  static const geo::CHOracle oracle(bench_city(), geo::ContractionHierarchy::build(bench_city()),
-                                    /*cache_capacity=*/4096);
-  run_concurrent_queries(state, oracle);
-}
-BENCHMARK(BM_ConcurrentQueriesCH)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -8,10 +8,9 @@
 //
 // `--backend=` selects the distance backend through the pluggable
 // factory grammar (see geo/backend.h): euclid (default), manhattan,
-// circuity[:F], dijkstra:CITY.gr,CITY.co, ch:CITY.gr,CITY.co[,HIER.o2och],
-// or the .osm variants. Network-backed runs price every leg on the
-// imported road graph, and exported traces carry the graph fingerprint /
-// CH artifact hash in their config snapshot.
+// circuity[:F], dijkstra:CITY.gr,CITY.co or dijkstra:CITY.osm.
+// Network-backed runs price every leg on the imported road graph, and
+// exported traces carry the graph fingerprint in their config snapshot.
 //
 // The trace flags run the headline stable dispatch with a TraceSink
 // attached and export the per-frame observability records (stage
@@ -179,7 +178,7 @@ int main(int argc, char** argv) {
       }
       // Wrapped form: the full DispatchConfig::describe() snapshot rides
       // along so archived traces carry their provenance, including the
-      // distance backend and its graph fingerprint / CH artifact hash.
+      // distance backend and its graph fingerprint.
       const DispatchConfig headline = tuned_config()
                                           .with_frame_seconds(60.0)
                                           .with_cancel_timeout_seconds(1800.0)

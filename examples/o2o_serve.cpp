@@ -6,10 +6,10 @@
 //
 // `--distance-backend=` picks the distance function through the pluggable
 // backend factory (geo/backend.h): euclid (default), manhattan,
-// circuity[:F], dijkstra:CITY.gr,CITY.co, ch:CITY.gr,CITY.co[,HIER.o2och],
-// or the .osm variants. `--print-config` echoes the resolved backend kind
-// plus its graph fingerprint and CH artifact hash, so a deployment's
-// distance function is auditable from the config snapshot alone.
+// circuity[:F], dijkstra:CITY.gr,CITY.co or dijkstra:CITY.osm.
+// `--print-config` echoes the resolved backend kind plus its graph
+// fingerprint, so a deployment's distance function is auditable from the
+// config snapshot alone.
 //
 // Modes (pick one):
 //   --stdio            serve ndjson frames on stdin/stdout (default)
@@ -443,7 +443,7 @@ int main(int argc, char** argv) {
   }
 
   // Resolve the distance backend up front: --print-config then reports
-  // the graph fingerprint / CH artifact hash the server would serve with.
+  // the graph fingerprint the server would serve with.
   geo::DistanceBackend backend;
   try {
     backend = geo::make_distance_oracle(backend_spec);

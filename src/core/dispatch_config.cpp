@@ -183,14 +183,12 @@ DispatchConfig& DispatchConfig::with_distance_backend(geo::DistanceBackendSpec s
   backend_ = std::move(spec);
   // The spec alone carries no resolved provenance.
   backend_graph_fingerprint_ = 0;
-  backend_ch_artifact_hash_ = 0;
   return *this;
 }
 
 DispatchConfig& DispatchConfig::with_distance_backend(const geo::DistanceBackend& backend) {
   backend_ = backend.spec;
   backend_graph_fingerprint_ = backend.graph_fingerprint;
-  backend_ch_artifact_hash_ = backend.ch_artifact_hash;
   return *this;
 }
 
@@ -269,6 +267,15 @@ std::vector<ConfigError> DispatchConfig::validate() const {
     fail(ConfigField::kTaxiSeats,
          "taxi_seats must be >= max_group_size (a group must fit one taxi)");
   }
+  // Orders carry at most taxi_seats seats each (the service rejects more),
+  // so a group's seat sum is at most max_group_size * taxi_seats; keep it
+  // inside int.
+  if (grouping.max_group_size >= 1 &&
+      params_.taxi_seats > std::numeric_limits<int>::max() / grouping.max_group_size) {
+    fail(ConfigField::kTaxiSeats,
+         "taxi_seats must be <= INT_MAX / max_group_size (a group's seat sum "
+         "must fit in int)");
+  }
   // 0 is the documented "uncapped" sentinel; a cap beyond any plausible
   // fleet is almost certainly a negative int cast to size_t (the old
   // doc's "-1 = all" folklore), which would silently behave as uncapped.
@@ -324,23 +331,17 @@ std::vector<ConfigError> DispatchConfig::validate() const {
     fail(ConfigField::kDistanceBackend,
          "distance backend circuity_factor must be finite and >= 1");
   }
-  if (backend_.kind == geo::DistanceBackendKind::kDijkstra ||
-      backend_.kind == geo::DistanceBackendKind::kContractionHierarchy) {
+  if (backend_.kind == geo::DistanceBackendKind::kDijkstra) {
     const bool dimacs_pair = !backend_.dimacs_gr.empty() && !backend_.dimacs_co.empty();
     const bool dimacs_any = !backend_.dimacs_gr.empty() || !backend_.dimacs_co.empty();
     const int sources = (backend_.network != nullptr ? 1 : 0) + (dimacs_any ? 1 : 0) +
                         (!backend_.osm_xml.empty() ? 1 : 0);
     if (sources != 1 || (dimacs_any && !dimacs_pair)) {
       fail(ConfigField::kDistanceBackend,
-           "a network-backed distance backend needs exactly one graph source: a "
+           "the dijkstra distance backend needs exactly one graph source: a "
            "programmatic network, a DIMACS .gr/.co pair (both paths), or an OSM "
            "XML extract");
     }
-  }
-  if (!backend_.ch_artifact.empty() &&
-      backend_.kind != geo::DistanceBackendKind::kContractionHierarchy) {
-    fail(ConfigField::kDistanceBackend,
-         "ch_artifact is only meaningful for the ch backend");
   }
   return errors;
 }
@@ -432,13 +433,12 @@ std::vector<std::pair<std::string, std::string>> DispatchConfig::describe() cons
   put("idle_grid_cell_km", describe_double(sim_.idle_grid_cell_km));
   put("road_network", sim_.road_network != nullptr ? "set" : "none");
 
-  // Distance backend. The fingerprint/artifact hash are only non-"none"
-  // after recording a *resolved* backend (the geo::DistanceBackend
-  // overload), which is what pins a deployment to its exact graph.
+  // Distance backend. The fingerprint is only non-"none" after recording
+  // a *resolved* backend (the geo::DistanceBackend overload), which is
+  // what pins a deployment to its exact graph.
   put("distance_backend", std::string(geo::distance_backend_name(backend_.kind)));
   put("distance_circuity_factor", describe_double(backend_.circuity_factor));
   put("distance_graph_fingerprint", describe_hash(backend_graph_fingerprint_));
-  put("ch_artifact_hash", describe_hash(backend_ch_artifact_hash_));
 
   // Observability.
   put("trace_enabled", describe_bool(trace_.enabled));

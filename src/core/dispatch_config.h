@@ -152,9 +152,8 @@ class DispatchConfig {
   /// / service as before.
   DispatchConfig& with_distance_backend(geo::DistanceBackendSpec spec);
   /// Overload recording a *resolved* backend: same spec, plus the graph
-  /// fingerprint and CH artifact hash, so describe() (and therefore
-  /// `o2o_serve --print-config` and the FrameTrace export) pins the run
-  /// to the exact graph and preprocessing artifact it used.
+  /// fingerprint, so describe() (and therefore `o2o_serve --print-config`
+  /// and the FrameTrace export) pins the run to the exact graph it used.
   DispatchConfig& with_distance_backend(const geo::DistanceBackend& backend);
 
   // --- observability ---------------------------------------------------
@@ -183,7 +182,6 @@ class DispatchConfig {
   std::uint64_t distance_graph_fingerprint() const noexcept {
     return backend_graph_fingerprint_;
   }
-  std::uint64_t ch_artifact_hash() const noexcept { return backend_ch_artifact_hash_; }
 
   /// Checks the whole bundle; empty result means valid. Never throws --
   /// CLIs print the errors, tests assert on the fields.
@@ -210,7 +208,6 @@ class DispatchConfig {
   bool road_mode_ = false;    ///< with_road_network was called (null ⇒ error)
   geo::DistanceBackendSpec backend_;
   std::uint64_t backend_graph_fingerprint_ = 0;  ///< set by the resolved overload
-  std::uint64_t backend_ch_artifact_hash_ = 0;
 };
 
 // Factories for the paper's four dispatchers. Each pins the proposal

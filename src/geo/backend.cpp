@@ -1,8 +1,6 @@
 #include "geo/backend.h"
 
 #include <fstream>
-#include <sstream>
-#include <utility>
 
 #include "geo/import/osm_xml.h"
 #include "util/contracts.h"
@@ -28,22 +26,14 @@ bool parse_sources(std::string_view sources, DistanceBackendSpec* spec) {
     rest = rest.substr(comma + 1);
   }
   if (parts.empty() || parts.front().empty()) return false;
-  std::size_t cursor = 0;
   if (ends_with(parts.front(), ".osm")) {
     spec->osm_xml = std::string(parts.front());
-    cursor = 1;
-  } else {
-    if (parts.size() < 2) return false;
-    spec->dimacs_gr = std::string(parts[0]);
-    spec->dimacs_co = std::string(parts[1]);
-    cursor = 2;
+    return parts.size() == 1;
   }
-  if (cursor < parts.size()) {
-    if (spec->kind != DistanceBackendKind::kContractionHierarchy) return false;
-    spec->ch_artifact = std::string(parts[cursor]);
-    ++cursor;
-  }
-  return cursor == parts.size();
+  if (parts.size() != 2) return false;
+  spec->dimacs_gr = std::string(parts[0]);
+  spec->dimacs_co = std::string(parts[1]);
+  return true;
 }
 
 /// write_dimacs stamps its `.co` output with this comment; files bearing
@@ -79,15 +69,6 @@ std::shared_ptr<const RoadNetwork> resolve_network(const DistanceBackendSpec& sp
       read_dimacs_files(spec.dimacs_gr, spec.dimacs_co, options));
 }
 
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h == 0 ? 1 : h;
-}
-
 }  // namespace
 
 std::string_view distance_backend_name(DistanceBackendKind kind) noexcept {
@@ -96,7 +77,6 @@ std::string_view distance_backend_name(DistanceBackendKind kind) noexcept {
     case DistanceBackendKind::kManhattan: return "manhattan";
     case DistanceBackendKind::kCircuity: return "circuity";
     case DistanceBackendKind::kDijkstra: return "dijkstra";
-    case DistanceBackendKind::kContractionHierarchy: return "ch";
   }
   return "unknown";
 }
@@ -127,9 +107,8 @@ bool parse_distance_backend(std::string_view text, DistanceBackendSpec* out) {
       }
       if (spec.circuity_factor < 1.0) return false;
     }
-  } else if (kind == "dijkstra" || kind == "ch") {
-    spec.kind = kind == "ch" ? DistanceBackendKind::kContractionHierarchy
-                             : DistanceBackendKind::kDijkstra;
+  } else if (kind == "dijkstra") {
+    spec.kind = DistanceBackendKind::kDijkstra;
     if (colon == std::string_view::npos || !parse_sources(argument, &spec)) return false;
   } else {
     return false;
@@ -158,37 +137,6 @@ DistanceBackend make_distance_oracle(const DistanceBackendSpec& spec) {
       backend.oracle = std::make_shared<const NetworkOracle>(
           *backend.network, spec.cache_capacity == 0 ? NetworkOracle::kAutoCapacity
                                                      : spec.cache_capacity);
-      return backend;
-    }
-    case DistanceBackendKind::kContractionHierarchy: {
-      backend.network = resolve_network(spec);
-      backend.graph_fingerprint = backend.network->fingerprint();
-      ContractionHierarchy ch = [&] {
-        if (!spec.ch_artifact.empty()) {
-          if (std::ifstream probe(spec.ch_artifact, std::ios::binary); probe.good()) {
-            try {
-              ContractionHierarchy loaded =
-                  ContractionHierarchy::load_file(spec.ch_artifact,
-                                                  backend.graph_fingerprint);
-              backend.ch_artifact_loaded = true;
-              return loaded;
-            } catch (const ContractViolation&) {
-              // Stale or corrupt artifact: fall through to a rebuild.
-            }
-          }
-        }
-        return ContractionHierarchy::build(*backend.network);
-      }();
-      if (!spec.ch_artifact.empty() && !backend.ch_artifact_loaded) {
-        // Best effort: an unwritable path still yields a working backend.
-        (void)ch.save_file(spec.ch_artifact);
-      }
-      std::ostringstream serialized;
-      ch.save(serialized);
-      backend.ch_artifact_hash = fnv1a(serialized.view());
-      backend.oracle = std::make_shared<const CHOracle>(
-          *backend.network, std::move(ch),
-          spec.cache_capacity == 0 ? CHOracle::kAutoCapacity : spec.cache_capacity);
       return backend;
     }
   }

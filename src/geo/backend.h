@@ -1,12 +1,11 @@
 // The pluggable distance-backend API: one declarative spec names the
-// distance function a run uses (metric surface, plain Dijkstra trees, or
-// a contraction hierarchy over an imported city graph), one factory
-// resolves it into a live oracle plus the provenance needed to audit the
-// run (graph fingerprint, CH artifact hash). Every entry point — the
-// examples, the benches, o2o_serve — constructs its oracle through
-// make_distance_oracle; constructing NetworkOracle/CHOracle by concrete
-// type is reserved for code that tests or benchmarks the engines
-// themselves.
+// distance function a run uses (a metric surface, or Dijkstra trees over
+// a programmatic or imported city graph), one factory resolves it into a
+// live oracle plus the provenance needed to audit the run (the graph
+// fingerprint). Every entry point — the examples, the benches, o2o_serve
+// — constructs its oracle through make_distance_oracle; constructing
+// NetworkOracle by concrete type is reserved for code that tests or
+// benchmarks the engine itself.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 #include <string>
 #include <string_view>
 
-#include "geo/ch/ch_oracle.h"
 #include "geo/distance_oracle.h"
 #include "geo/import/dimacs.h"
 #include "geo/road_network.h"
@@ -22,21 +20,20 @@
 namespace o2o::geo {
 
 enum class DistanceBackendKind : std::uint8_t {
-  kEuclidean,             ///< straight-line (the paper's surface)
-  kManhattan,             ///< rectilinear grid streets
-  kCircuity,              ///< Euclidean * circuity factor
-  kDijkstra,              ///< NetworkOracle: cached Dijkstra trees
-  kContractionHierarchy,  ///< CHOracle: preprocessed upward searches
+  kEuclidean,  ///< straight-line (the paper's surface)
+  kManhattan,  ///< rectilinear grid streets
+  kCircuity,   ///< Euclidean * circuity factor
+  kDijkstra,   ///< NetworkOracle: cached Dijkstra trees
 };
 
 /// Stable CLI/describe() name: "euclid", "manhattan", "circuity",
-/// "dijkstra", "ch".
+/// "dijkstra".
 std::string_view distance_backend_name(DistanceBackendKind kind) noexcept;
 
 /// Declarative description of a distance backend. Metric kinds need at
-/// most `circuity_factor`; the network-backed kinds (kDijkstra,
-/// kContractionHierarchy) need exactly one graph source: a programmatic
-/// `network`, a DIMACS `.gr`/`.co` pair, or an OSM XML extract.
+/// most `circuity_factor`; kDijkstra needs exactly one graph source: a
+/// programmatic `network`, a DIMACS `.gr`/`.co` pair, or an OSM XML
+/// extract.
 struct DistanceBackendSpec {
   DistanceBackendKind kind = DistanceBackendKind::kEuclidean;
 
@@ -60,21 +57,15 @@ struct DistanceBackendSpec {
 
   /// Oracle cache capacity; 0 = auto-size to the frame working set.
   std::size_t cache_capacity = 0;
-  /// kContractionHierarchy only: path of the `.o2och` artifact. When the
-  /// file exists and its fingerprint matches the graph it is loaded
-  /// (skipping preprocessing); otherwise the hierarchy is built and
-  /// saved there. Empty = always build in memory.
-  std::string ch_artifact;
 
   friend bool operator==(const DistanceBackendSpec&, const DistanceBackendSpec&) = default;
 };
 
-/// Parses the CLI grammar `kind[:source[,source2[,artifact]]]`:
+/// Parses the CLI grammar `kind[:source[,source2]]`:
 ///   euclid | euclidean
 ///   manhattan
 ///   circuity[:FACTOR]
 ///   dijkstra:GRAPH.gr,GRAPH.co | dijkstra:EXTRACT.osm
-///   ch:GRAPH.gr,GRAPH.co[,HIERARCHY.o2och] | ch:EXTRACT.osm[,HIERARCHY.o2och]
 /// (.osm is recognized by suffix). Returns false on an unknown kind or
 /// malformed source list, leaving *out untouched.
 bool parse_distance_backend(std::string_view text, DistanceBackendSpec* out);
@@ -89,16 +80,11 @@ struct DistanceBackend {
   std::shared_ptr<const RoadNetwork> network;  ///< null for metric kinds
   /// RoadNetwork::fingerprint() of the resolved graph; 0 for metric kinds.
   std::uint64_t graph_fingerprint = 0;
-  /// FNV-1a over the serialized hierarchy; 0 unless kind is CH.
-  std::uint64_t ch_artifact_hash = 0;
-  /// CH only: the artifact was loaded from disk (preprocessing skipped).
-  bool ch_artifact_loaded = false;
 };
 
-/// Resolves a spec: imports/adopts the graph, builds or loads the CH
-/// artifact, constructs the oracle. Invalid specs (missing source,
-/// circuity factor < 1, unreadable file) throw ContractViolation; a
-/// stale CH artifact (fingerprint mismatch) is rebuilt, not an error.
+/// Resolves a spec: imports/adopts the graph and constructs the oracle.
+/// Invalid specs (missing source, circuity factor < 1, unreadable file)
+/// throw ContractViolation.
 DistanceBackend make_distance_oracle(const DistanceBackendSpec& spec);
 
 }  // namespace o2o::geo

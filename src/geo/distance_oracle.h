@@ -24,8 +24,7 @@ namespace o2o::geo {
 /// searched on instead of calling distance() again, and the result must
 /// stay identical to route_length / rider_metrics. Every in-tree oracle
 /// keeps it (same formula on the metric oracles, same snap legs plus
-/// forward tree on NetworkOracle, same min-join on CHOracle), and a new
-/// backend must too. distances_to / distances_to_into promise less: on
+/// forward tree on NetworkOracle), and a new backend must too. distances_to / distances_to_into promise less: on
 /// NetworkOracle a reverse tree sums the same path in the opposite order,
 /// so entries equal distance() only up to summation order and must not
 /// feed values that are compared with pointwise prices.
@@ -84,9 +83,8 @@ class DistanceOracle {
 
   /// Frame-level hint: the given points (typically the frame's idle-taxi
   /// snapshot) are about to appear as endpoints of many queries. Default
-  /// no-op; the network-backed oracles warm their snap memos (and the CH
-  /// oracle its per-node search spaces) so per-query endpoint resolution
-  /// becomes a hash hit for the rest of the frame.
+  /// no-op; NetworkOracle warms its snap memo so per-query endpoint
+  /// resolution becomes a hash hit for the rest of the frame.
   virtual void prepare_frame(std::span<const Point> points) const { (void)points; }
 
   /// Static properties of an oracle, stated in one place. Consumers that
@@ -99,8 +97,8 @@ class DistanceOracle {
     bool concurrent_queries = true;
     /// D(a, b) == D(b, a) bitwise for every pair, letting bulk consumers
     /// (the share-group leg gather) serve a reverse row from the forward
-    /// one. Metric oracles are symmetric; the network-backed oracles are
-    /// not (one-way streets, directed snapping).
+    /// one. Metric oracles are symmetric; NetworkOracle is not (one-way
+    /// streets, directed snapping).
     bool symmetric_distances = true;
 
     friend bool operator==(const Capabilities&, const Capabilities&) = default;

@@ -401,7 +401,7 @@ std::uint64_t RoadNetwork::fingerprint() const {
       h = mix64(h ^ std::bit_cast<std::uint64_t>(edge.length_km));
     }
   }
-  // 0 means "don't pin" to ContractionHierarchy::load; never emit it.
+  // 0 is DistanceBackend::graph_fingerprint's "no graph"; never emit it.
   return h == 0 ? 1 : h;
 }
 
@@ -498,7 +498,7 @@ void NetworkOracle::distances_to_into(std::span<const Point> sources, const Poin
 }
 
 void NetworkOracle::prepare_frame(std::span<const Point> points) const {
-  snaps_.prepare_frame(points, [](NodeId) {});
+  snaps_.prepare_frame(points);
 }
 
 }  // namespace o2o::geo

@@ -114,8 +114,8 @@ class RoadNetwork {
   /// every directed edge (from, to, weight bits), chained through a
   /// 64-bit mixer. Two networks built by the same construction sequence
   /// hash equal; any divergence (a reordered import, a changed weight)
-  /// hashes different. Pins CH artifacts (.o2och) to the graph they were
-  /// preprocessed from. O(n + m), computed on demand; never 0.
+  /// hashes different. Records which graph a run priced on (the
+  /// distance-backend provenance). O(n + m), computed on demand; never 0.
   std::uint64_t fingerprint() const;
 
  private:

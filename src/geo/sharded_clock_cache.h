@@ -1,6 +1,5 @@
 // A sharded, bounded cache of immutable shared values with CLOCK
-// (second-chance) eviction: the Dijkstra-tree cache under NetworkOracle
-// and the search-space cache under CHOracle.
+// (second-chance) eviction: the Dijkstra-tree cache under NetworkOracle.
 #pragma once
 
 #include <algorithm>

@@ -52,6 +52,24 @@ std::size_t SnapMemo::KeyHash::operator()(const Key& k) const noexcept {
   return static_cast<std::size_t>(mix64(k.x_bits ^ mix64(k.y_bits)));
 }
 
+void SnapMemo::prepare_frame(std::span<const Point> points) const {
+  std::lock_guard lock(prepare_mutex_);
+  next_prepared_.clear();
+  std::size_t carried = 0;
+  for (const Point& p : points) {
+    const Key key = key_of(p);
+    const bool seen_last_frame = prepared_.contains(key);
+    next_prepared_.insert(key);
+    if (seen_last_frame) {
+      ++carried;
+      continue;
+    }
+    (void)snap(p);
+  }
+  prepared_.swap(next_prepared_);
+  last_prepare_carried_ = carried;
+}
+
 NodeId SnapMemo::snap(const Point& p) const {
   const Key key = key_of(p);
   const std::uint64_t hash = mix64(key.x_bits ^ mix64(key.y_bits));

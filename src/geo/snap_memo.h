@@ -1,4 +1,4 @@
-// Exact-key memo of RoadNetwork::nearest_node for the network oracles: a
+// Exact-key memo of RoadNetwork::nearest_node for NetworkOracle: a
 // small per-thread, direct-mapped front table in front of a sharded
 // exact-key memo, plus the frame-delta bookkeeping behind
 // DistanceOracle::prepare_frame.
@@ -47,28 +47,11 @@ class SnapMemo {
   /// network.nearest_node(p), memoised on the exact bits of `p`.
   NodeId snap(const Point& p) const;
 
-  /// Snaps each point the previous call did not see and passes its node
-  /// to `warm(NodeId)`; a point the previous call saw is skipped without
-  /// touching a shard lock, so a steady-state frame only pays for its
-  /// churn. Concurrent calls serialise on an internal mutex.
-  template <class Warm>
-  void prepare_frame(std::span<const Point> points, Warm&& warm) const {
-    std::lock_guard lock(prepare_mutex_);
-    next_prepared_.clear();
-    std::size_t carried = 0;
-    for (const Point& p : points) {
-      const Key key = key_of(p);
-      const bool seen_last_frame = prepared_.contains(key);
-      next_prepared_.insert(key);
-      if (seen_last_frame) {
-        ++carried;
-        continue;
-      }
-      warm(snap(p));
-    }
-    prepared_.swap(next_prepared_);
-    last_prepare_carried_ = carried;
-  }
+  /// Snaps each point the previous call did not see; a point the previous
+  /// call saw is skipped without touching a shard lock, so a steady-state
+  /// frame only pays for its churn. Concurrent calls serialise on an
+  /// internal mutex.
+  void prepare_frame(std::span<const Point> points) const;
 
   /// Points skipped by the last prepare_frame because the previous call
   /// already warmed them (test/bench probe).

@@ -227,54 +227,6 @@ std::optional<geo::Point> SpatialGrid::position(std::int32_t id) const {
   return it->second;
 }
 
-std::optional<std::int32_t> SpatialGrid::nearest(
-    const geo::Point& p, const std::function<bool(std::int32_t)>& accept) const {
-  const auto best = k_nearest(p, 1, accept);
-  if (best.empty()) return std::nullopt;
-  return best.front();
-}
-
-std::vector<std::int32_t> SpatialGrid::k_nearest(
-    const geo::Point& p, std::size_t k,
-    const std::function<bool(std::int32_t)>& accept) const {
-  std::vector<std::pair<double, std::int32_t>> found;  // (squared distance, id)
-  if (k == 0 || positions_.empty()) return {};
-  const int cx = cell_coord(p.x - bounds_.lo.x, cell_km_, cols_);
-  const int cy = cell_coord(p.y - bounds_.lo.y, cell_km_, rows_);
-  const int max_ring = std::max(cols_, rows_);
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    // Once we hold k candidates, a further ring can only help if its
-    // guaranteed minimum distance beats our current k-th best.
-    if (found.size() >= k) {
-      std::nth_element(found.begin(), found.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                       found.end());
-      const double kth_sq = found[k - 1].first;
-      const double safe = (static_cast<double>(ring) - 1.0) * cell_km_;
-      if (safe > 0.0 && safe * safe >= kth_sq) break;
-    }
-    for (int dy = -ring; dy <= ring; ++dy) {
-      for (int dx = -ring; dx <= ring; ++dx) {
-        if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
-        const int x = cx + dx;
-        const int y = cy + dy;
-        if (x < 0 || x >= cols_ || y < 0 || y >= rows_) continue;
-        for (const CellEntry& e :
-             cells_[static_cast<std::size_t>(y) * static_cast<std::size_t>(cols_) +
-                    static_cast<std::size_t>(x)]) {
-          if (accept && !accept(e.id)) continue;
-          found.emplace_back(geo::squared_distance(p, e.position), e.id);
-        }
-      }
-    }
-  }
-  std::sort(found.begin(), found.end());
-  if (found.size() > k) found.resize(k);
-  std::vector<std::int32_t> ids;
-  ids.reserve(found.size());
-  for (const auto& [d, id] : found) ids.push_back(id);
-  return ids;
-}
-
 std::vector<std::int32_t> SpatialGrid::within_radius(const geo::Point& p,
                                                      double radius_km) const {
   std::vector<std::int32_t> ids;

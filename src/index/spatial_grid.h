@@ -1,12 +1,12 @@
-// Uniform spatial grid over integer-keyed moving objects (taxis). Backs
-// the Greedy baseline's nearest-idle-taxi query, preference-list capping,
-// and the RAII baseline's spatio-temporal retrieval. However far apart
-// the points are, the grid holds at most max(2^18, 4 × points) cells:
-// the cell widens until the count fits.
+// Uniform spatial grid over integer-keyed moving objects (taxis, request
+// pick-ups). Its one query is the radius query: it draws a preference
+// build's candidate taxis, the share-group enumerator's candidate pairs
+// and the RAII baseline's search area. However far apart the points are,
+// the grid holds at most max(2^18, 4 × points) cells: the cell widens
+// until the count fits.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -71,17 +71,6 @@ class SpatialGrid {
   /// compaction), however far apart the objects are.
   std::size_t cell_count() const noexcept { return cells_.size(); }
   std::optional<geo::Point> position(std::int32_t id) const;
-
-  /// Nearest object to `p` accepted by `accept` (straight-line metric,
-  /// ring search). Returns nullopt when no accepted object exists.
-  std::optional<std::int32_t> nearest(
-      const geo::Point& p,
-      const std::function<bool(std::int32_t)>& accept = nullptr) const;
-
-  /// Up to `k` nearest accepted objects, sorted by distance.
-  std::vector<std::int32_t> k_nearest(
-      const geo::Point& p, std::size_t k,
-      const std::function<bool(std::int32_t)>& accept = nullptr) const;
 
   /// All objects within `radius_km` of `p` (unsorted).
   std::vector<std::int32_t> within_radius(const geo::Point& p, double radius_km) const;

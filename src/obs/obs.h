@@ -61,8 +61,8 @@ enum class Counter : std::uint8_t {
   kGridCandidates,       ///< taxis returned by grid radius queries
   kGridCandidatesPruned, ///< taxis the grid query skipped vs. a dense scan
   kPreferencePairs,      ///< scored (request, taxi) pairs kept in profiles
-  kOracleTreeHits,       ///< tree (CH: search-space) cache hits
-  kOracleTreeMisses,     ///< tree (CH: search-space) cache misses
+  kOracleTreeHits,       ///< NetworkOracle Dijkstra-tree cache hits
+  kOracleTreeMisses,     ///< NetworkOracle Dijkstra-tree cache misses
   kSnapHits,             ///< snap-memo hits, per-thread front or shared tier
   kSnapMisses,           ///< snap-memo misses (a nearest-node search ran)
   kPairCandidates,       ///< share-pair candidates surviving the grid prefilter

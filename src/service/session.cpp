@@ -116,10 +116,14 @@ bool DispatchSession::validate(const api::FrameRequest& request, std::string* er
   if (dup != ids.end()) {
     return reject("duplicate driver_id " + std::to_string(*dup) + " in frame");
   }
+  // An order larger than a taxi can never be served, and the seat caps
+  // keep every group's seat sum inside int (DispatchConfig::validate).
+  const int taxi_seats = config_.sharing_params().taxi_seats;
   for (const api::Order& order : request.orders) {
-    if (order.seats < 1) {
+    if (order.seats < 1 || order.seats > taxi_seats) {
       return reject("invalid seats " + std::to_string(order.seats) + " on order_id " +
-                    std::to_string(order.order_id) + ": must be >= 1");
+                    std::to_string(order.order_id) + ": must be within [1, taxi_seats = " +
+                    std::to_string(taxi_seats) + "]");
     }
   }
   for (const api::Driver& driver : request.drivers) {

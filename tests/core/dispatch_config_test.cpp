@@ -135,6 +135,23 @@ TEST(DispatchConfig, ValidateCrossFieldRules) {
   EXPECT_TRUE(has_error(
       DispatchConfig{}.with_taxi_seats(2).with_max_group_size(3).validate(),
       ConfigField::kTaxiSeats));
+  // A group's seat sum (at most max_group_size orders of at most
+  // taxi_seats seats each) must fit in int.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  for (const int size : {2, 3}) {
+    EXPECT_TRUE(DispatchConfig{}
+                    .with_taxi_seats(kIntMax / size)
+                    .with_max_group_size(size)
+                    .validate()
+                    .empty())
+        << size;
+    EXPECT_TRUE(has_error(
+        DispatchConfig{}.with_taxi_seats(kIntMax / size + 1).with_max_group_size(size).validate(),
+        ConfigField::kTaxiSeats))
+        << size;
+  }
+  EXPECT_TRUE(has_error(DispatchConfig{}.with_taxi_seats(kIntMax).validate(),
+                        ConfigField::kTaxiSeats));
   EXPECT_TRUE(has_error(DispatchConfig{}
                             .with_packing_solver(core::PackingSolver::kExact)
                             .with_exact_max_sets(0)

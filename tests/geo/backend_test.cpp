@@ -1,13 +1,10 @@
 // The pluggable distance-backend API: CLI grammar parsing, factory
-// resolution for every kind (including CH artifact build/load/stale
-// rebuild), and the DispatchConfig integration (validate rules, the
-// describe() provenance keys).
+// resolution for every kind, and the DispatchConfig integration (validate
+// rules, the describe() provenance keys).
 #include "geo/backend.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "core/dispatch_config.h"
@@ -64,17 +61,9 @@ TEST(ParseDistanceBackend, AcceptsTheGrammar) {
   EXPECT_EQ(spec.kind, DistanceBackendKind::kDijkstra);
   EXPECT_EQ(spec.dimacs_gr, "city.gr");
   EXPECT_EQ(spec.dimacs_co, "city.co");
-  EXPECT_TRUE(spec.ch_artifact.empty());
 
   ASSERT_TRUE(parse_distance_backend("dijkstra:extract.osm", &spec));
   EXPECT_EQ(spec.osm_xml, "extract.osm");
-
-  ASSERT_TRUE(parse_distance_backend("ch:city.gr,city.co,city.o2och", &spec));
-  EXPECT_EQ(spec.kind, DistanceBackendKind::kContractionHierarchy);
-  EXPECT_EQ(spec.ch_artifact, "city.o2och");
-  ASSERT_TRUE(parse_distance_backend("ch:extract.osm,hier.o2och", &spec));
-  EXPECT_EQ(spec.osm_xml, "extract.osm");
-  EXPECT_EQ(spec.ch_artifact, "hier.o2och");
 }
 
 TEST(ParseDistanceBackend, RejectsMalformedSpecs) {
@@ -86,8 +75,14 @@ TEST(ParseDistanceBackend, RejectsMalformedSpecs) {
   EXPECT_FALSE(parse_distance_backend("circuity:fast", &spec));
   EXPECT_FALSE(parse_distance_backend("dijkstra", &spec));
   EXPECT_FALSE(parse_distance_backend("dijkstra:only.gr", &spec));
-  EXPECT_FALSE(parse_distance_backend("dijkstra:a.gr,b.co,c.o2och", &spec));
+  EXPECT_FALSE(parse_distance_backend("dijkstra:a.gr,b.co,c.extra", &spec));
+  EXPECT_FALSE(parse_distance_backend("dijkstra:extract.osm,b.co", &spec));
+  // `ch` is not a backend kind, whatever its sources.
+  EXPECT_FALSE(parse_distance_backend("ch", &spec));
   EXPECT_FALSE(parse_distance_backend("ch:", &spec));
+  EXPECT_FALSE(parse_distance_backend("ch:city.gr,city.co", &spec));
+  EXPECT_FALSE(parse_distance_backend("ch:city.gr,city.co,city.hier", &spec));
+  EXPECT_FALSE(parse_distance_backend("ch:extract.osm", &spec));
   EXPECT_EQ(spec.kind, DistanceBackendKind::kManhattan);
 }
 
@@ -143,55 +138,6 @@ TEST(MakeDistanceOracle, DijkstraFromExportedDimacsAutoDetects) {
   EXPECT_EQ(backend.oracle->distance(a, b), reference.distance(a, b));
 }
 
-TEST(MakeDistanceOracle, ChBuildsSavesAndReloadsTheArtifact) {
-  auto network = std::make_shared<const RoadNetwork>(small_city(11));
-  const std::string artifact = testing::TempDir() + "/backend_city.o2och";
-  std::remove(artifact.c_str());
-
-  DistanceBackendSpec spec;
-  spec.kind = DistanceBackendKind::kContractionHierarchy;
-  spec.network = network;
-  spec.ch_artifact = artifact;
-
-  const DistanceBackend first = make_distance_oracle(spec);
-  EXPECT_FALSE(first.ch_artifact_loaded);  // cold: built and saved
-  EXPECT_NE(first.ch_artifact_hash, 0u);
-  EXPECT_TRUE(std::ifstream(artifact, std::ios::binary).good());
-
-  const DistanceBackend second = make_distance_oracle(spec);
-  EXPECT_TRUE(second.ch_artifact_loaded);  // warm: loaded, not rebuilt
-  EXPECT_EQ(second.ch_artifact_hash, first.ch_artifact_hash);
-
-  const NetworkOracle reference(*network);
-  const Point a{0.4, 2.2};
-  const Point b{6.8, 4.9};
-  EXPECT_EQ(first.oracle->distance(a, b), reference.distance(a, b));
-  EXPECT_EQ(second.oracle->distance(a, b), first.oracle->distance(a, b));
-}
-
-TEST(MakeDistanceOracle, ChRebuildsAStaleArtifact) {
-  auto old_city = std::make_shared<const RoadNetwork>(small_city(13));
-  auto new_city = std::make_shared<const RoadNetwork>(small_city(17));
-  const std::string artifact = testing::TempDir() + "/backend_stale.o2och";
-
-  DistanceBackendSpec spec;
-  spec.kind = DistanceBackendKind::kContractionHierarchy;
-  spec.network = old_city;
-  spec.ch_artifact = artifact;
-  const DistanceBackend old_backend = make_distance_oracle(spec);
-  EXPECT_FALSE(old_backend.ch_artifact_loaded);
-
-  // Same artifact path, different graph: the stale file is rebuilt, and
-  // the refreshed artifact then serves the new graph.
-  spec.network = new_city;
-  const DistanceBackend rebuilt = make_distance_oracle(spec);
-  EXPECT_FALSE(rebuilt.ch_artifact_loaded);
-  EXPECT_NE(rebuilt.ch_artifact_hash, old_backend.ch_artifact_hash);
-  const DistanceBackend reloaded = make_distance_oracle(spec);
-  EXPECT_TRUE(reloaded.ch_artifact_loaded);
-  EXPECT_EQ(reloaded.ch_artifact_hash, rebuilt.ch_artifact_hash);
-}
-
 TEST(MakeDistanceOracle, RejectsAmbiguousOrMissingSources) {
   DistanceBackendSpec spec;
   spec.kind = DistanceBackendKind::kDijkstra;
@@ -206,7 +152,7 @@ TEST(MakeDistanceOracle, RejectsAmbiguousOrMissingSources) {
 TEST(DispatchConfigBackend, DescribeCarriesProvenance) {
   auto network = std::make_shared<const RoadNetwork>(small_city(19));
   DistanceBackendSpec spec;
-  spec.kind = DistanceBackendKind::kContractionHierarchy;
+  spec.kind = DistanceBackendKind::kDijkstra;
   spec.network = network;
   const DistanceBackend backend = make_distance_oracle(spec);
 
@@ -214,20 +160,16 @@ TEST(DispatchConfigBackend, DescribeCarriesProvenance) {
   config.with_distance_backend(backend);
   EXPECT_TRUE(config.validate().empty());
   EXPECT_EQ(config.distance_graph_fingerprint(), network->fingerprint());
-  EXPECT_NE(config.ch_artifact_hash(), 0u);
 
   std::string kind_value;
   std::string fingerprint_value;
-  std::string artifact_value;
   for (const auto& [key, value] : config.describe()) {
     if (key == "distance_backend") kind_value = value;
     if (key == "distance_graph_fingerprint") fingerprint_value = value;
-    if (key == "ch_artifact_hash") artifact_value = value;
   }
-  EXPECT_EQ(kind_value, "ch");
+  EXPECT_EQ(kind_value, "dijkstra");
   EXPECT_EQ(fingerprint_value.size(), 16u);  // %016llx
   EXPECT_NE(fingerprint_value, "none");
-  EXPECT_NE(artifact_value, "none");
 }
 
 TEST(DispatchConfigBackend, SpecAloneDescribesAsUnresolved) {
@@ -256,19 +198,13 @@ TEST(DispatchConfigBackend, ValidateRejectsBadSpecs) {
   EXPECT_TRUE(has_backend_error(DispatchConfig{}.with_distance_backend(bad_circuity)));
 
   DistanceBackendSpec no_source;
-  no_source.kind = DistanceBackendKind::kContractionHierarchy;
+  no_source.kind = DistanceBackendKind::kDijkstra;
   EXPECT_TRUE(has_backend_error(DispatchConfig{}.with_distance_backend(no_source)));
 
   DistanceBackendSpec half_pair;
   half_pair.kind = DistanceBackendKind::kDijkstra;
   half_pair.dimacs_gr = "only.gr";
   EXPECT_TRUE(has_backend_error(DispatchConfig{}.with_distance_backend(half_pair)));
-
-  DistanceBackendSpec misplaced_artifact;
-  misplaced_artifact.kind = DistanceBackendKind::kEuclidean;
-  misplaced_artifact.ch_artifact = "hier.o2och";
-  EXPECT_TRUE(
-      has_backend_error(DispatchConfig{}.with_distance_backend(misplaced_artifact)));
 
   DistanceBackendSpec good;
   good.kind = DistanceBackendKind::kDijkstra;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <string>
 
-#include "geo/ch/ch_oracle.h"
 #include "geo/road_network.h"
 #include "tests/geo/test_networks.h"
 #include "util/contracts.h"
@@ -92,7 +91,7 @@ TEST_P(OracleAxioms, DefaultBulkQueriesMatchPointwise) {
 /// The row contract route pricing rests on (DistanceOracle's class
 /// comment): every distances_from / distances_from_into entry equals
 /// distance() bit for bit, on every in-tree oracle — metric surfaces and
-/// both road backends, on integer- and float-weight graphs.
+/// NetworkOracle on integer- and float-weight graphs.
 class OracleRowContract : public ::testing::TestWithParam<std::string> {
  protected:
   static const DistanceOracle& oracle(const std::string& kind) {
@@ -105,15 +104,11 @@ class OracleRowContract : public ::testing::TestWithParam<std::string> {
     static const CircuityOracle circuity{1.3};
     static const NetworkOracle network_integer(integer_city);
     static const NetworkOracle network_float(float_city);
-    static const CHOracle ch_integer(integer_city, ContractionHierarchy::build(integer_city));
-    static const CHOracle ch_float(float_city, ContractionHierarchy::build(float_city));
     if (kind == "euclidean") return euclidean;
     if (kind == "manhattan") return manhattan;
     if (kind == "circuity") return circuity;
     if (kind == "network_integer") return network_integer;
-    if (kind == "network_float") return network_float;
-    if (kind == "ch_integer") return ch_integer;
-    return ch_float;
+    return network_float;
   }
 };
 
@@ -123,7 +118,7 @@ TEST_P(OracleRowContract, DistancesFromEqualsPointwiseBitwise) {
   const DistanceOracle& subject = oracle(GetParam());
   std::vector<Point> points = fixtures::random_points(48, 79, 9.0);
   // Repeated points and near-twins that snap to one node exercise the
-  // same-node (straight-line) branch of the network oracles.
+  // same-node (straight-line) branch of NetworkOracle.
   points.push_back(points[3]);
   points.push_back(Point{points[5].x + 1e-4, points[5].y - 1e-4});
   std::vector<double> into(points.size());
@@ -141,8 +136,7 @@ TEST_P(OracleRowContract, DistancesFromEqualsPointwiseBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(InTreeOracles, OracleRowContract,
                          ::testing::Values("euclidean", "manhattan", "circuity",
-                                           "network_integer", "network_float", "ch_integer",
-                                           "ch_float"),
+                                           "network_integer", "network_float"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

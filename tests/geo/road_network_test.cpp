@@ -393,9 +393,22 @@ TEST(NetworkOracle, PrepareFrameKeepsAnswersIdentical) {
     frame.push_back({rng.uniform(0, 5), rng.uniform(0, 5)});
   }
   warmed.prepare_frame(frame);
+  EXPECT_EQ(warmed.last_prepare_carried(), 0u);
   for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
     EXPECT_DOUBLE_EQ(warmed.distance(frame[i], frame[i + 1]),
                      cold.distance(frame[i], frame[i + 1]));
+  }
+  // Identical frame: every point carries over, nothing is re-snapped.
+  warmed.prepare_frame(frame);
+  EXPECT_EQ(warmed.last_prepare_carried(), frame.size());
+  // Half-churned frame: exactly the surviving half carries.
+  std::vector<Point> churned(frame.begin(), frame.begin() + 20);
+  for (int i = 0; i < 20; ++i) churned.push_back({rng.uniform(0, 5), rng.uniform(0, 5)});
+  warmed.prepare_frame(churned);
+  EXPECT_EQ(warmed.last_prepare_carried(), 20u);
+  for (std::size_t i = 0; i + 1 < churned.size(); ++i) {
+    EXPECT_DOUBLE_EQ(warmed.distance(churned[i], churned[i + 1]),
+                     cold.distance(churned[i], churned[i + 1]));
   }
 }
 

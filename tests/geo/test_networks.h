@@ -14,8 +14,8 @@
 namespace o2o::geo::fixtures {
 
 /// Grid city with *integer* edge lengths: every edge weight drawn from
-/// {1..5} km. Integer weights sum exactly in doubles, which is what the
-/// bitwise CHOracle == NetworkOracle assertions rely on.
+/// {1..5} km. Integer weights sum exactly in doubles, so every summation
+/// order of a path gives the same bits.
 inline RoadNetwork integer_grid(int cols, int rows, std::uint64_t seed) {
   Rng rng(seed);
   RoadNetwork network;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -15,6 +14,25 @@ namespace o2o::index {
 namespace {
 
 geo::Rect bounds() { return geo::Rect{{0, 0}, {20, 20}}; }
+
+/// Every query answer checked against a scan of `objects`; radii stay
+/// below 1e154 so the squared-distance test cannot overflow.
+void expect_exact_queries(const SpatialGrid& grid,
+                          const std::vector<std::pair<std::int32_t, geo::Point>>& objects,
+                          const std::vector<geo::Point>& queries) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const geo::Point& q : queries) {
+    for (const double radius : {0.0, 1.0, 500.0, 2e5, kInf}) {
+      auto found = grid.within_radius(q, radius);
+      std::sort(found.begin(), found.end());
+      std::vector<std::int32_t> expected;
+      for (const auto& [id, pos] : objects) {
+        if (geo::euclidean_distance(q, pos) <= radius) expected.push_back(id);
+      }
+      EXPECT_EQ(found, expected) << q.x << "," << q.y << " r=" << radius;
+    }
+  }
+}
 
 TEST(SpatialGrid, InsertLookupRemove) {
   SpatialGrid grid(bounds(), 1.0);
@@ -39,44 +57,16 @@ TEST(SpatialGrid, UpsertMovesAcrossCells) {
   grid.upsert(7, {1, 1});
   grid.upsert(7, {18, 18});
   EXPECT_EQ(grid.size(), 1u);
-  const auto found = grid.nearest({19, 19});
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, 7);
+  EXPECT_EQ(grid.within_radius({19, 19}, 2.0), (std::vector<std::int32_t>{7}));
   EXPECT_TRUE(grid.within_radius({1, 1}, 2.0).empty());
-}
-
-TEST(SpatialGrid, NearestOnEmptyIsNull) {
-  SpatialGrid grid(bounds(), 1.0);
-  EXPECT_FALSE(grid.nearest({3, 3}).has_value());
-}
-
-TEST(SpatialGrid, NearestHonoursAcceptFilter) {
-  SpatialGrid grid(bounds(), 1.0);
-  grid.upsert(1, {5, 5});
-  grid.upsert(2, {10, 10});
-  const auto found =
-      grid.nearest({5, 5}, [](std::int32_t id) { return id != 1; });
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, 2);
 }
 
 TEST(SpatialGrid, ObjectsOutsideBoundsAreStillFindable) {
   SpatialGrid grid(bounds(), 1.0);
   grid.upsert(9, {-50, -50});  // clamped into an edge cell
-  const auto found = grid.nearest({0, 0});
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, 9);
-}
-
-TEST(SpatialGrid, KNearestIsSortedByDistance) {
-  SpatialGrid grid(bounds(), 1.0);
-  grid.upsert(1, {1, 0});
-  grid.upsert(2, {4, 0});
-  grid.upsert(3, {2, 0});
-  const auto three = grid.k_nearest({0, 0}, 3);
-  EXPECT_EQ(three, (std::vector<std::int32_t>{1, 3, 2}));
-  const auto two = grid.k_nearest({0, 0}, 2);
-  EXPECT_EQ(two, (std::vector<std::int32_t>{1, 3}));
+  grid.upsert(4, {3, 3});
+  expect_exact_queries(grid, {{4, {3, 3}}, {9, {-50, -50}}},
+                       {{0, 0}, {3, 3}, {-50, -50}, {-49.5, -49.5}, {20, 20}});
 }
 
 TEST(SpatialGrid, WithinRadiusBoundary) {
@@ -100,33 +90,6 @@ TEST_P(SpatialGridRandom, MatchesBruteForceQueries) {
   }
   for (int q = 0; q < 50; ++q) {
     const geo::Point p{rng.uniform(-2, 22), rng.uniform(-2, 22)};
-
-    // nearest
-    const auto fast = grid.nearest(p);
-    auto slow = std::min_element(objects.begin(), objects.end(),
-                                 [&](const auto& a, const auto& b) {
-                                   return geo::squared_distance(p, a.second) <
-                                          geo::squared_distance(p, b.second);
-                                 });
-    ASSERT_TRUE(fast.has_value());
-    EXPECT_DOUBLE_EQ(geo::squared_distance(p, grid.position(*fast).value()),
-                     geo::squared_distance(p, slow->second));
-
-    // k-nearest distances
-    const std::size_t k = 1 + q % 7;
-    const auto k_fast = grid.k_nearest(p, k);
-    std::vector<double> expected;
-    for (const auto& [id, pos] : objects) {
-      expected.push_back(geo::squared_distance(p, pos));
-    }
-    std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(k_fast.size(), std::min(k, objects.size()));
-    for (std::size_t i = 0; i < k_fast.size(); ++i) {
-      EXPECT_NEAR(geo::squared_distance(p, grid.position(k_fast[i]).value()),
-                  expected[i], 1e-9);
-    }
-
-    // radius
     const double radius = rng.uniform(0.5, 8.0);
     auto in_radius = grid.within_radius(p, radius);
     std::sort(in_radius.begin(), in_radius.end());
@@ -188,7 +151,6 @@ TEST(SpatialGridBulk, EmptySpanYieldsAValidEmptyGrid) {
   const std::vector<trace::Taxi> none;
   const SpatialGrid grid(std::span<const trace::Taxi>(none), 2.0);
   EXPECT_EQ(grid.size(), 0u);
-  EXPECT_FALSE(grid.nearest({0.5, 0.5}).has_value());
   EXPECT_TRUE(grid.within_radius({0.5, 0.5}, 100.0).empty());
 }
 
@@ -302,25 +264,6 @@ TEST(SpatialGridBulk, QueriesFarOutsideThePaddedBoundsStillWork) {
   EXPECT_EQ(all, (std::vector<std::int32_t>{0, 1}));
 }
 
-/// Every query answer checked against a scan of `objects`; radii stay
-/// below 1e154 so the squared-distance test cannot overflow.
-void expect_exact_queries(const SpatialGrid& grid,
-                          const std::vector<std::pair<std::int32_t, geo::Point>>& objects,
-                          const std::vector<geo::Point>& queries) {
-  const double kInf = std::numeric_limits<double>::infinity();
-  for (const geo::Point& q : queries) {
-    for (const double radius : {0.0, 1.0, 500.0, 2e5, kInf}) {
-      auto found = grid.within_radius(q, radius);
-      std::sort(found.begin(), found.end());
-      std::vector<std::int32_t> expected;
-      for (const auto& [id, pos] : objects) {
-        if (geo::euclidean_distance(q, pos) <= radius) expected.push_back(id);
-      }
-      EXPECT_EQ(found, expected) << q.x << "," << q.y << " r=" << radius;
-    }
-  }
-}
-
 TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
   // 90,000 km apart at a 0.25 km cell would be 1.3e11 cells; the grid
   // widens its cell instead.
@@ -329,9 +272,7 @@ TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
   EXPECT_LE(grid.cell_count(), std::size_t{1} << 18);
   expect_exact_queries(grid, {{0, points[0]}, {1, points[1]}},
                        {{0.0, 0.0}, {0.5, 0.5}, {45000.0, 45000.0}, {90000.0, 89999.5},
-                        {-1e6, 3.0}});
-  EXPECT_EQ(grid.nearest({1.0, 1.0}), std::optional<std::int32_t>{0});
-  EXPECT_EQ(grid.nearest({89000.0, 90000.0}), std::optional<std::int32_t>{1});
+                        {-1e6, 3.0}, {1.0, 1.0}, {89000.0, 90000.0}});
 
   // A point at 1e300 (finite, still a valid double) neither overflows
   // the cell arithmetic nor escapes a query.

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "geo/ch/ch_oracle.h"
 #include "geo/road_network.h"
 #include "routing/route.h"
 #include "util/rng.h"
@@ -71,9 +70,8 @@ TEST(EvaluateGroup, PricesEqualPointwiseRepricingBitwise) {
       geo::RoadNetwork::make_grid_city(8, 8, 1.0, /*jitter_km=*/0.25,
                                        /*closure_fraction=*/0.15, /*seed=*/89);
   const geo::NetworkOracle network(city);
-  const geo::CHOracle ch(city, geo::ContractionHierarchy::build(city));
   const std::vector<std::pair<const char*, const geo::DistanceOracle*>> oracles{
-      {"euclidean", &kOracle}, {"network", &network}, {"ch", &ch}};
+      {"euclidean", &kOracle}, {"network", &network}};
   Rng rng(97);
   for (const auto& [name, oracle] : oracles) {
     for (int trial = 0; trial < 30; ++trial) {

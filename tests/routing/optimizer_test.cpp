@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "geo/ch/ch_oracle.h"
 #include "geo/road_network.h"
 #include "util/contracts.h"
 #include "util/rng.h"
@@ -162,9 +161,8 @@ TEST(PricedRoute, EqualsPointwiseRepricingBitwise) {
       geo::RoadNetwork::make_grid_city(8, 8, 1.0, /*jitter_km=*/0.25,
                                        /*closure_fraction=*/0.15, /*seed=*/83);
   const geo::NetworkOracle network(city);
-  const geo::CHOracle ch(city, geo::ContractionHierarchy::build(city));
   const std::vector<std::pair<const char*, const geo::DistanceOracle*>> oracles{
-      {"euclidean", &kOracle}, {"network", &network}, {"ch", &ch}};
+      {"euclidean", &kOracle}, {"network", &network}};
   Rng rng(27);
   for (const auto& [name, oracle] : oracles) {
     RouteScratch scratch;

@@ -6,6 +6,7 @@
 // frames.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -224,17 +225,23 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
   ASSERT_TRUE(session.validate(request));
 
   std::string error;
-  for (const int seats : {-3, 0}) {
+  // Seats must lie in [1, taxi_seats]: more than a taxi holds can never
+  // be served, and INT_MAX would overflow a group's seat sum.
+  for (const int seats : {-3, 0, 5, 9, std::numeric_limits<int>::max()}) {
     request.orders[0].seats = seats;
     EXPECT_FALSE(session.validate(request, &error)) << seats;
-    EXPECT_NE(error.find("invalid seats " + std::to_string(seats) + " on order_id 7"),
+    EXPECT_NE(error.find("invalid seats " + std::to_string(seats) +
+                         " on order_id 7: must be within [1, taxi_seats = 4]"),
               std::string::npos)
         << error;
     error.clear();
     EXPECT_FALSE(session.dispatch(request, &error).has_value());
     EXPECT_FALSE(error.empty());
   }
-  request.orders[0].seats = 1;
+  for (const int seats : {4, 1}) {
+    request.orders[0].seats = seats;
+    EXPECT_TRUE(session.validate(request, &error)) << error;
+  }
 
   for (const int in_use : {5, -1}) {
     request.drivers[0].seats_in_use = in_use;
@@ -249,6 +256,32 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
     EXPECT_TRUE(session.validate(request, &error)) << error;
   }
   EXPECT_TRUE(session.dispatch(request).has_value());
+
+  // Two INT_MAX-seat orders beside an INT_MAX-seat driver: pooled, their
+  // seat sum would overflow int and pass the capacity checks, so the
+  // frame must be rejected before any dispatcher groups it.
+  api::FrameRequest overflow;
+  overflow.timestamp = 60.0;
+  for (int i = 0; i < 2; ++i) {
+    api::Order big;
+    big.order_id = i + 1;
+    big.start = {0.1 * i, 0.0};
+    big.finish = {2.0 + 0.1 * i, 2.0};
+    big.seats = std::numeric_limits<int>::max();
+    overflow.orders.push_back(big);
+  }
+  api::Driver big_taxi;
+  big_taxi.driver_id = 7;
+  big_taxi.location = {0.5, 0.5};
+  big_taxi.seats = std::numeric_limits<int>::max();
+  overflow.drivers = {big_taxi};
+  for (const char* kind : {"nstd-p", "nstd-t", "std-p", "std-t"}) {
+    DispatchSession fresh(kind, DispatchConfig{}, kOracle);
+    error.clear();
+    EXPECT_FALSE(fresh.dispatch(overflow, &error).has_value()) << kind;
+    EXPECT_NE(error.find("invalid seats 2147483647 on order_id 1"), std::string::npos)
+        << kind << ": " << error;
+  }
 }
 
 TEST(StreamingSession, FarApartDriversStillGetAFrameResponse) {
