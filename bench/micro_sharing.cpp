@@ -117,7 +117,7 @@ packing::SetPackingProblem make_packing_problem(std::size_t requests,
   packing::SetPackingProblem problem;
   problem.universe_size = requests;
   for (const auto& group : packing::enumerate_share_groups(pool, kOracle, options)) {
-    auto members = group.member_indices;
+    std::vector<std::size_t> members = group.member_indices;
     std::sort(members.begin(), members.end());
     problem.sets.push_back(std::move(members));
   }

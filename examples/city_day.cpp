@@ -2,8 +2,8 @@
 // the stable dispatcher against a baseline, with the frame length and
 // cancellation-timeout ablations DESIGN.md calls out.
 //
-//   ./build/examples/city_day [taxis] [rate_scale] [seed] \
-//       [--trace-json=FILE] [--trace-csv=FILE] [--trace-summary] [--sharing] \
+//   ./build/examples/city_day [taxis] [rate_scale] [seed]
+//       [--trace-json=FILE] [--trace-csv=FILE] [--trace-summary] [--sharing]
 //       [--backend=SPEC]
 //
 // `--backend=` selects the distance backend through the pluggable

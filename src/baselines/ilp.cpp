@@ -127,7 +127,7 @@ std::vector<sim::DispatchAssignment> IlpDispatcher::dispatch(
   std::vector<std::vector<std::size_t>> units;
   for (const packing::ShareGroup& group : packing::enumerate_share_groups(
            context.pending, oracle, options_.grouping, /*taxi_seats=*/4)) {
-    units.push_back(group.member_indices);
+    units.emplace_back(group.member_indices.begin(), group.member_indices.end());
   }
   for (std::size_t r = 0; r < context.pending.size(); ++r) units.push_back({r});
 

@@ -32,10 +32,46 @@ std::size_t GroupCache::KeyHash::operator()(const Key& key) const noexcept {
 GroupCache::Key GroupCache::key_of(const std::size_t* members, std::size_t count) const {
   Key key{{trace::kInvalidRequest, trace::kInvalidRequest, trace::kInvalidRequest}};
   for (std::size_t m = 0; m < count; ++m) {
-    O2O_EXPECTS(members[m] < requests_.size());
-    key.ids[m] = requests_[members[m]].id;
+    O2O_EXPECTS(members[m] < frame_ids_.size());
+    key.ids[m] = frame_ids_[members[m]];
   }
   return key;
+}
+
+namespace {
+
+constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+
+/// Fibonacci hash of an id onto a table of 2^(64 - shift) slots.
+std::size_t id_slot(trace::RequestId id, int shift) {
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) * 0x9e3779b97f4a7c15ull) >>
+      shift);
+}
+
+}  // namespace
+
+void GroupCache::index_frame_ids() {
+  const std::size_t n = frame_ids_.size();
+  std::size_t capacity = 16;
+  int shift = 60;
+  while (capacity < 2 * n) {
+    capacity *= 2;
+    --shift;
+  }
+  index_slots_.assign(capacity, kEmptySlot);
+  index_shift_ = shift;
+  const std::size_t mask = capacity - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<std::uint32_t>(frame_ids_[i]);
+    std::size_t slot = id_slot(frame_ids_[i], shift);
+    // A repeated id takes its last index, as the id-state pass does.
+    while (index_slots_[slot] != kEmptySlot &&
+           static_cast<std::uint32_t>(index_slots_[slot] >> 32) != id) {
+      slot = (slot + 1) & mask;
+    }
+    index_slots_[slot] = (static_cast<std::uint64_t>(id) << 32) | i;
+  }
 }
 
 std::size_t GroupCache::EntryMap::find_slot(const Key& key) const {
@@ -74,7 +110,6 @@ GroupCache::Entry& GroupCache::EntryMap::put(const Key& key) {
 
 void GroupCache::EntryMap::erase_slot(std::size_t slot) {
   state_[slot] = 2;
-  entries_[slot] = Entry{};  // release the route payload now, not at rehash
   --size_;
   ++tombs_;
 }
@@ -117,7 +152,7 @@ void GroupCache::EntryMap::rehash(std::size_t capacity) {
     while (state_[slot] != 0) slot = (slot + 1) & mask_;
     keys_[slot] = old_keys[i];
     state_[slot] = 1;
-    entries_[slot] = std::move(old_entries[i]);
+    entries_[slot] = old_entries[i];
   }
 }
 
@@ -137,6 +172,7 @@ void GroupCache::EntryMap::reserve_for_insert() {
 void GroupCache::clear() {
   entries_.clear();
   ids_.clear();
+  index_slots_.clear();
   live_after_sweep_ = 0;
   reset_candidates();
 }
@@ -174,6 +210,7 @@ void GroupCache::begin_frame(std::span<const trace::Request> requests,
   }
   ++epoch_;
   requests_ = requests;
+  frame_ids_.resize(requests.size());
   frame_stamps_.resize(requests.size());
   frame_states_.resize(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -189,10 +226,11 @@ void GroupCache::begin_frame(std::span<const trace::Request> requests,
       state.stamp_epoch = epoch_;
     }
     state.last_seen = epoch_;
-    state.frame_index = static_cast<std::uint32_t>(i);
+    frame_ids_[i] = request.id;
     frame_stamps_[i] = state.stamp;
     frame_states_[i] = &state;
   }
+  index_frame_ids();
   // GC sweep: periodic, plus a size trigger so sustained streaming churn
   // between periodic sweeps cannot grow the entry map without bound.
   const std::size_t size_trigger =
@@ -247,8 +285,7 @@ const GroupCache::CandidateFrame& GroupCache::begin_candidates(double pickup_rad
   // out, arrivals in, moved pick-ups relocated.
   if (cand_grid_) {
     for (const trace::RequestId id : cand_prev_ids_) {
-      const auto it = ids_.find(id);
-      if (it == ids_.end() || it->second.last_seen != epoch_) cand_grid_->remove(id);
+      if (index_of(id) == kNoIndex) cand_grid_->remove(id);
     }
     for (const trace::Request& request : requests_) {
       const auto pos = cand_grid_->position(request.id);
@@ -276,9 +313,16 @@ std::span<const std::uint64_t> GroupCache::neighbor_list(std::size_t index) cons
 }
 
 std::size_t GroupCache::index_of(trace::RequestId id) const {
-  const auto it = ids_.find(id);
-  if (it == ids_.end() || it->second.last_seen != epoch_) return kNoIndex;
-  return it->second.frame_index;
+  if (index_slots_.empty()) return kNoIndex;
+  const std::size_t mask = index_slots_.size() - 1;
+  const auto key = static_cast<std::uint32_t>(id);
+  for (std::size_t slot = id_slot(id, index_shift_);; slot = (slot + 1) & mask) {
+    const std::uint64_t word = index_slots_[slot];
+    if (word == kEmptySlot) return kNoIndex;
+    if (static_cast<std::uint32_t>(word >> 32) == key) {
+      return static_cast<std::size_t>(word & 0xffffffffu);
+    }
+  }
 }
 
 void GroupCache::store_candidates(std::span<const std::uint64_t> keys,
@@ -311,10 +355,10 @@ void GroupCache::store_candidates(std::span<const std::uint64_t> keys,
     const auto j = static_cast<std::size_t>(keys[k] & 0xffffffffu);
     const std::uint64_t flag = flags[k] != 0 ? 1u : 0u;
     frame_states_[i]->cand.push_back(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(requests_[j].id)) << 1) |
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(frame_ids_[j])) << 1) |
         flag);
     frame_states_[j]->cand.push_back(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(requests_[i].id)) << 1) |
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(frame_ids_[i])) << 1) |
         flag);
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -353,13 +397,11 @@ GroupCache::Verdict GroupCache::try_get(const std::size_t* members, std::size_t 
   entry.last_used = epoch_;
   ++stats_.hits;
   if (!entry.feasible) return Verdict::kInfeasible;
-  group.member_indices.assign(members, members + count);
-  group.pooled_route = entry.route;
+  group.member_indices.assign(members, count);
   group.pooled_length_km = entry.pooled_length_km;
   group.direct_sum_km = entry.direct_sum_km;
   group.max_detour_km = entry.max_detour_km;
-  group.member_direct_km.assign(entry.member_direct.begin(),
-                                entry.member_direct.begin() + count);
+  group.member_direct_km = entry.member_direct;
   return Verdict::kFeasible;
 }
 
@@ -373,12 +415,10 @@ void GroupCache::store(const std::size_t* members, std::size_t count, bool feasi
   entry.feasible = feasible;
   entry.last_used = epoch_;
   if (feasible) {
-    entry.route = group.pooled_route;
     entry.pooled_length_km = group.pooled_length_km;
     entry.direct_sum_km = group.direct_sum_km;
     entry.max_detour_km = group.max_detour_km;
-    std::copy(group.member_direct_km.begin(), group.member_direct_km.end(),
-              entry.member_direct.begin());
+    entry.member_direct = group.member_direct_km;
   }
   ++stats_.stores;
 }

@@ -13,13 +13,13 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "geo/distance_oracle.h"
 #include "index/spatial_grid.h"
 #include "packing/groups.h"
-#include "routing/route.h"
 #include "trace/request.h"
 
 namespace o2o::packing {
@@ -51,8 +51,9 @@ inline constexpr double kFilterPadKm = 1e-6;
 ///     capacity constant does), so taxis moving between frames cannot
 ///     stale the cache.
 ///   * Evaluations are deterministic for fixed member content and
-///     oracle, so replaying a stored verdict (route, lengths, detours)
-///     is bit-identical to re-running evaluate_group.
+///     oracle, so replaying a stored verdict (lengths, detours, member
+///     directs) is bit-identical to re-running evaluate_group. Entries
+///     hold no route: no consumer of the cache reads one.
 ///
 /// All methods must be called from the frame-owning thread; the engine
 /// consults the cache strictly before and after its parallel evaluation
@@ -152,22 +153,27 @@ class GroupCache {
  private:
   struct Key {
     std::array<trace::RequestId, 3> ids;  ///< ids[2] == kInvalidRequest for pairs
-    friend bool operator==(const Key&, const Key&) = default;
+    // Spelled out: the defaulted operator compiles to a memcmp call on
+    // the probe's hottest line.
+    friend bool operator==(const Key& a, const Key& b) noexcept {
+      return a.ids[0] == b.ids[0] && a.ids[1] == b.ids[1] && a.ids[2] == b.ids[2];
+    }
   };
   struct KeyHash {
     std::size_t operator()(const Key& key) const noexcept;
   };
+  /// Fixed-size and heap-free: a hit is one record copy.
   struct Entry {
     std::array<std::uint64_t, 3> stamps{};  ///< member content stamps at eval time
     bool feasible = false;
     std::uint64_t last_used = 0;
     // Payload, populated for feasible entries only.
-    routing::Route route;
     double pooled_length_km = 0.0;
     double direct_sum_km = 0.0;
     double max_detour_km = 0.0;
-    std::array<double, 3> member_direct{};
+    std::array<double, MemberList::kCapacity> member_direct{};
   };
+  static_assert(std::is_trivially_copyable_v<Entry>);
   struct IdState {
     geo::Point pickup;
     geo::Point dropoff;
@@ -175,7 +181,6 @@ class GroupCache {
     std::uint64_t stamp = 0;      ///< bumped whenever the content changes
     std::uint64_t last_seen = 0;  ///< epoch of the last frame listing the id
     std::uint64_t stamp_epoch = 0;  ///< epoch the stamp last changed
-    std::uint32_t frame_index = 0;  ///< index in requests_ (valid when last_seen == epoch_)
     // Candidate persistence payload.
     std::uint64_t cand_epoch = 0;   ///< epoch the neighbor list was last synced
     double direct_km = 0.0;         ///< persisted oracle direct distance
@@ -216,10 +221,20 @@ class GroupCache {
 
   Key key_of(const std::size_t* members, std::size_t count) const;
   void reset_candidates();
+  void index_frame_ids();
 
   std::span<const trace::Request> requests_;  ///< valid between begin_frame calls
   EntryMap entries_;
   std::unordered_map<trace::RequestId, IdState> ids_;
+  /// RequestId per current-frame index, mirrored out of requests_ in
+  /// begin_frame so key_of reads one dense array.
+  std::vector<trace::RequestId> frame_ids_;
+  /// This frame's id -> index map for index_of: open addressing over a
+  /// power-of-two table of (uint32(id) << 32) | index words, kEmptySlot
+  /// where free. Rebuilt in begin_frame; one multiply and a short probe
+  /// per neighbor instead of a node-based hash lookup.
+  std::vector<std::uint64_t> index_slots_;
+  int index_shift_ = 64;
   /// Content stamp per current-frame request index, mirrored out of ids_
   /// in begin_frame so the per-candidate stamp checks in try_get/store
   /// are array reads instead of hash lookups.

@@ -93,18 +93,15 @@ struct EvalScratch {
 /// evaluate_group writing into a caller-owned slot through reusable
 /// buffers. Same operations in the same order as the public entry point
 /// (which delegates here), so verdicts and payloads are bit-identical.
+/// The route search's route is only kept when `route` is non-null.
 void evaluate_group_into(std::span<const trace::Request> requests,
                          const std::size_t* members, std::size_t count,
                          const geo::DistanceOracle& oracle, const GroupOptions& options,
                          int taxi_seats, bool& feasible, ShareGroup& group,
-                         EvalScratch& scratch) {
-  O2O_EXPECTS(count >= 2);
-  group.member_indices.assign(members, members + count);
-  group.pooled_route = routing::Route{};
-  group.pooled_length_km = 0.0;
-  group.direct_sum_km = 0.0;
-  group.max_detour_km = 0.0;
-  group.member_direct_km.clear();
+                         EvalScratch& scratch, routing::Route* route = nullptr) {
+  O2O_EXPECTS(count >= 2 && count <= MemberList::kCapacity);
+  group = ShareGroup{};
+  group.member_indices.assign(members, count);
   feasible = true;
 
   int seats_needed = 0;
@@ -123,13 +120,12 @@ void evaluate_group_into(std::span<const trace::Request> requests,
   // search ran on; no pointwise oracle call re-prices the chosen route.
   routing::PricedRoute priced =
       routing::optimal_route(scratch.riders, oracle, std::nullopt, scratch.route);
-  group.pooled_route = std::move(priced.route);
+  if (route != nullptr) *route = std::move(priced.route);
   group.pooled_length_km = priced.length_km;
-  group.member_direct_km.reserve(count);
   for (std::size_t m = 0; m < count; ++m) {
     const double direct = scratch.route.direct_km(m);
     const double detour = priced.rider(m).ride_km - direct;
-    group.member_direct_km.push_back(direct);
+    group.member_direct_km[m] = direct;
     group.direct_sum_km += direct;
     group.max_detour_km = std::max(group.max_detour_km, detour);
     if (detour > options.detour_threshold_km) feasible = false;
@@ -454,7 +450,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
       adjacency.set_symmetric(i, j);
       feasible_pairs.push_back(pair_keys[c]);
     }
-    groups.push_back(std::move(pair_slots[c]));
+    groups.push_back(pair_slots[c]);
   }
 
   if (options.max_group_size < 3) return groups;
@@ -538,7 +534,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
     }
   }
   for (std::size_t c = 0; c < triple_count; ++c) {
-    if (triple_ok[c]) groups.push_back(std::move(triple_slots[c]));
+    if (triple_ok[c]) groups.push_back(triple_slots[c]);
   }
   return groups;
 }
@@ -548,11 +544,12 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
 ShareGroup evaluate_group(std::span<const trace::Request> requests,
                           const std::vector<std::size_t>& member_indices,
                           const geo::DistanceOracle& oracle, const GroupOptions& options,
-                          int taxi_seats, bool& feasible) {
+                          int taxi_seats, bool& feasible, routing::Route* route) {
   ShareGroup group;
   EvalScratch scratch;
+  if (route != nullptr) *route = routing::Route{};
   evaluate_group_into(requests, member_indices.data(), member_indices.size(), oracle,
-                      options, taxi_seats, feasible, group, scratch);
+                      options, taxi_seats, feasible, group, scratch, route);
   return group;
 }
 

@@ -4,28 +4,69 @@
 // member's detour D_ck(r.s, r.d) - D(r.s, r.d) within the threshold θ.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "geo/distance_oracle.h"
 #include "routing/route.h"
 #include "trace/request.h"
+#include "util/contracts.h"
 
 namespace o2o::packing {
 
-/// One feasible shared ride over concrete requests.
-struct ShareGroup {
-  std::vector<std::size_t> member_indices;  ///< indices into the request span
-  routing::Route pooled_route;              ///< optimal route, no taxi anchor
-  double pooled_length_km = 0.0;            ///< length of pooled_route
-  double direct_sum_km = 0.0;               ///< Σ_j D(r_j.s, r_j.d)
-  double max_detour_km = 0.0;               ///< worst member detour
-  /// D(r_j.s, r_j.d) per member, aligned with member_indices — computed
-  /// during evaluation so downstream consumers (dispatch_sharing's
-  /// per-unit savings) never re-query the oracle for them.
-  std::vector<double> member_direct_km;
+/// A share group's member indices (2 or 3 of them) held inline, so a
+/// group owns no heap memory. Reads like a const std::vector<size_t>:
+/// indexable, iterable, and implicitly convertible to one. Slots past
+/// size() stay zero, so defaulted equality is member-list equality.
+class MemberList {
+ public:
+  static constexpr std::size_t kCapacity = 3;
+
+  void assign(const std::size_t* members, std::size_t count) {
+    O2O_EXPECTS(count <= kCapacity);
+    slots_ = {};
+    for (std::size_t m = 0; m < count; ++m) {
+      slots_[m] = static_cast<std::uint32_t>(members[m]);
+    }
+    count_ = static_cast<std::uint32_t>(count);
+  }
+
+  std::size_t size() const noexcept { return count_; }
+  std::size_t operator[](std::size_t m) const noexcept { return slots_[m]; }
+  const std::uint32_t* begin() const noexcept { return slots_.data(); }
+  const std::uint32_t* end() const noexcept { return slots_.data() + count_; }
+  operator std::vector<std::size_t>() const { return {begin(), end()}; }
+
+  friend bool operator==(const MemberList&, const MemberList&) = default;
+  friend bool operator==(const MemberList& list, const std::vector<std::size_t>& other) {
+    return std::equal(list.begin(), list.end(), other.begin(), other.end());
+  }
+
+ private:
+  std::array<std::uint32_t, kCapacity> slots_{};
+  std::uint32_t count_ = 0;
 };
+
+/// One feasible shared ride over concrete requests: a fixed-size record
+/// with no route (dispatch_sharing routes each packed unit from its taxi;
+/// evaluate_group hands the pooled route back on request).
+struct ShareGroup {
+  MemberList member_indices;       ///< indices into the request span
+  double pooled_length_km = 0.0;   ///< length of the optimal pooled route
+  double direct_sum_km = 0.0;      ///< Σ_j D(r_j.s, r_j.d)
+  double max_detour_km = 0.0;      ///< worst member detour
+  /// D(r_j.s, r_j.d) per member, aligned with member_indices (slots past
+  /// the member count stay zero) — computed during evaluation so
+  /// downstream consumers (dispatch_sharing's per-unit savings) never
+  /// re-query the oracle for them.
+  std::array<double, MemberList::kCapacity> member_direct_km{};
+};
+static_assert(std::is_trivially_copyable_v<ShareGroup>);
 
 struct GroupOptions {
   double detour_threshold_km = 5.0;  ///< θ
@@ -79,12 +120,14 @@ std::vector<ShareGroup> enumerate_share_groups(std::span<const trace::Request> r
                                                int taxi_seats = 4,
                                                GroupCache* cache = nullptr);
 
-/// Builds the ShareGroup record (route + detours) for one candidate
-/// member set; `feasible` is set false when any detour exceeds θ or the
-/// seat demand exceeds `taxi_seats`.
+/// Builds the ShareGroup record (lengths + detours) for one candidate
+/// member set of 2 or 3 requests; `feasible` is set false when any detour
+/// exceeds θ or the seat demand exceeds `taxi_seats`. When `route` is
+/// non-null it receives the optimal pooled route (no taxi anchor) the
+/// record was priced from; it stays empty when the seat check fails.
 ShareGroup evaluate_group(std::span<const trace::Request> requests,
                           const std::vector<std::size_t>& member_indices,
                           const geo::DistanceOracle& oracle, const GroupOptions& options,
-                          int taxi_seats, bool& feasible);
+                          int taxi_seats, bool& feasible, routing::Route* route = nullptr);
 
 }  // namespace o2o::packing

@@ -127,6 +127,12 @@ bool DispatchSession::validate(const api::FrameRequest& request, std::string* er
     }
   }
   for (const api::Driver& driver : request.drivers) {
+    // A seatless taxi can never be assigned; checking seats first also
+    // keeps the seats_in_use message below from quoting a negative cap.
+    if (driver.seats < 1) {
+      return reject("invalid seats " + std::to_string(driver.seats) + " on driver_id " +
+                    std::to_string(driver.driver_id) + ": must be at least 1");
+    }
     if (driver.seats_in_use < 0 || driver.seats_in_use > driver.seats) {
       return reject("invalid seats_in_use " + std::to_string(driver.seats_in_use) +
                     " on driver_id " + std::to_string(driver.driver_id) +

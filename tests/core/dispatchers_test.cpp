@@ -160,7 +160,9 @@ TEST(SharingStableDispatcher, CandidateCapKeepsAssignmentsValid) {
   std::vector<int> taxi_used(frame.taxis.size(), 0);
   for (const auto& assignment : assignments) {
     for (std::size_t i = 0; i < frame.taxis.size(); ++i) {
-      if (frame.taxis[i].id == assignment.taxi) EXPECT_EQ(taxi_used[i]++, 0);
+      if (frame.taxis[i].id == assignment.taxi) {
+        EXPECT_EQ(taxi_used[i]++, 0);
+      }
     }
     EXPECT_TRUE(routing::respects_precedence(assignment.route));
   }

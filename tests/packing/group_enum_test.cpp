@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <utility>
@@ -70,6 +72,9 @@ void expect_routes_equal(const routing::Route& a, const routing::Route& b) {
   }
 }
 
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Bit-for-bit record equality: same members, same order, same doubles.
 void expect_groups_equal(const std::vector<ShareGroup>& actual,
                          const std::vector<ShareGroup>& expected) {
   ASSERT_EQ(actual.size(), expected.size());
@@ -79,8 +84,63 @@ void expect_groups_equal(const std::vector<ShareGroup>& actual,
     EXPECT_EQ(actual[g].direct_sum_km, expected[g].direct_sum_km);
     EXPECT_EQ(actual[g].max_detour_km, expected[g].max_detour_km);
     EXPECT_EQ(actual[g].member_direct_km, expected[g].member_direct_km);
-    expect_routes_equal(actual[g].pooled_route, expected[g].pooled_route);
   }
+}
+
+/// The pooled route evaluate_group hands back for `group`'s members must
+/// price, pointwise, to the group's recorded length and worst detour
+/// bit for bit.
+routing::Route expect_route_prices_group(const ShareGroup& group,
+                                         const std::vector<trace::Request>& requests,
+                                         const geo::DistanceOracle& oracle,
+                                         const GroupOptions& options) {
+  routing::Route route;
+  bool feasible = false;
+  evaluate_group(requests, group.member_indices, oracle, options, 4, feasible, &route);
+  EXPECT_TRUE(feasible);
+  EXPECT_EQ(bits(routing::route_length(route, oracle)), bits(group.pooled_length_km));
+  double max_detour = 0.0;
+  for (std::size_t m = 0; m < group.member_indices.size(); ++m) {
+    const trace::Request& rider = requests[group.member_indices[m]];
+    max_detour = std::max(max_detour, routing::rider_metrics(route, rider.id, oracle).ride_km -
+                                          group.member_direct_km[m]);
+  }
+  EXPECT_EQ(bits(max_detour), bits(group.max_detour_km));
+  return route;
+}
+
+/// The dense serial scan of one frame, with each group's pooled route.
+struct SerialScan {
+  std::vector<ShareGroup> groups;
+  std::vector<routing::Route> routes;  ///< aligned with groups
+};
+
+SerialScan serial_scan(const std::vector<trace::Request>& requests,
+                       const geo::DistanceOracle& oracle, const GroupOptions& options) {
+  SerialScan scan;
+  scan.groups = reference::enumerate_serial(requests, oracle, options, 4, &scan.routes);
+  return scan;
+}
+
+/// Engine output against the serial scan: records bit for bit, and the
+/// route evaluate_group returns for each engine group equals the
+/// reference's route and prices to the engine's record.
+void expect_matches_serial(const std::vector<ShareGroup>& actual, const SerialScan& serial,
+                           const std::vector<trace::Request>& requests,
+                           const geo::DistanceOracle& oracle, const GroupOptions& options) {
+  expect_groups_equal(actual, serial.groups);
+  ASSERT_EQ(serial.routes.size(), serial.groups.size());
+  for (std::size_t g = 0; g < actual.size() && g < serial.routes.size(); ++g) {
+    expect_routes_equal(expect_route_prices_group(actual[g], requests, oracle, options),
+                        serial.routes[g]);
+  }
+}
+
+void expect_matches_serial(const std::vector<ShareGroup>& actual,
+                           const std::vector<trace::Request>& requests,
+                           const geo::DistanceOracle& oracle, const GroupOptions& options) {
+  expect_matches_serial(actual, serial_scan(requests, oracle, options), requests, oracle,
+                        options);
 }
 
 /// Runs the engine without a cache, then a cold and a warm cached pass,
@@ -89,19 +149,22 @@ void expect_groups_equal(const std::vector<ShareGroup>& actual,
 void expect_engine_matches_reference(const std::vector<trace::Request>& requests,
                                      const geo::DistanceOracle& oracle,
                                      const GroupOptions& options) {
-  const auto serial = reference::enumerate_serial(requests, oracle, options);
+  const SerialScan serial = serial_scan(requests, oracle, options);
   {
     SCOPED_TRACE("no cache");
-    expect_groups_equal(enumerate_share_groups(requests, oracle, options), serial);
+    expect_matches_serial(enumerate_share_groups(requests, oracle, options), serial, requests,
+                          oracle, options);
   }
   GroupCache cache;
   {
     SCOPED_TRACE("cold cache");
-    expect_groups_equal(enumerate_share_groups(requests, oracle, options, 4, &cache), serial);
+    expect_matches_serial(enumerate_share_groups(requests, oracle, options, 4, &cache), serial,
+                          requests, oracle, options);
   }
   {
     SCOPED_TRACE("warm cache");
-    expect_groups_equal(enumerate_share_groups(requests, oracle, options, 4, &cache), serial);
+    expect_matches_serial(enumerate_share_groups(requests, oracle, options, 4, &cache), serial,
+                          requests, oracle, options);
   }
 }
 
@@ -308,6 +371,9 @@ TEST(GroupCacheTest, ReplaysStoredVerdictsBitForBit) {
   if (feasible) {
     ASSERT_EQ(verdict, GroupCache::Verdict::kFeasible);
     expect_groups_equal({out}, {exact});
+    // Entries hold no route: the replayed record still prices to the
+    // route evaluate_group returns for its members.
+    expect_route_prices_group(out, requests, kOracle, options);
   } else {
     EXPECT_EQ(verdict, GroupCache::Verdict::kInfeasible);
   }
@@ -551,7 +617,7 @@ TEST(CrossFrameCache, PerturbedFramesStayBitIdentical) {
   for (int frame = 0; frame < 5; ++frame) {
     SCOPED_TRACE(::testing::Message() << "frame=" << frame);
     const auto cached = enumerate_share_groups(requests, kOracle, options, 4, &cache);
-    expect_groups_equal(cached, reference::enumerate_serial(requests, kOracle, options));
+    expect_matches_serial(cached, requests, kOracle, options);
 
     // ~15% churn preserving survivor order (the simulator's FIFO shape):
     // drop some riders, edit one in place, append fresh arrivals.
@@ -608,7 +674,7 @@ TEST(CandidatePersistence, ChurnRatesStayBitIdentical) {
     for (int frame = 0; frame < 6; ++frame) {
       SCOPED_TRACE(::testing::Message() << "frame=" << frame);
       const auto persisted = enumerate_share_groups(requests, kOracle, options, 4, &cache);
-      expect_groups_equal(persisted, reference::enumerate_serial(requests, kOracle, options));
+      expect_matches_serial(persisted, requests, kOracle, options);
       requests = churn_step(requests, rate, 14.0, rng, next_id);
     }
   }
@@ -652,7 +718,7 @@ TEST(CandidatePersistence, RadiusChangesStaySound) {
     SCOPED_TRACE(::testing::Message() << "frame=" << frame);
     options.pickup_radius_km = radii[frame];
     const auto persisted = enumerate_share_groups(requests, kOracle, options, 4, &cache);
-    expect_groups_equal(persisted, reference::enumerate_serial(requests, kOracle, options));
+    expect_matches_serial(persisted, requests, kOracle, options);
     requests = churn_step(requests, 0.1, 13.0, rng, next_id);
   }
 }
@@ -666,7 +732,7 @@ TEST(CandidatePersistence, AbsentThenReturningIdReenumeratesFresh) {
   GroupCache cache;
   const auto compare = [&](const std::vector<trace::Request>& frame) {
     const auto persisted = enumerate_share_groups(frame, kOracle, options, 4, &cache);
-    expect_groups_equal(persisted, reference::enumerate_serial(frame, kOracle, options));
+    expect_matches_serial(persisted, frame, kOracle, options);
   };
   compare(requests);
   auto without = requests;
@@ -762,7 +828,7 @@ TEST(ParallelExact, FanOutMatchesReferenceBitForBit) {
   const obs::FrameTrace frame = sink.end_frame();
   EXPECT_GT(frame.counters[static_cast<std::size_t>(obs::Counter::kExactParallelBatches)],
             0u);
-  expect_groups_equal(groups, reference::enumerate_serial(requests, kOracle, options));
+  expect_matches_serial(groups, requests, kOracle, options);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "geo/road_network.h"
 #include "routing/route.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace o2o::packing {
@@ -81,32 +82,55 @@ TEST(EvaluateGroup, PricesEqualPointwiseRepricingBitwise) {
         requests.push_back(make_request(100 + i, {rng.uniform(0, 7), rng.uniform(0, 7)},
                                         {rng.uniform(0, 7), rng.uniform(0, 7)}));
       }
-      // 2, 3 and 4 distinct members in shuffled order (4 takes the DP).
+      // 2 and 3 distinct members in shuffled order (a group's capacity;
+      // the DP's 4-rider pricing is pinned in the routing suite).
       std::vector<std::size_t> members{0, 1, 2, 3, 4, 5, 6, 7};
       rng.shuffle(members);
-      members.resize(static_cast<std::size_t>(2 + trial % 3));
+      members.resize(static_cast<std::size_t>(2 + trial % 2));
       bool feasible = false;
+      routing::Route route;
       const ShareGroup group =
-          evaluate_group(requests, members, *oracle, options(5.0), 4, feasible);
+          evaluate_group(requests, members, *oracle, options(5.0), 4, feasible, &route);
 
-      EXPECT_EQ(bits(group.pooled_length_km),
-                bits(routing::route_length(group.pooled_route, *oracle)));
-      ASSERT_EQ(group.member_direct_km.size(), members.size());
+      EXPECT_EQ(bits(group.pooled_length_km), bits(routing::route_length(route, *oracle)));
+      EXPECT_EQ(route.stops.size(), 2 * members.size());
+      ASSERT_EQ(group.member_indices, members);
       double direct_sum = 0.0;
       double max_detour = 0.0;
       for (std::size_t m = 0; m < members.size(); ++m) {
         const trace::Request& rider = requests[members[m]];
         const double direct = oracle->distance(rider.pickup, rider.dropoff);
         const double detour =
-            routing::rider_metrics(group.pooled_route, rider.id, *oracle).ride_km - direct;
+            routing::rider_metrics(route, rider.id, *oracle).ride_km - direct;
         EXPECT_EQ(bits(group.member_direct_km[m]), bits(direct)) << "member " << m;
         direct_sum += direct;
         max_detour = std::max(max_detour, detour);
       }
       EXPECT_EQ(bits(group.direct_sum_km), bits(direct_sum));
       EXPECT_EQ(bits(group.max_detour_km), bits(max_detour));
+      for (std::size_t m = members.size(); m < group.member_direct_km.size(); ++m) {
+        EXPECT_EQ(bits(group.member_direct_km[m]), bits(0.0)) << "spare slot " << m;
+      }
     }
   }
+}
+
+TEST(EvaluateGroup, GroupsHoldAtMostThreeMembers) {
+  std::vector<trace::Request> requests;
+  for (int i = 0; i < 4; ++i) requests.push_back(make_request(i, {0, 0}, {5, 0}));
+  bool feasible = false;
+  EXPECT_THROW(evaluate_group(requests, {0, 1, 2, 3}, kOracle, options(5.0), 8, feasible),
+               ContractViolation);
+}
+
+TEST(EvaluateGroup, SeatFailureLeavesTheRouteEmpty) {
+  const std::vector<trace::Request> requests{make_request(0, {0, 0}, {5, 0}, 3),
+                                             make_request(1, {0, 0}, {5, 0}, 3)};
+  bool feasible = true;
+  routing::Route route = routing::single_rider_route(requests[0]);
+  evaluate_group(requests, {0, 1}, kOracle, options(5.0), 4, feasible, &route);
+  EXPECT_FALSE(feasible);
+  EXPECT_TRUE(route.stops.empty());
 }
 
 TEST(Enumerate, FindsTheObviousPair) {

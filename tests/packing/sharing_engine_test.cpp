@@ -62,25 +62,35 @@ void expect_routes_equal(const routing::Route& a, const routing::Route& b) {
   }
 }
 
-/// Bit-for-bit group equality: same members, same order, same doubles.
-void expect_groups_equal(const std::vector<ShareGroup>& parallel,
-                         const std::vector<ShareGroup>& serial) {
+/// Bit-for-bit group equality: same members, same order, same doubles;
+/// the route evaluate_group returns for each engine group's members must
+/// equal the serial scan's route for that group.
+void expect_groups_equal(const std::vector<trace::Request>& requests,
+                         const GroupOptions& options, const std::vector<ShareGroup>& parallel,
+                         const std::vector<ShareGroup>& serial,
+                         const std::vector<routing::Route>& serial_routes) {
   ASSERT_EQ(parallel.size(), serial.size());
+  ASSERT_EQ(serial_routes.size(), serial.size());
   for (std::size_t g = 0; g < parallel.size(); ++g) {
     EXPECT_EQ(parallel[g].member_indices, serial[g].member_indices);
     EXPECT_EQ(parallel[g].pooled_length_km, serial[g].pooled_length_km);
     EXPECT_EQ(parallel[g].direct_sum_km, serial[g].direct_sum_km);
     EXPECT_EQ(parallel[g].max_detour_km, serial[g].max_detour_km);
     EXPECT_EQ(parallel[g].member_direct_km, serial[g].member_direct_km);
-    expect_routes_equal(parallel[g].pooled_route, serial[g].pooled_route);
+    routing::Route route;
+    bool feasible = false;
+    evaluate_group(requests, parallel[g].member_indices, kOracle, options, 4, feasible, &route);
+    EXPECT_TRUE(feasible);
+    expect_routes_equal(route, serial_routes[g]);
   }
 }
 
 void run_enumeration_differential(const std::vector<trace::Request>& requests,
                                   const GroupOptions& options) {
   const auto pruned = enumerate_share_groups(requests, kOracle, options);
-  const auto serial = reference::enumerate_serial(requests, kOracle, options);
-  expect_groups_equal(pruned, serial);
+  std::vector<routing::Route> serial_routes;
+  const auto serial = reference::enumerate_serial(requests, kOracle, options, 4, &serial_routes);
+  expect_groups_equal(requests, options, pruned, serial, serial_routes);
 }
 
 TEST(EnumerationDifferential, DerivedRadiusOnlyMatchesSerialScan) {
@@ -166,7 +176,11 @@ TEST(MemberDirects, CarryTheOracleDistances) {
   GroupOptions options;
   options.detour_threshold_km = 4.0;
   for (const ShareGroup& group : enumerate_share_groups(requests, kOracle, options)) {
-    ASSERT_EQ(group.member_direct_km.size(), group.member_indices.size());
+    // One direct per member; the fixed array's spare slots stay zero.
+    ASSERT_GE(group.member_indices.size(), 2u);
+    for (std::size_t m = group.member_indices.size(); m < group.member_direct_km.size(); ++m) {
+      EXPECT_EQ(group.member_direct_km[m], 0.0);
+    }
     double sum = 0.0;
     for (std::size_t m = 0; m < group.member_indices.size(); ++m) {
       const trace::Request& rider = requests[group.member_indices[m]];

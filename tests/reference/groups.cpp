@@ -6,8 +6,11 @@ namespace o2o::packing::reference {
 
 std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> requests,
                                          const geo::DistanceOracle& oracle,
-                                         const GroupOptions& options, int taxi_seats) {
+                                         const GroupOptions& options, int taxi_seats,
+                                         std::vector<routing::Route>* routes) {
   std::vector<ShareGroup> groups;
+  if (routes != nullptr) routes->clear();
+  routing::Route route;
   const std::size_t n = requests.size();
 
   const auto pickups_close = [&](std::size_t i, std::size_t j) {
@@ -25,13 +28,14 @@ std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> request
     for (std::size_t j = i + 1; j < n; ++j) {
       if (!pickups_close(i, j)) continue;
       bool feasible = false;
-      ShareGroup group = evaluate_group(requests, {i, j}, oracle, options, taxi_seats,
-                                        feasible);
+      const ShareGroup group = evaluate_group(requests, {i, j}, oracle, options, taxi_seats,
+                                              feasible, &route);
       if (!feasible) continue;
       if (options.grow_triples_from_pairs) {
         pair_feasible[i][j] = pair_feasible[j][i] = true;
       }
-      groups.push_back(std::move(group));
+      groups.push_back(group);
+      if (routes != nullptr) routes->push_back(route);
     }
   }
 
@@ -47,9 +51,11 @@ std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> request
         }
         if (!pickups_close(i, k) || !pickups_close(j, k)) continue;
         bool feasible = false;
-        ShareGroup group = evaluate_group(requests, {i, j, k}, oracle, options, taxi_seats,
-                                          feasible);
-        if (feasible) groups.push_back(std::move(group));
+        const ShareGroup group = evaluate_group(requests, {i, j, k}, oracle, options,
+                                                taxi_seats, feasible, &route);
+        if (!feasible) continue;
+        groups.push_back(group);
+        if (routes != nullptr) routes->push_back(route);
       }
     }
   }

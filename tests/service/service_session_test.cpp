@@ -257,6 +257,24 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
   }
   EXPECT_TRUE(session.dispatch(request).has_value());
 
+  // A driver's own seats must be at least 1: a seatless taxi could never
+  // be assigned, and the check comes before seats_in_use's range.
+  for (const int seats : {0, -5, std::numeric_limits<int>::min()}) {
+    request.drivers[0].seats = seats;
+    EXPECT_FALSE(session.validate(request, &error)) << seats;
+    EXPECT_NE(error.find("invalid seats " + std::to_string(seats) +
+                         " on driver_id 3: must be at least 1"),
+              std::string::npos)
+        << error;
+    error.clear();
+    EXPECT_FALSE(session.dispatch(request, &error).has_value());
+    EXPECT_FALSE(error.empty());
+  }
+  request.drivers[0].seats = 1;
+  EXPECT_TRUE(session.validate(request, &error)) << error;
+  EXPECT_TRUE(session.dispatch(request).has_value());
+  request.drivers[0].seats = 4;
+
   // Two INT_MAX-seat orders beside an INT_MAX-seat driver: pooled, their
   // seat sum would overflow int and pass the capacity checks, so the
   // frame must be rejected before any dispatcher groups it.
