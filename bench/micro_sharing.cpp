@@ -1,20 +1,23 @@
 // Micro-benchmarks for the sharing pipeline: shared-route optimization
-// (exhaustive vs Held-Karp DP), feasible-group enumeration (pair-pruned
-// vs exhaustive triples), the three set-packing solvers, and city-scale
-// runs of the grid-pruned enumeration engine and full sharing frames
-// (the EXPERIMENTS.md tables).
+// (exhaustive vs Held-Karp DP), feasible-group enumeration, the three
+// set-packing solvers, and city-scale runs of the grid-pruned
+// enumeration engine and full sharing frames (the EXPERIMENTS.md tables).
 //
 // Run with --quick for the CI smoke subset: the 5000-request city arm is
 // filtered out and the measurement time per benchmark is cut down.
 // `--frames N` switches to the perturbed-frame mode: consecutive frames
 // with `--churn X` request churn (default 0.15) share one GroupCache,
 // reporting the cold (first) frame against the warm mean -- the
-// cross-frame persistence numbers in EXPERIMENTS.md.
+// cross-frame replay numbers in EXPERIMENTS.md. Every warm frame's
+// groups are also compared with an uncached enumeration of the same
+// requests; any difference exits 1.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -95,19 +98,6 @@ void BM_GroupEnumerationPruned(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GroupEnumerationPruned)->Range(16, 128)->Complexity();
-
-void BM_GroupEnumerationExhaustive(benchmark::State& state) {
-  const auto requests = make_requests(static_cast<std::size_t>(state.range(0)), 15);
-  packing::GroupOptions options;
-  options.detour_threshold_km = 5.0;
-  options.grow_triples_from_pairs = false;  // the paper's plain O(R^3)
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        packing::enumerate_share_groups(requests, kOracle, options));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GroupEnumerationExhaustive)->Range(16, 64)->Complexity();
 
 packing::SetPackingProblem make_packing_problem(std::size_t requests,
                                                 std::uint64_t seed) {
@@ -295,9 +285,9 @@ BENCHMARK(BM_CitySharingFrameTraced)
 // consecutive frames mostly overlap. Frame 0 enumerates cold; each later
 // frame drops a `--churn` fraction of the requests (preserving order,
 // like the FIFO pending queue), edits one rider in place, appends fresh
-// arrivals, and
-// re-enumerates against the same GroupCache. Warm frames replay most
-// pair/triple verdicts instead of re-running optimal_route.
+// arrivals, and re-enumerates against the same GroupCache. Warm frames
+// replay the groups whose members are all unchanged instead of
+// re-deriving and re-evaluating them.
 
 std::vector<trace::Request> perturb_frame(std::vector<trace::Request> requests,
                                           Rng& rng, trace::RequestId& next_id,
@@ -434,6 +424,27 @@ void print_dispatch_frames(int frames, const std::vector<std::size_t>& sizes,
   }
 }
 
+/// Bit-for-bit record equality: same members, same order, same doubles.
+bool same_groups(const std::vector<packing::ShareGroup>& a,
+                 const std::vector<packing::ShareGroup>& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  if (a.size() != b.size()) return false;
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    if (!(a[g].member_indices == b[g].member_indices) ||
+        !same(a[g].pooled_length_km, b[g].pooled_length_km) ||
+        !same(a[g].direct_sum_km, b[g].direct_sum_km) ||
+        !same(a[g].max_detour_km, b[g].max_detour_km)) {
+      return false;
+    }
+    for (std::size_t m = 0; m < a[g].member_direct_km.size(); ++m) {
+      if (!same(a[g].member_direct_km[m], b[g].member_direct_km[m])) return false;
+    }
+  }
+  return true;
+}
+
 int run_frames_mode(int frames, bool quick, double churn_rate) {
   constexpr double kExtentKm = 40.0;
   const std::vector<std::size_t> sizes =
@@ -460,6 +471,14 @@ int run_frames_mode(int frames, bool quick, double churn_rate) {
                                                     start)
               .count();
       groups = enumerated.size();
+      if (frame > 0 && !same_groups(enumerated, packing::enumerate_share_groups(
+                                                    requests, kOracle, options, 4))) {
+        std::fprintf(stderr,
+                     "micro_sharing: warm frame %d of the %zu-request stream differs from "
+                     "an uncached enumeration\n",
+                     frame, size);
+        return 1;
+      }
       if (frame == 0) {
         cold_ms = ms;
       } else {

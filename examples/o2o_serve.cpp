@@ -32,15 +32,18 @@
 //   -> {"v":1,"event":"end_frame","frame":F,"timestamp":S}
 //   <- {"v":1,"event":"frame_response","frame":F,"timestamp":S,
 //       "assignments":[...]}
-// The end_frame barrier closes a frame; the matcher replies with one
-// frame_response per valid barrier. Clients resend the full pending-order
-// and fleet state every frame (the protocol is stateless per frame).
-// Malformed input is never fatal: undecodable lines are dropped with a
-// stderr note, and a frame that fails DispatchSession::validate
-// (duplicate order/driver ids, an order with seats < 1, a driver with
-// seats_in_use outside [0, seats], a timestamp earlier than the last
-// answered frame's) is discarded whole (no frame_response; counted as
-// frames_rejected).
+//   <- {"v":1,"event":"frame_rejected","frame":F,"reason":"..."}
+// The end_frame barrier closes a frame; the matcher replies to every
+// barrier with exactly one line, in order. Clients resend the full
+// pending-order and fleet state every frame (the protocol is stateless
+// per frame). Malformed input is never fatal: undecodable lines are
+// dropped with a stderr note, and a frame that fails
+// DispatchSession::validate (duplicate order/driver ids, an order or a
+// driver with seats < 1, a driver with seats_in_use outside [0, seats],
+// a timestamp earlier than the last answered frame's) is not dispatched:
+// it is answered with a frame_rejected line naming the reason (and
+// counted as frames_rejected), so a closed-loop client never waits on
+// it.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -180,8 +183,8 @@ int run_server(LineChannel& channel, const std::string& kind,
   });
 
   std::uint64_t frames = 0;
-  while (const auto response = svc.next_response()) {
-    ++frames;
+  while (const auto response = svc.next_answer()) {
+    if (response->reject_reason.empty()) ++frames;
     if (!channel.write_line(service::encode_response(*response))) {
       std::fprintf(stderr, "o2o_serve: write failed, shutting down\n");
       break;

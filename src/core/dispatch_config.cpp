@@ -413,7 +413,6 @@ std::vector<std::pair<std::string, std::string>> DispatchConfig::describe() cons
   put("max_group_size", std::to_string(grouping.max_group_size));
   put("pickup_radius_km", describe_double(grouping.pickup_radius_km));
   put("require_saving", describe_bool(grouping.require_saving));
-  put("grow_triples_from_pairs", describe_bool(grouping.grow_triples_from_pairs));
   put("packing_solver", std::string(describe_solver(params_.packing)));
   put("packing_objective", std::string(describe_objective(params_.objective)));
   put("taxi_seats", std::to_string(params_.taxi_seats));

@@ -76,7 +76,6 @@ std::string_view counter_name(Counter counter) noexcept {
     case Counter::kCandidatesReused: return "candidates_reused";
     case Counter::kDaWarmSeeds: return "da_warm_seeds";
     case Counter::kExactParallelBatches: return "exact_parallel_batches";
-    case Counter::kCacheEvictions: return "cache_evictions";
     case Counter::kEventsIngested: return "events_ingested";
     case Counter::kFramesStreamed: return "frames_streamed";
     case Counter::kIngestBackpressure: return "ingest_backpressure";

@@ -65,8 +65,8 @@ enum class Counter : std::uint8_t {
   kOracleTreeMisses,     ///< NetworkOracle Dijkstra-tree cache misses
   kSnapHits,             ///< snap-memo hits, per-thread front or shared tier
   kSnapMisses,           ///< snap-memo misses (a nearest-node search ran)
-  kPairCandidates,       ///< share-pair candidates surviving the grid prefilter
-  kTripleCandidates,     ///< share-triple candidates evaluated
+  kPairCandidates,       ///< fresh share-pair candidates surviving the grid prefilter
+  kTripleCandidates,     ///< fresh share-triple candidates evaluated
   kFeasibleGroups,       ///< feasible share groups found (|C|)
   kPackedGroups,         ///< groups selected by set packing
   kExactFallbacks,       ///< kExact frames degraded to local search
@@ -76,20 +76,19 @@ enum class Counter : std::uint8_t {
   kConeRejects,          ///< pair candidates dropped by the direction-cone prune
   kSimdBatches,          ///< 8-lane SIMD filter batches executed
   kSimdBatchOccupancy,   ///< lanes occupied across those batches
-  kGroupCacheHits,       ///< group candidates answered from the cross-frame cache
-  kGroupCacheRevalidations,  ///< group candidates exactly re-evaluated and cached
+  kGroupCacheHits,       ///< feasible groups replayed from the last enumeration
+  kGroupCacheRevalidations,  ///< exact group evaluations on a cached call
   kGridPatches,          ///< incremental SpatialGrid insert/remove/move operations
   kGridCompactions,      ///< SpatialGrid re-bins triggered by the mutation threshold
-  kCandidatesReused,     ///< pair candidates replayed from persisted neighbor lists
+  kCandidatesReused,     ///< feasible pairs replayed from the last enumeration
   kDaWarmSeeds,          ///< deferred-acceptance engagements seeded from the prior frame
   kExactParallelBatches, ///< exact-evaluation batches fanned over the thread pool
-  kCacheEvictions,       ///< GroupCache entries dropped by the epoch/size sweep
   kEventsIngested,       ///< ride events accepted by the service ingestion ring
   kFramesStreamed,       ///< frame barriers matched by the streaming service
   kIngestBackpressure,   ///< submits that waited on a full ring or pipeline window
   kFramesRejected,       ///< frames dropped for violating the api contract
 };
-inline constexpr std::size_t kCounterCount = 34;
+inline constexpr std::size_t kCounterCount = 33;
 
 /// Peak working-set sizes, merged by maximum (within a frame and across
 /// frames in the aggregate view).

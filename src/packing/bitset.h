@@ -116,14 +116,17 @@ class BitMatrix {
   }
 
   /// Calls fn(k) for every k > floor where both row(a) and row(b) have the
-  /// bit — the triple-completion query, one word-AND per 64 candidates.
+  /// bit, and so does `mask` (row_words() words) when it is non-null —
+  /// the triple-completion query, one word-AND per 64 candidates.
   template <typename Fn>
-  void for_each_common_above(std::size_t a, std::size_t b, std::size_t floor, Fn&& fn) const {
+  void for_each_common_above(std::size_t a, std::size_t b, std::size_t floor,
+                             const BitWord* mask, Fn&& fn) const {
     const BitWord* ra = row(a);
     const BitWord* rb = row(b);
     std::size_t w = (floor + 1) / kBitsPerWord;
     for (; w < row_words_; ++w) {
       BitWord word = ra[w] & rb[w];
+      if (mask != nullptr) word &= mask[w];
       if (w == (floor + 1) / kBitsPerWord) {
         const std::size_t shift = (floor + 1) % kBitsPerWord;
         if (shift != 0) word &= ~BitWord{0} << shift;

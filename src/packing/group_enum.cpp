@@ -11,36 +11,8 @@ namespace o2o::packing {
 
 namespace {
 
-constexpr std::uint64_t kSweepPeriod = 16;  ///< frames between GC sweeps
-constexpr std::uint64_t kMaxAgeFrames = 4;  ///< unused entries older than this die
-/// Below this many entries the size-triggered sweep never fires (the
-/// periodic one still caps idle growth); above it, doubling past the
-/// live count at the last sweep forces one.
-constexpr std::size_t kSweepSizeFloor = 4096;
-
-}  // namespace
-
-std::size_t GroupCache::KeyHash::operator()(const Key& key) const noexcept {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const trace::RequestId id : key.ids) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) +
-         0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return static_cast<std::size_t>(h);
-}
-
-GroupCache::Key GroupCache::key_of(const std::size_t* members, std::size_t count) const {
-  Key key{{trace::kInvalidRequest, trace::kInvalidRequest, trace::kInvalidRequest}};
-  for (std::size_t m = 0; m < count; ++m) {
-    O2O_EXPECTS(members[m] < frame_ids_.size());
-    key.ids[m] = frame_ids_[members[m]];
-  }
-  return key;
-}
-
-namespace {
-
 constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
 /// Fibonacci hash of an id onto a table of 2^(64 - shift) slots.
 std::size_t id_slot(trace::RequestId id, int shift) {
@@ -49,275 +21,47 @@ std::size_t id_slot(trace::RequestId id, int shift) {
       shift);
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_point(geo::Point a, geo::Point b) { return same_bits(a.x, b.x) && same_bits(a.y, b.y); }
+
 }  // namespace
 
-void GroupCache::index_frame_ids() {
-  const std::size_t n = frame_ids_.size();
+bool GroupCache::IdTable::build(std::span<const trace::Request> requests) {
+  const std::size_t n = requests.size();
   std::size_t capacity = 16;
   int shift = 60;
   while (capacity < 2 * n) {
     capacity *= 2;
     --shift;
   }
-  index_slots_.assign(capacity, kEmptySlot);
-  index_shift_ = shift;
+  slots_.assign(capacity, kEmptySlot);
+  shift_ = shift;
   const std::size_t mask = capacity - 1;
+  bool unique = true;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<std::uint32_t>(frame_ids_[i]);
-    std::size_t slot = id_slot(frame_ids_[i], shift);
-    // A repeated id takes its last index, as the id-state pass does.
-    while (index_slots_[slot] != kEmptySlot &&
-           static_cast<std::uint32_t>(index_slots_[slot] >> 32) != id) {
+    const auto id = static_cast<std::uint32_t>(requests[i].id);
+    std::size_t slot = id_slot(requests[i].id, shift);
+    while (slots_[slot] != kEmptySlot && static_cast<std::uint32_t>(slots_[slot] >> 32) != id) {
       slot = (slot + 1) & mask;
     }
-    index_slots_[slot] = (static_cast<std::uint64_t>(id) << 32) | i;
-  }
-}
-
-std::size_t GroupCache::EntryMap::find_slot(const Key& key) const {
-  if (keys_.empty()) return npos;
-  std::size_t slot = KeyHash{}(key)&mask_;
-  while (true) {
-    if (state_[slot] == 0) return npos;
-    if (state_[slot] == 1 && keys_[slot] == key) return slot;
-    slot = (slot + 1) & mask_;
-  }
-}
-
-GroupCache::Entry& GroupCache::EntryMap::put(const Key& key) {
-  reserve_for_insert();
-  std::size_t slot = KeyHash{}(key)&mask_;
-  std::size_t target = npos;  ///< first tombstone passed, if any
-  while (true) {
-    if (state_[slot] == 0) break;
-    if (state_[slot] == 1 && keys_[slot] == key) {
-      entries_[slot] = Entry{};
-      return entries_[slot];
+    if (slots_[slot] != kEmptySlot) {
+      unique = false;  // a repeated id keeps its first index
+      continue;
     }
-    if (state_[slot] == 2 && target == npos) target = slot;
-    slot = (slot + 1) & mask_;
+    slots_[slot] = (static_cast<std::uint64_t>(id) << 32) | i;
   }
-  if (target != npos) {
-    slot = target;
-    --tombs_;
-  }
-  keys_[slot] = key;
-  state_[slot] = 1;
-  ++size_;
-  entries_[slot] = Entry{};
-  return entries_[slot];
+  return unique;
 }
 
-void GroupCache::EntryMap::erase_slot(std::size_t slot) {
-  state_[slot] = 2;
-  --size_;
-  ++tombs_;
-}
-
-std::size_t GroupCache::EntryMap::sweep(std::uint64_t epoch, std::uint64_t max_age) {
-  std::size_t dropped = 0;
-  for (std::size_t slot = 0; slot < state_.size(); ++slot) {
-    if (state_[slot] == 1 && entries_[slot].last_used + max_age < epoch) {
-      erase_slot(slot);
-      ++dropped;
-    }
-  }
-  // Rebuild once tombstones start lengthening every probe chain.
-  if (!keys_.empty() && tombs_ * 4 > keys_.size()) rehash(keys_.size());
-  return dropped;
-}
-
-void GroupCache::EntryMap::clear() {
-  keys_.clear();
-  state_.clear();
-  entries_.clear();
-  size_ = 0;
-  tombs_ = 0;
-  mask_ = 0;
-}
-
-void GroupCache::EntryMap::rehash(std::size_t capacity) {
-  while (capacity < (size_ + 1) * 2) capacity *= 2;
-  std::vector<Key> old_keys = std::move(keys_);
-  std::vector<std::uint8_t> old_state = std::move(state_);
-  std::vector<Entry> old_entries = std::move(entries_);
-  keys_.assign(capacity, Key{});
-  state_.assign(capacity, 0);
-  entries_.assign(capacity, Entry{});
-  mask_ = capacity - 1;
-  tombs_ = 0;
-  for (std::size_t i = 0; i < old_state.size(); ++i) {
-    if (old_state[i] != 1) continue;
-    std::size_t slot = KeyHash{}(old_keys[i]) & mask_;
-    while (state_[slot] != 0) slot = (slot + 1) & mask_;
-    keys_[slot] = old_keys[i];
-    state_[slot] = 1;
-    entries_[slot] = old_entries[i];
-  }
-}
-
-void GroupCache::EntryMap::reserve_for_insert() {
-  if (keys_.empty()) {
-    constexpr std::size_t kInitialCapacity = 1024;
-    keys_.assign(kInitialCapacity, Key{});
-    state_.assign(kInitialCapacity, 0);
-    entries_.assign(kInitialCapacity, Entry{});
-    mask_ = kInitialCapacity - 1;
-    return;
-  }
-  // Keep the load factor (full + tombstone slots) under 3/4.
-  if ((size_ + tombs_ + 1) * 4 >= keys_.size() * 3) rehash(keys_.size() * 2);
-}
-
-void GroupCache::clear() {
-  entries_.clear();
-  ids_.clear();
-  index_slots_.clear();
-  live_after_sweep_ = 0;
-  reset_candidates();
-}
-
-void GroupCache::reset_candidates() {
-  // ids_ may outlive this reset (verdict entries stay valid); only the
-  // candidate payload is voided.
-  for (auto& [id, state] : ids_) {
-    state.cand.clear();
-    state.cand.shrink_to_fit();
-    state.cand_epoch = 0;
-  }
-  cand_grid_.reset();
-  cand_prev_ids_.clear();
-  cand_radius_km_ = std::numeric_limits<double>::quiet_NaN();
-  cand_direct_valid_ = false;
-  cand_synced_epoch_ = 0;
-}
-
-void GroupCache::begin_frame(std::span<const trace::Request> requests,
-                             const GroupOptions& options, int taxi_seats,
-                             const geo::DistanceOracle* oracle) {
-  const double theta = options.detour_threshold_km;
-  if (!bound_ || theta_ != theta || require_saving_ != options.require_saving ||
-      max_group_size_ != options.max_group_size || taxi_seats_ != taxi_seats ||
-      oracle_ != oracle) {
-    if (bound_) ++stats_.flushes;
-    clear();
-    theta_ = theta;
-    require_saving_ = options.require_saving;
-    max_group_size_ = options.max_group_size;
-    taxi_seats_ = taxi_seats;
-    oracle_ = oracle;
-    bound_ = true;
-  }
-  ++epoch_;
-  requests_ = requests;
-  frame_ids_.resize(requests.size());
-  frame_stamps_.resize(requests.size());
-  frame_states_.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const trace::Request& request = requests[i];
-    auto [it, inserted] = ids_.try_emplace(request.id);
-    IdState& state = it->second;
-    if (inserted || state.pickup != request.pickup || state.dropoff != request.dropoff ||
-        state.seats != request.seats) {
-      state.pickup = request.pickup;
-      state.dropoff = request.dropoff;
-      state.seats = request.seats;
-      state.stamp = ++stamp_counter_;
-      state.stamp_epoch = epoch_;
-    }
-    state.last_seen = epoch_;
-    frame_ids_[i] = request.id;
-    frame_stamps_[i] = state.stamp;
-    frame_states_[i] = &state;
-  }
-  index_frame_ids();
-  // GC sweep: periodic, plus a size trigger so sustained streaming churn
-  // between periodic sweeps cannot grow the entry map without bound.
-  const std::size_t size_trigger =
-      std::max(kSweepSizeFloor, 2 * live_after_sweep_);
-  if (epoch_ % kSweepPeriod == 0 || entries_.size() >= size_trigger) {
-    const std::size_t dropped = entries_.sweep(epoch_, kMaxAgeFrames);
-    stats_.invalidated += dropped;
-    stats_.evictions += dropped;
-    obs::add(obs::Counter::kCacheEvictions, dropped);
-    live_after_sweep_ = entries_.size();
-    for (auto it = ids_.begin(); it != ids_.end();) {
-      if (it->second.last_seen + kMaxAgeFrames < epoch_) {
-        it = ids_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-const GroupCache::CandidateFrame& GroupCache::begin_candidates(double pickup_radius_km) {
-  O2O_EXPECTS(bound_);
-  obs::StageTimer stage(obs::Stage::kGridPatch);
-  const std::size_t n = requests_.size();
-  // The pickup-radius cut is part of the emission predicate but not of
-  // the verdict fingerprint, so it gets its own: a change voids every
-  // persisted list (verdict entries survive untouched).
-  const bool same_radius = std::bit_cast<std::uint64_t>(cand_radius_km_) ==
-                           std::bit_cast<std::uint64_t>(pickup_radius_km);
-  if (!same_radius) {
-    reset_candidates();
-    cand_radius_km_ = pickup_radius_km;
-  }
-  cand_frame_.churn.clear();
-  cand_frame_.clean.assign(n, 0);
-  // Replay needs an unbroken chain: lists were synced exactly one frame
-  // ago (a skipped store — tiny frame, dense-path frame — cold-starts the
-  // next one, which is sound and self-heals).
-  cand_frame_.warm = same_radius && cand_synced_epoch_ + 1 == epoch_;
-  cand_frame_.direct_warm = cand_frame_.warm && cand_direct_valid_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const IdState& state = *frame_states_[i];
-    const bool clean = cand_frame_.warm && state.stamp_epoch != epoch_ &&
-                       state.cand_epoch + 1 == epoch_;
-    if (clean) {
-      cand_frame_.clean[i] = 1;
-    } else {
-      cand_frame_.churn.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  // Patch the persistent pickup grid from the frame delta: departures
-  // out, arrivals in, moved pick-ups relocated.
-  if (cand_grid_) {
-    for (const trace::RequestId id : cand_prev_ids_) {
-      if (index_of(id) == kNoIndex) cand_grid_->remove(id);
-    }
-    for (const trace::Request& request : requests_) {
-      const auto pos = cand_grid_->position(request.id);
-      if (!pos) {
-        cand_grid_->insert(request.id, request.pickup);
-      } else if (*pos != request.pickup) {
-        cand_grid_->move(request.id, request.pickup);
-      }
-    }
-  }
-  cand_prev_ids_.clear();
-  cand_prev_ids_.reserve(n);
-  for (const trace::Request& request : requests_) cand_prev_ids_.push_back(request.id);
-  return cand_frame_;
-}
-
-double GroupCache::persisted_direct(std::size_t index) const {
-  O2O_EXPECTS(index < frame_states_.size());
-  return frame_states_[index]->direct_km;
-}
-
-std::span<const std::uint64_t> GroupCache::neighbor_list(std::size_t index) const {
-  O2O_EXPECTS(index < frame_states_.size());
-  return frame_states_[index]->cand;
-}
-
-std::size_t GroupCache::index_of(trace::RequestId id) const {
-  if (index_slots_.empty()) return kNoIndex;
-  const std::size_t mask = index_slots_.size() - 1;
+std::size_t GroupCache::IdTable::find(trace::RequestId id) const {
+  if (slots_.empty()) return kNoIndex;
+  const std::size_t mask = slots_.size() - 1;
   const auto key = static_cast<std::uint32_t>(id);
-  for (std::size_t slot = id_slot(id, index_shift_);; slot = (slot + 1) & mask) {
-    const std::uint64_t word = index_slots_[slot];
+  for (std::size_t slot = id_slot(id, shift_);; slot = (slot + 1) & mask) {
+    const std::uint64_t word = slots_[slot];
     if (word == kEmptySlot) return kNoIndex;
     if (static_cast<std::uint32_t>(word >> 32) == key) {
       return static_cast<std::size_t>(word & 0xffffffffu);
@@ -325,102 +69,174 @@ std::size_t GroupCache::index_of(trace::RequestId id) const {
   }
 }
 
-void GroupCache::store_candidates(std::span<const std::uint64_t> keys,
-                                  std::span<const std::uint8_t> flags,
-                                  std::span<const double> direct, bool direct_valid,
-                                  double cell_km) {
-  O2O_EXPECTS(bound_ && keys.size() == flags.size());
-  O2O_EXPECTS(direct.size() == requests_.size());
-  const std::size_t n = requests_.size();
-  // Churn ids rebuild from scratch; clean ids keep their clean-clean
-  // entries (flags included — a recorded certificate stays a proof) and
-  // drop absent or churn neighbors, whose fresh truth arrives below.
-  for (const std::uint32_t idx : cand_frame_.churn) frame_states_[idx]->cand.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!cand_frame_.clean[i]) continue;
-    auto& cand = frame_states_[i]->cand;
-    std::size_t write = 0;
-    for (const std::uint64_t packed : cand) {
-      const auto id = static_cast<trace::RequestId>(packed >> 1);
-      const std::size_t j = index_of(id);
-      if (j == kNoIndex || !cand_frame_.clean[j]) continue;
-      cand[write++] = packed;
-    }
-    cand.resize(write);
+void GroupCache::clear() {
+  last_.clear();
+  last_ids_.clear();
+  groups_.clear();
+  grid_.reset();
+  grid_ids_.clear();
+}
+
+const GroupCache::Frame& GroupCache::begin_frame(std::span<const trace::Request> requests,
+                                                 const GroupOptions& options, int taxi_seats,
+                                                 const geo::DistanceOracle* oracle) {
+  if (!bound_ || !same_bits(theta_, options.detour_threshold_km) ||
+      require_saving_ != options.require_saving ||
+      max_group_size_ != options.max_group_size || taxi_seats_ != taxi_seats ||
+      !same_bits(pickup_radius_km_, options.pickup_radius_km) || oracle_ != oracle) {
+    if (bound_) ++stats_.flushes;
+    clear();
+    theta_ = options.detour_threshold_km;
+    require_saving_ = options.require_saving;
+    max_group_size_ = options.max_group_size;
+    taxi_seats_ = taxi_seats;
+    pickup_radius_km_ = options.pickup_radius_km;
+    oracle_ = oracle;
+    bound_ = true;
   }
-  // Append both sides of every churn pair. keys are deduplicated and a
-  // churn pair always has a churn member, so no entry lands twice.
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    const auto i = static_cast<std::size_t>(keys[k] >> 32);
-    const auto j = static_cast<std::size_t>(keys[k] & 0xffffffffu);
-    const std::uint64_t flag = flags[k] != 0 ? 1u : 0u;
-    frame_states_[i]->cand.push_back(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(frame_ids_[j])) << 1) |
-        flag);
-    frame_states_[j]->cand.push_back(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(frame_ids_[i])) << 1) |
-        flag);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    IdState& state = *frame_states_[i];
-    state.cand_epoch = epoch_;
-    if (direct_valid) state.direct_km = direct[i];
-  }
-  cand_direct_valid_ = direct_valid;
-  cand_synced_epoch_ = epoch_;
-  if (!cand_grid_ && n > 0) {
-    std::vector<std::int32_t> ids(n);
-    std::vector<geo::Point> pickups(n);
+  requests_ = requests;
+  frame_unique_ = frame_ids_.build(requests);
+  classify(requests);
+  return frame_;
+}
+
+void GroupCache::classify(std::span<const trace::Request> requests) {
+  const std::size_t n = requests.size();
+  frame_.clean.assign(n, 0);
+  frame_.churn.clear();
+  remap_.assign(last_.size(), kAbsent);
+  if (frame_unique_ && !last_.empty()) {
+    // Requests the last enumeration held with the same content, in frame
+    // order, with their last index.
+    struct Match {
+      std::uint32_t index;
+      std::uint32_t last;
+    };
+    std::vector<Match> matched;
+    matched.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ids[i] = requests_[i].id;
-      pickups[i] = requests_[i].pickup;
+      const trace::Request& request = requests[i];
+      const std::size_t p = last_ids_.find(request.id);
+      if (p == kNoIndex) continue;
+      const Snapshot& was = last_[p];
+      if (was.seats != request.seats || !same_point(was.pickup, request.pickup) ||
+          !same_point(was.dropoff, request.dropoff)) {
+        continue;
+      }
+      matched.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(p)});
     }
-    cand_grid_.emplace(ids, pickups, cell_km);
+    // Clean = the longest run of matches whose last indices increase
+    // (patience sorting): the largest set that kept its relative order.
+    // A FIFO queue keeps every match, so this is one pass of appends.
+    std::vector<std::uint32_t> tails;  ///< match position ending each run length
+    std::vector<std::uint32_t> link(matched.size());  ///< predecessor in its run
+    for (std::uint32_t k = 0; k < matched.size(); ++k) {
+      const auto it = std::lower_bound(
+          tails.begin(), tails.end(), matched[k].last,
+          [&](std::uint32_t pos, std::uint32_t last) { return matched[pos].last < last; });
+      link[k] = it == tails.begin() ? kAbsent : *(it - 1);
+      if (it == tails.end()) {
+        tails.push_back(k);
+      } else {
+        *it = k;
+      }
+    }
+    for (std::uint32_t k = tails.empty() ? kAbsent : tails.back(); k != kAbsent; k = link[k]) {
+      frame_.clean[matched[k].index] = 1;
+      remap_[matched[k].last] = matched[k].index;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!frame_.clean[i]) frame_.churn.push_back(static_cast<std::uint32_t>(i));
   }
 }
 
-GroupCache::Verdict GroupCache::try_get(const std::size_t* members, std::size_t count,
-                                        ShareGroup& group) {
-  O2O_EXPECTS(bound_ && count >= 2 && count <= 3);
-  const std::size_t slot = entries_.find_slot(key_of(members, count));
-  if (slot == EntryMap::npos) return Verdict::kMiss;
-  Entry& entry = entries_.entry_at(slot);
-  for (std::size_t m = 0; m < count; ++m) {
-    // Every current-frame index was stamped in begin_frame, so the stamp
-    // compare alone decides staleness (no id lookup).
-    if (frame_stamps_[members[m]] != entry.stamps[m]) {
-      entries_.erase_slot(slot);
-      ++stats_.invalidated;
-      return Verdict::kMiss;
-    }
-  }
-  entry.last_used = epoch_;
-  ++stats_.hits;
-  if (!entry.feasible) return Verdict::kInfeasible;
-  group.member_indices.assign(members, count);
-  group.pooled_length_km = entry.pooled_length_km;
-  group.direct_sum_km = entry.direct_sum_km;
-  group.max_detour_km = entry.max_detour_km;
-  group.member_direct_km = entry.member_direct;
-  return Verdict::kFeasible;
+double GroupCache::last_direct(std::size_t index) const {
+  O2O_EXPECTS(index < frame_.clean.size() && frame_.clean[index] != 0);
+  return last_[last_ids_.find(requests_[index].id)].direct_km;
 }
 
-void GroupCache::store(const std::size_t* members, std::size_t count, bool feasible,
-                       const ShareGroup& group) {
-  O2O_EXPECTS(bound_ && count >= 2 && count <= 3);
-  Entry& entry = entries_.put(key_of(members, count));
-  for (std::size_t m = 0; m < count; ++m) {
-    entry.stamps[m] = frame_stamps_[members[m]];
+std::size_t GroupCache::replay(std::vector<ShareGroup>& out) {
+  out.clear();
+  out.reserve(groups_.size());
+  std::size_t pairs = 0;
+  std::size_t members[MemberList::kCapacity];
+  for (const ShareGroup& group : groups_) {
+    const std::size_t count = group.member_indices.size();
+    std::size_t m = 0;
+    for (; m < count; ++m) {
+      const std::uint32_t to = remap_[group.member_indices[m]];
+      if (to == kAbsent) break;
+      members[m] = to;
+    }
+    if (m < count) continue;
+    out.push_back(group);
+    out.back().member_indices.assign(members, count);
+    if (count == 2) ++pairs;
   }
-  entry.feasible = feasible;
-  entry.last_used = epoch_;
-  if (feasible) {
-    entry.pooled_length_km = group.pooled_length_km;
-    entry.direct_sum_km = group.direct_sum_km;
-    entry.max_detour_km = group.max_detour_km;
-    entry.member_direct = group.member_direct_km;
+  stats_.hits += out.size();
+  return pairs;
+}
+
+const index::SpatialGrid* GroupCache::pickup_grid(double cell_km) {
+  obs::StageTimer stage(obs::Stage::kGridPatch);
+  if (!frame_unique_) {
+    grid_.reset();
+    grid_ids_.clear();
+    return nullptr;
   }
-  ++stats_.stores;
+  if (!grid_) {
+    std::vector<std::int32_t> ids;
+    std::vector<geo::Point> pickups;
+    ids.reserve(requests_.size());
+    pickups.reserve(requests_.size());
+    for (const trace::Request& request : requests_) {
+      ids.push_back(request.id);
+      pickups.push_back(request.pickup);
+    }
+    grid_.emplace(ids, pickups, cell_km);
+  } else {
+    // Patch from the delta against the grid's own membership: departures
+    // out, arrivals in, moved pick-ups relocated.
+    for (const trace::RequestId id : grid_ids_) {
+      if (frame_ids_.find(id) == kNoIndex) grid_->remove(id);
+    }
+    for (const trace::Request& request : requests_) {
+      const auto pos = grid_->position(request.id);
+      if (!pos) {
+        grid_->insert(request.id, request.pickup);
+      } else if (*pos != request.pickup) {
+        grid_->move(request.id, request.pickup);
+      }
+    }
+  }
+  grid_ids_.clear();
+  for (const trace::Request& request : requests_) grid_ids_.push_back(request.id);
+  return &*grid_;
+}
+
+std::size_t GroupCache::index_of(trace::RequestId id) const { return frame_ids_.find(id); }
+
+void GroupCache::commit(std::span<const ShareGroup> groups, std::span<const double> direct,
+                        std::size_t evaluations) {
+  O2O_EXPECTS(bound_ && direct.size() == requests_.size());
+  stats_.stores += evaluations;
+  if (!frame_unique_) {
+    // Replay finds requests by id, so a frame with a repeated id leaves
+    // nothing to replay from.
+    last_.clear();
+    last_ids_.clear();
+    groups_.clear();
+    return;
+  }
+  last_.resize(requests_.size());
+  for (std::size_t i = 0; i < requests_.size(); ++i) {
+    const trace::Request& request = requests_[i];
+    last_[i] = {request.id, request.seats, request.pickup, request.dropoff, direct[i]};
+  }
+  std::swap(last_ids_, frame_ids_);
+  groups_.assign(groups.begin(), groups.end());
+  requests_ = {};
 }
 
 FilterStats cone_prune_pairs(std::span<const trace::Request> requests,

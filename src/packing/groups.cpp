@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 
 #include "index/spatial_grid.h"
 #include "obs/obs.h"
@@ -69,19 +70,6 @@ void sort_dedup_pair_keys(std::size_t n, std::vector<std::uint64_t>& pair_keys) 
   pair_keys.resize(write);
 }
 
-/// Marks store_flags[k] = 1 for every key of `all_keys` absent from
-/// `kept` (both sorted ascending): the filter pass between them dropped
-/// it, which certifies exact infeasibility.
-void flag_filtered_keys(std::span<const std::uint64_t> all_keys,
-                        std::span<const std::uint64_t> kept,
-                        std::vector<std::uint8_t>& store_flags) {
-  std::size_t k = 0;
-  for (std::size_t a = 0; a < all_keys.size(); ++a) {
-    while (k < kept.size() && kept[k] < all_keys[a]) ++k;
-    if (k >= kept.size() || kept[k] != all_keys[a]) store_flags[a] = 1;
-  }
-}
-
 /// Per-thread buffers for the engine's exact evaluations: the rider copy
 /// plus the route solver's scratch. Reused across every candidate a
 /// worker touches; the arithmetic is exactly evaluate_group's.
@@ -135,11 +123,26 @@ void evaluate_group_into(std::span<const trace::Request> requests,
   }
 }
 
+/// Lexicographic order of two groups' member lists.
+bool members_less(const ShareGroup& a, const ShareGroup& b) {
+  return std::lexicographical_compare(a.member_indices.begin(), a.member_indices.end(),
+                                      b.member_indices.begin(), b.member_indices.end());
+}
+
+/// Appends to `out` the merge of two lexicographically sorted, disjoint
+/// group ranges (replayed all-clean groups and fresh churn groups).
+void merge_groups(std::span<const ShareGroup> a, std::span<const ShareGroup> b,
+                  std::vector<ShareGroup>& out) {
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out), members_less);
+}
+
 /// The grid-pruned, thread-parallel engine. Produces the dense serial
 /// scan's exact output: candidate generation only ever *drops* provably
 /// infeasible or radius-excluded pairs, evaluations write disjoint slots
 /// keyed by the deterministic candidate order, and compaction replays
-/// that order serially.
+/// that order serially. With a cache, the all-clean groups are replayed
+/// from the last output and only candidates with a churn member are
+/// generated and resolved here.
 std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> requests,
                                          const geo::DistanceOracle& oracle,
                                          const GroupOptions& options, int taxi_seats,
@@ -171,26 +174,27 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
   // finite, so it can run even with an infinite detour threshold.
   const bool simd_gate = options.require_saving;
   const bool cone_gate = derived_valid;
-
-  // Candidate persistence rides the sparse (radius) path only: the dense
-  // all-pairs emission has no grid work to save.
   const bool sparse_path = user_finite || derived_valid;
-  const GroupCache::CandidateFrame* cand =
-      (cache != nullptr && sparse_path) ? &cache->begin_candidates(options.pickup_radius_km)
-                                        : nullptr;
+
+  // A warm frame replays its all-clean groups; everything below touches
+  // only candidates with a churn member (every candidate on a cold frame).
+  const GroupCache::Frame* frame =
+      cache != nullptr ? &cache->begin_frame(requests, options, taxi_seats, &oracle) : nullptr;
+  const bool warm = frame != nullptr && frame->clean_count() > 0;
+  const auto churn = [&](std::size_t i) { return !warm || frame->clean[i] == 0; };
 
   std::vector<double> direct(n, 0.0);
   const bool need_direct = derived_valid || simd_gate;
   if (need_direct) {
-    if (cand != nullptr && cand->direct_warm) {
-      // Clean requests replay the oracle's bitwise result from the frame
-      // that stored it; only churn pays fresh oracle calls.
+    if (warm) {
+      // Clean requests reuse the oracle's bitwise result from the last
+      // enumeration; only churn pays fresh oracle calls.
       for (std::size_t i = 0; i < n; ++i) {
-        if (cand->clean[i]) direct[i] = cache->persisted_direct(i);
+        if (!churn(i)) direct[i] = cache->last_direct(i);
       }
-      const std::vector<std::uint32_t>& churn = cand->churn;
-      parallel_eval(churn.size(), oracle, [&](std::size_t k) {
-        const std::size_t i = churn[k];
+      const std::vector<std::uint32_t>& fresh = frame->churn;
+      parallel_eval(fresh.size(), oracle, [&](std::size_t k) {
+        const std::size_t i = fresh[k];
         direct[i] = oracle.distance(requests[i].pickup, requests[i].dropoff);
       });
     } else {
@@ -200,21 +204,16 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
     }
   }
 
-  // ---- Pair candidates: grid radius queries instead of the n^2 scan,
-  // replaying persisted neighbor lists on warm frames ----
+  // ---- Pair candidates with a churn member: grid radius queries
+  // instead of the n^2 scan ----
   std::vector<std::uint64_t> pair_keys;
-  // Pre-filter keys covering every pair with a churn member (every pair
-  // on a cold frame), plus the filter verdicts recorded against them —
-  // exactly what store_candidates persists for the next frame.
-  std::vector<std::uint64_t> store_keys;
-  std::vector<std::uint8_t> store_flags;
-  double cand_cell_km = 0.0;
   {
     obs::StageTimer gen_stage(obs::Stage::kCandidateGen);
     if (!sparse_path) {
-      pair_keys.reserve(n * (n - 1) / 2);
       for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) pair_keys.push_back(pair_key(i, j));
+        for (std::size_t j = i + 1; j < n; ++j) {
+          if (churn(i) || churn(j)) pair_keys.push_back(pair_key(i, j));
+        }
       }
       obs::add(obs::Counter::kPairCandidates, pair_keys.size());
     } else {
@@ -231,31 +230,13 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
       }
       mean_radius /= static_cast<double>(n);
       const double cell_km = std::clamp(mean_radius / 2.0, 0.25, 8.0);
-      cand_cell_km = cell_km;
-      const index::SpatialGrid* pgrid =
-          cand != nullptr ? cache->candidate_grid() : nullptr;
       std::vector<std::int32_t> hits;
-      if (cand != nullptr && cand->warm && pgrid != nullptr) {
-        // Warm frame. (1) Replay: clean-clean pairs come verbatim from
-        // the persisted lists. Flagged neighbors carry a filter
-        // certificate of exact infeasibility and are skipped; churn or
-        // absent neighbors get their fresh truth from the grid queries
-        // below. Emit each pair once from its lower-indexed side.
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!cand->clean[i]) continue;
-          for (const std::uint64_t packed : cache->neighbor_list(i)) {
-            if (packed & 1) continue;
-            const std::size_t j =
-                cache->index_of(static_cast<trace::RequestId>(packed >> 1));
-            if (j == GroupCache::kNoIndex || j <= i || !cand->clean[j]) continue;
-            pair_keys.push_back(pair_key(i, j));
-          }
-        }
-        const std::size_t reused = pair_keys.size();
-        obs::add(obs::Counter::kCandidatesReused, reused);
-        // (2) Churn requests query the persistent pickup grid with their
+      if (warm) {
+        // (1) Churn requests query the persistent pickup grid with their
         // own radii (covering the radius[c] side of every churn pair) ...
-        for (const std::uint32_t c : cand->churn) {
+        const index::SpatialGrid* pgrid = cache->pickup_grid(cell_km);
+        O2O_EXPECTS(pgrid != nullptr);  // a warm frame's ids are distinct
+        for (const std::uint32_t c : frame->churn) {
           hits.clear();
           pgrid->within_radius_into(pickups[c], radius[c], hits);
           for (const std::int32_t id : hits) {
@@ -264,51 +245,36 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
             const std::size_t a = std::min<std::size_t>(c, j);
             const std::size_t b = std::max<std::size_t>(c, j);
             if (!pickups_close(a, b)) continue;
-            store_keys.push_back(pair_key(a, b));
+            pair_keys.push_back(pair_key(a, b));
           }
         }
-        // (3) ... and every clean request queries a churn-only grid with
+        // (2) ... and every clean request queries a churn-only grid with
         // *its* radius, covering churn pairs reachable from the clean
         // side alone. Churn-churn pairs are covered by both members' own
-        // queries in (2).
-        if (!cand->churn.empty()) {
+        // queries in (1).
+        if (!frame->churn.empty()) {
           std::vector<geo::Point> churn_pickups;
-          churn_pickups.reserve(cand->churn.size());
-          for (const std::uint32_t c : cand->churn) churn_pickups.push_back(pickups[c]);
+          churn_pickups.reserve(frame->churn.size());
+          for (const std::uint32_t c : frame->churn) churn_pickups.push_back(pickups[c]);
           const index::SpatialGrid churn_grid(churn_pickups, cell_km);
           for (std::size_t u = 0; u < n; ++u) {
-            if (!cand->clean[u]) continue;
+            if (churn(u)) continue;
             hits.clear();
             churn_grid.within_radius_into(pickups[u], radius[u], hits);
             for (const std::int32_t h : hits) {
-              const std::size_t c = cand->churn[static_cast<std::size_t>(h)];
+              const std::size_t c = frame->churn[static_cast<std::size_t>(h)];
               const std::size_t a = std::min(u, c);
               const std::size_t b = std::max(u, c);
               if (!pickups_close(a, b)) continue;
-              store_keys.push_back(pair_key(a, b));
+              pair_keys.push_back(pair_key(a, b));
             }
           }
         }
-        sort_dedup_pair_keys(n, store_keys);
-        obs::add(obs::Counter::kPairCandidates, reused + store_keys.size());
-        obs::add(obs::Counter::kGridCandidatesPruned,
-                 n * (n - 1) / 2 - reused - store_keys.size());
-        // Direction cone runs on the churn subset only — replayed
-        // pairs had their cone verdict recorded as flags when fresh.
-        store_flags.assign(store_keys.size(), 0);
-        std::vector<std::uint64_t> churn_kept = store_keys;
-        if (cone_gate && !churn_kept.empty()) {
-          const FilterStats cone = cone_prune_pairs(requests, direct,
-                                                    options.detour_threshold_km, churn_kept);
-          obs::add(obs::Counter::kConeRejects, cone.rejected);
-          obs::add(obs::Counter::kSimdBatches, cone.batches);
-          obs::add(obs::Counter::kSimdBatchOccupancy, cone.lanes);
-          flag_filtered_keys(store_keys, churn_kept, store_flags);
-        }
-        pair_keys.insert(pair_keys.end(), churn_kept.begin(), churn_kept.end());
-        sort_dedup_pair_keys(n, pair_keys);
       } else {
-        // Cold frame: one fresh grid over all pick-ups.
+        // Cold frame: one fresh grid over all pick-ups. The persistent
+        // grid still follows the frame, so the next warm frame patches a
+        // delta instead of building it.
+        if (frame != nullptr) cache->pickup_grid(cell_km);
         const index::SpatialGrid grid(pickups, cell_km);
         for (std::size_t i = 0; i < n; ++i) {
           hits.clear();
@@ -330,212 +296,136 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
             pair_keys.push_back(pair_key(a, b));
           }
         }
-        sort_dedup_pair_keys(n, pair_keys);
-        obs::add(obs::Counter::kPairCandidates, pair_keys.size());
-        obs::add(obs::Counter::kGridCandidatesPruned, n * (n - 1) / 2 - pair_keys.size());
-        if (cand != nullptr) {
-          store_keys = pair_keys;
-          store_flags.assign(store_keys.size(), 0);
-        }
-        // ---- Direction-cone prune: drop pairs whose pick-ups sit in
-        // neither rider's (direct + θ) ellipse before any oracle work ----
-        if (cone_gate && !pair_keys.empty()) {
-          const FilterStats cone =
-              cone_prune_pairs(requests, direct, options.detour_threshold_km, pair_keys);
-          obs::add(obs::Counter::kConeRejects, cone.rejected);
-          obs::add(obs::Counter::kSimdBatches, cone.batches);
-          obs::add(obs::Counter::kSimdBatchOccupancy, cone.lanes);
-          if (cand != nullptr) flag_filtered_keys(store_keys, pair_keys, store_flags);
-        }
       }
+      sort_dedup_pair_keys(n, pair_keys);
+      const std::size_t clean = warm ? frame->clean_count() : 0;
+      obs::add(obs::Counter::kPairCandidates, pair_keys.size());
+      obs::add(obs::Counter::kGridCandidatesPruned,
+               n * (n - 1) / 2 - clean * (clean - 1) / 2 - pair_keys.size());
+    }
+    // ---- Direction-cone prune: drop pairs whose pick-ups sit in
+    // neither rider's (direct + θ) ellipse before any oracle work ----
+    if (cone_gate && !pair_keys.empty()) {
+      const FilterStats cone =
+          cone_prune_pairs(requests, direct, options.detour_threshold_km, pair_keys);
+      obs::add(obs::Counter::kConeRejects, cone.rejected);
+      obs::add(obs::Counter::kSimdBatches, cone.batches);
+      obs::add(obs::Counter::kSimdBatchOccupancy, cone.lanes);
     }
   }
-  // ---- Resolve pairs: cache replay, SIMD certificate, exact
-  // evaluation for what survives; compact in candidate order ----
-  const std::size_t pair_count = pair_keys.size();
-  std::vector<ShareGroup> pair_slots(pair_count);
-  std::vector<std::uint8_t> pair_ok(pair_count, 0);
-  std::vector<std::uint32_t> miss_pos;  ///< candidate slots the cache could not answer
-  if (cache != nullptr) {
-    miss_pos.reserve(pair_count);
-    for (std::size_t c = 0; c < pair_count; ++c) {
-      const std::size_t members[2] = {static_cast<std::size_t>(pair_keys[c] >> 32),
-                                      static_cast<std::size_t>(pair_keys[c] & 0xffffffffu)};
-      switch (cache->try_get(members, 2, pair_slots[c])) {
-        case GroupCache::Verdict::kFeasible:
-          pair_ok[c] = 1;
-          break;
-        case GroupCache::Verdict::kInfeasible:
-          break;
-        case GroupCache::Verdict::kMiss:
-          miss_pos.push_back(static_cast<std::uint32_t>(c));
-          break;
-      }
-    }
-  } else {
-    miss_pos.resize(pair_count);
-    for (std::size_t c = 0; c < pair_count; ++c) {
-      miss_pos[c] = static_cast<std::uint32_t>(c);
-    }
-  }
-  std::vector<std::uint8_t> miss_keep;
-  std::vector<std::uint64_t> miss_keys(miss_pos.size());
-  for (std::size_t m = 0; m < miss_pos.size(); ++m) miss_keys[m] = pair_keys[miss_pos[m]];
-  if (simd_gate && !miss_keys.empty()) {
+
+  // ---- Resolve fresh pairs: SIMD certificate, then exact evaluation
+  // for what survives, into disjoint slots in candidate order ----
+  std::vector<std::uint8_t> keep;
+  if (simd_gate && !pair_keys.empty()) {
     const FilterStats filter =
-        simd_certify_pairs(requests, oracle, direct, options, miss_keys, miss_keep);
+        simd_certify_pairs(requests, oracle, direct, options, pair_keys, keep);
     obs::add(obs::Counter::kSimdBatches, filter.batches);
     obs::add(obs::Counter::kSimdBatchOccupancy, filter.lanes);
   } else {
-    miss_keep.assign(miss_keys.size(), 1);
+    keep.assign(pair_keys.size(), 1);
   }
-  if (cand != nullptr && !store_keys.empty()) {
-    // Record the SIMD certificate's rejections on the persisted keys.
-    // miss_keys is a sorted subset of pair_keys; replayed clean-clean
-    // keys absent from store_keys simply never match in the merge.
-    std::size_t s = 0;
-    for (std::size_t m = 0; m < miss_keys.size(); ++m) {
-      if (miss_keep[m]) continue;
-      while (s < store_keys.size() && store_keys[s] < miss_keys[m]) ++s;
-      if (s < store_keys.size() && store_keys[s] == miss_keys[m]) store_flags[s] = 1;
-    }
+  std::vector<std::uint64_t> eval_keys;
+  eval_keys.reserve(pair_keys.size());
+  for (std::size_t k = 0; k < pair_keys.size(); ++k) {
+    if (keep[k]) eval_keys.push_back(pair_keys[k]);
   }
-  // Exact evaluations write disjoint slots; certificate-rejected misses
-  // keep pair_ok == 0 without touching the oracle (and are not cached --
-  // re-deriving the certificate next frame is cheaper than storing it).
-  std::vector<std::uint32_t> eval_pos;
-  eval_pos.reserve(miss_pos.size());
-  for (std::size_t m = 0; m < miss_pos.size(); ++m) {
-    if (miss_keep[m]) eval_pos.push_back(miss_pos[m]);
-  }
+  std::vector<ShareGroup> pair_slots(eval_keys.size());
+  std::vector<std::uint8_t> pair_ok(eval_keys.size(), 0);
   bool fanned = false;
   {
     obs::StageTimer eval_stage(obs::Stage::kExactEval);
-    fanned = parallel_eval(eval_pos.size(), oracle, [&](std::size_t e) {
+    fanned = parallel_eval(eval_keys.size(), oracle, [&](std::size_t e) {
       thread_local EvalScratch scratch;
-      const std::size_t c = eval_pos[e];
-      const std::size_t members[2] = {static_cast<std::size_t>(pair_keys[c] >> 32),
-                                      static_cast<std::size_t>(pair_keys[c] & 0xffffffffu)};
+      const std::size_t members[2] = {static_cast<std::size_t>(eval_keys[e] >> 32),
+                                      static_cast<std::size_t>(eval_keys[e] & 0xffffffffu)};
       bool feasible = false;
       evaluate_group_into(requests, members, 2, oracle, options, taxi_seats, feasible,
-                          pair_slots[c], scratch);
-      pair_ok[c] = feasible ? 1 : 0;
+                          pair_slots[e], scratch);
+      pair_ok[e] = feasible ? 1 : 0;
     });
   }
   if (fanned) obs::add(obs::Counter::kExactParallelBatches);
-  if (cache != nullptr) {
-    for (const std::uint32_t c : eval_pos) {
-      const std::size_t members[2] = {static_cast<std::size_t>(pair_keys[c] >> 32),
-                                      static_cast<std::size_t>(pair_keys[c] & 0xffffffffu)};
-      cache->store(members, 2, pair_ok[c] != 0, pair_slots[c]);
-    }
+  std::size_t evaluations = eval_keys.size();
+
+  std::vector<ShareGroup> fresh;
+  for (std::size_t e = 0; e < eval_keys.size(); ++e) {
+    if (pair_ok[e]) fresh.push_back(pair_slots[e]);
   }
-  if (cand != nullptr) {
-    cache->store_candidates(store_keys, store_flags, direct, need_direct, cand_cell_km);
+  std::vector<ShareGroup> replayed;
+  std::size_t replayed_pairs = 0;
+  if (warm) {
+    replayed_pairs = cache->replay(replayed);
+    obs::add(obs::Counter::kCandidatesReused, replayed_pairs);
   }
-  const bool grow = options.grow_triples_from_pairs;
-  BitMatrix adjacency(grow ? n : 0);
-  std::vector<std::uint64_t> feasible_pairs;
-  for (std::size_t c = 0; c < pair_count; ++c) {
-    if (!pair_ok[c]) continue;
-    const auto i = static_cast<std::size_t>(pair_keys[c] >> 32);
-    const auto j = static_cast<std::size_t>(pair_keys[c] & 0xffffffffu);
-    if (derived_valid) {
-      // The implied bound the pruning rests on, checked on realized pairs.
+  const std::span<const ShareGroup> replayed_view(replayed);
+  groups.reserve(replayed.size() + fresh.size());
+  merge_groups(replayed_view.first(replayed_pairs), fresh, groups);
+  if (derived_valid) {
+    // The implied bound the pruning rests on, checked on realized pairs.
+    for (const ShareGroup& pair : groups) {
+      const std::size_t i = pair.member_indices[0];
+      const std::size_t j = pair.member_indices[1];
       const double bound =
           options.detour_threshold_km / 2.0 + std::max(direct[i], direct[j]) + kGridPadKm;
       O2O_ENSURES(geo::euclidean_distance(pickups[i], pickups[j]) <= bound);
     }
-    if (grow) {
-      adjacency.set_symmetric(i, j);
-      feasible_pairs.push_back(pair_keys[c]);
-    }
-    groups.push_back(pair_slots[c]);
   }
 
-  if (options.max_group_size < 3) return groups;
-
-  // ---- Triple candidates ----
-  std::vector<std::array<std::uint32_t, 3>> triples;
-  if (grow) {
-    // Serial order: feasible pairs lexicographically, completions k > j
-    // with both (i, k) and (j, k) feasible — one word-AND of the two
-    // adjacency rows per 64 candidates. The dense scan's radius checks
-    // on (i, k)/(j, k) are implied: those pairs passed them when their
-    // own pair candidacy was evaluated.
-    for (const std::uint64_t key : feasible_pairs) {
-      const auto i = static_cast<std::uint32_t>(key >> 32);
-      const auto j = static_cast<std::uint32_t>(key & 0xffffffffu);
-      adjacency.for_each_common_above(i, j, j, [&](std::size_t k) {
+  if (options.max_group_size >= 3) {
+    // ---- Triple candidates with a churn member: feasible pairs in
+    // lexicographic order, completions k > j with both (i, k) and (j, k)
+    // feasible — one word-AND of the two adjacency rows per 64
+    // candidates, masked to churn completions when i and j are both
+    // clean. The dense scan's radius checks on (i, k)/(j, k) are
+    // implied: those pairs passed them as pair candidates. ----
+    const std::size_t pair_count = groups.size();
+    BitMatrix adjacency(n);
+    for (std::size_t g = 0; g < pair_count; ++g) {
+      adjacency.set_symmetric(groups[g].member_indices[0], groups[g].member_indices[1]);
+    }
+    BlockBitset churn_mask(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (churn(i)) churn_mask.set(i);
+    }
+    std::vector<std::array<std::uint32_t, 3>> triples;
+    for (std::size_t g = 0; g < pair_count; ++g) {
+      const auto i = static_cast<std::uint32_t>(groups[g].member_indices[0]);
+      const auto j = static_cast<std::uint32_t>(groups[g].member_indices[1]);
+      const BitWord* mask = churn(i) || churn(j) ? nullptr : churn_mask.words();
+      adjacency.for_each_common_above(i, j, j, mask, [&](std::size_t k) {
         triples.push_back({i, j, static_cast<std::uint32_t>(k)});
       });
     }
-  } else {
-    // Exhaustive (test) mode: the dense scan's candidate set verbatim.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        for (std::size_t k = j + 1; k < n; ++k) {
-          if (!pickups_close(i, k) || !pickups_close(j, k)) continue;
-          triples.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
-                             static_cast<std::uint32_t>(k)});
-        }
-      }
+    const std::size_t triple_count = triples.size();
+    obs::add(obs::Counter::kTripleCandidates, triple_count);
+    // Triples skip the SIMD certificate: after the pair prune the
+    // candidate volume is small, and the 6-stop order space has no cheap
+    // conservative closed form worth vectorizing.
+    std::vector<ShareGroup> triple_slots(triple_count);
+    std::vector<std::uint8_t> triple_ok(triple_count, 0);
+    bool triple_fanned = false;
+    {
+      obs::StageTimer eval_stage(obs::Stage::kExactEval);
+      triple_fanned = parallel_eval(triple_count, oracle, [&](std::size_t c) {
+        thread_local EvalScratch scratch;
+        const std::size_t members[3] = {triples[c][0], triples[c][1], triples[c][2]};
+        bool feasible = false;
+        evaluate_group_into(requests, members, 3, oracle, options, taxi_seats, feasible,
+                            triple_slots[c], scratch);
+        triple_ok[c] = feasible ? 1 : 0;
+      });
     }
-  }
-  const std::size_t triple_count = triples.size();
-  obs::add(obs::Counter::kTripleCandidates, triple_count);
-  std::vector<ShareGroup> triple_slots(triple_count);
-  std::vector<std::uint8_t> triple_ok(triple_count, 0);
-  // Triples reuse the cache but not the SIMD certificate: after the pair
-  // prune the candidate volume is small, and the 6-stop order space has
-  // no cheap conservative closed form worth vectorizing.
-  std::vector<std::uint32_t> triple_eval;
-  if (cache != nullptr) {
-    triple_eval.reserve(triple_count);
+    if (triple_fanned) obs::add(obs::Counter::kExactParallelBatches);
+    evaluations += triple_count;
+    fresh.clear();
     for (std::size_t c = 0; c < triple_count; ++c) {
-      const auto& t = triples[c];
-      const std::size_t members[3] = {t[0], t[1], t[2]};
-      switch (cache->try_get(members, 3, triple_slots[c])) {
-        case GroupCache::Verdict::kFeasible:
-          triple_ok[c] = 1;
-          break;
-        case GroupCache::Verdict::kInfeasible:
-          break;
-        case GroupCache::Verdict::kMiss:
-          triple_eval.push_back(static_cast<std::uint32_t>(c));
-          break;
-      }
+      if (triple_ok[c]) fresh.push_back(triple_slots[c]);
     }
-  } else {
-    triple_eval.resize(triple_count);
-    for (std::size_t c = 0; c < triple_count; ++c) {
-      triple_eval[c] = static_cast<std::uint32_t>(c);
-    }
+    groups.reserve(groups.size() + (replayed.size() - replayed_pairs) + fresh.size());
+    merge_groups(replayed_view.subspan(replayed_pairs), fresh, groups);
   }
-  bool triple_fanned = false;
-  {
-    obs::StageTimer eval_stage(obs::Stage::kExactEval);
-    triple_fanned = parallel_eval(triple_eval.size(), oracle, [&](std::size_t e) {
-      thread_local EvalScratch scratch;
-      const auto& t = triples[triple_eval[e]];
-      const std::size_t members[3] = {t[0], t[1], t[2]};
-      bool feasible = false;
-      evaluate_group_into(requests, members, 3, oracle, options, taxi_seats, feasible,
-                          triple_slots[triple_eval[e]], scratch);
-      triple_ok[triple_eval[e]] = feasible ? 1 : 0;
-    });
-  }
-  if (triple_fanned) obs::add(obs::Counter::kExactParallelBatches);
-  if (cache != nullptr) {
-    for (const std::uint32_t c : triple_eval) {
-      const auto& t = triples[c];
-      const std::size_t members[3] = {t[0], t[1], t[2]};
-      cache->store(members, 3, triple_ok[c] != 0, triple_slots[c]);
-    }
-  }
-  for (std::size_t c = 0; c < triple_count; ++c) {
-    if (triple_ok[c]) groups.push_back(triple_slots[c]);
-  }
+  if (cache != nullptr) cache->commit(groups, direct, evaluations);
   return groups;
 }
 
@@ -560,11 +450,7 @@ std::vector<ShareGroup> enumerate_share_groups(std::span<const trace::Request> r
   O2O_EXPECTS(options.max_group_size >= 2 && options.max_group_size <= 3);
   O2O_EXPECTS(options.detour_threshold_km >= 0.0);
   obs::StageTimer stage(obs::Stage::kGroupEnum);
-  GroupCache::Stats before;
-  if (cache != nullptr) {
-    cache->begin_frame(requests, options, taxi_seats, &oracle);
-    before = cache->stats();
-  }
+  const GroupCache::Stats before = cache != nullptr ? cache->stats() : GroupCache::Stats{};
   std::vector<ShareGroup> groups =
       enumerate_engine(requests, oracle, options, taxi_seats, cache);
   if (cache != nullptr) {

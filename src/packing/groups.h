@@ -71,10 +71,6 @@ static_assert(std::is_trivially_copyable_v<ShareGroup>);
 struct GroupOptions {
   double detour_threshold_km = 5.0;  ///< θ
   int max_group_size = 3;            ///< the paper's practical |c_k| <= 3
-  /// When true (default), triples are grown from feasible pairs only --
-  /// the standard pruning. Exhaustive enumeration (false) is exponential
-  /// but exact; tests compare both on small inputs.
-  bool grow_triples_from_pairs = true;
   /// Requests whose pick-ups are farther apart than this can never ride
   /// together (cheap pre-filter; +inf disables). Independently of this
   /// user cap, the engine derives a *finite* per-request radius from the
@@ -95,11 +91,13 @@ struct GroupOptions {
   bool require_saving = true;
 };
 
-class GroupCache;  // cross-frame verdict memo (packing/group_enum.h)
+class GroupCache;  // the last enumeration, for replay (packing/group_enum.h)
 
 /// Enumerates all feasible groups of size in [2, max_group_size] over
 /// `requests` (max_group_size is 2 or 3). Seat demands are honoured
-/// against `taxi_seats`.
+/// against `taxi_seats`. Triples are grown from feasible pairs: a triple
+/// is a candidate only when all three of its pairs are feasible (the
+/// standard pruning; tests/reference also keeps the exhaustive scan).
 ///
 /// One engine serves every call: candidate pairs come from a spatial-grid
 /// radius query over pick-ups (the user radius and/or the derived θ-bound
@@ -107,13 +105,13 @@ class GroupCache;  // cross-frame verdict memo (packing/group_enum.h)
 /// (finite θ only) and an 8-lane SIMD pair certificate drop provably
 /// infeasible candidates before any exact `optimal_route` evaluation; the
 /// exact evaluations fan out over the shared ThreadPool when the oracle
-/// allows concurrent queries. When `cache` is non-null, exact verdicts and
-/// per-request pair-candidate lists persist across calls (the cache
-/// rebinds to each call's request snapshot and invalidates by content
-/// stamps). Every stage only drops provably infeasible candidates or
-/// replays verbatim verdicts, so the output is the dense serial scan's —
-/// the same groups in the same order, bit for bit (pinned against the
-/// test-only reference in tests/reference).
+/// allows concurrent queries. When `cache` is non-null, the groups whose
+/// members are all unchanged since the cache's last enumeration are
+/// replayed from its output and only candidates with a changed member are
+/// generated and evaluated. Every stage only drops provably infeasible
+/// candidates or replays verbatim records, so the output is the dense
+/// serial scan's — the same groups in the same order, bit for bit (pinned
+/// against the test-only reference in tests/reference).
 std::vector<ShareGroup> enumerate_share_groups(std::span<const trace::Request> requests,
                                                const geo::DistanceOracle& oracle,
                                                const GroupOptions& options,

@@ -1,6 +1,7 @@
 #include "routing/optimizer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -75,14 +76,19 @@ DistanceView table_into(std::span<const trace::Request> riders,
 /// Branch-and-bound over precedence-feasible stop orders. Search state
 /// lives in caller-owned vectors so hot paths can reuse one set of
 /// buffers across candidates; the recursion (and hence the first-found
-/// tie-breaking among equal-length orders) is unchanged.
+/// tie-breaking among equal-length orders) is unchanged. Placed stops are
+/// one bit each in `used`, so at most 32 stops.
 struct ExhaustiveSearch {
   std::size_t stop_count;
   DistanceView distances;
   std::vector<std::size_t>& order;
-  std::vector<bool>& used;
   std::vector<std::size_t>& best_order;
   double best_length = std::numeric_limits<double>::infinity();
+  std::uint32_t used = 0;
+
+  static constexpr std::size_t kMaxStops = 32;
+
+  bool placed(std::size_t s) const { return (used >> s) & 1u; }
 
   void recurse(double length_so_far) {
     if (length_so_far >= best_length) return;  // prune
@@ -92,16 +98,16 @@ struct ExhaustiveSearch {
       return;
     }
     for (std::size_t s = 0; s < stop_count; ++s) {
-      if (used[s]) continue;
+      if (placed(s)) continue;
       // Drop-off (odd index) requires its pick-up (s - 1) already placed.
-      if (s % 2 == 1 && !used[s - 1]) continue;
+      if (s % 2 == 1 && !placed(s - 1)) continue;
       const double leg = order.empty() ? distances.leading(s)
                                        : distances.stop_to_stop[order.back() * distances.n + s];
-      used[s] = true;
+      used ^= std::uint32_t{1} << s;
       order.push_back(s);
       recurse(length_so_far + leg);
       order.pop_back();
-      used[s] = false;
+      used ^= std::uint32_t{1} << s;
     }
   }
 };
@@ -143,9 +149,8 @@ void exhaustive_order(const DistanceView& distances, RouteScratch& scratch) {
   scratch.order.clear();
   scratch.order.reserve(n);
   scratch.best_order.clear();
-  scratch.used.assign(n, false);
-  ExhaustiveSearch search{n, distances, scratch.order, scratch.used, scratch.best_order,
-                          std::numeric_limits<double>::infinity()};
+  O2O_EXPECTS(n <= ExhaustiveSearch::kMaxStops);
+  ExhaustiveSearch search{n, distances, scratch.order, scratch.best_order};
   search.recurse(0.0);
 }
 
@@ -266,10 +271,9 @@ PricedRoute AnchoredRouteSolver::best_route(const geo::Point& start) const {
   const DistanceView distances{stop_table_.data(), start_row.data(), n};
   std::vector<std::size_t> order;
   order.reserve(n);
-  std::vector<bool> used(n, false);
   std::vector<std::size_t> best_order;
-  ExhaustiveSearch search{n, distances, order, used, best_order,
-                          std::numeric_limits<double>::infinity()};
+  O2O_EXPECTS(n <= ExhaustiveSearch::kMaxStops);
+  ExhaustiveSearch search{n, distances, order, best_order};
   search.recurse(0.0);
   return price_order(stops_, best_order, distances, start);
 }

@@ -31,7 +31,6 @@ struct RouteScratch {
   std::vector<double> start_row;     // anchor legs (used when start is set)
   std::vector<std::size_t> order;    // search state
   std::vector<std::size_t> best_order;
-  std::vector<bool> used;
 
   /// D(r_m.s, r_m.d) for rider m of the last solve: the stop-table entry
   /// [2m][2m + 1], equal to oracle.distance() bit for bit under the

@@ -2,7 +2,7 @@
 //
 // These are the only types that cross the service boundary: plain
 // structs, no methods beyond comparison, every field either a fixed-size
-// scalar or a vector of such. The schema mirrors the per-timestep
+// scalar, a string or a vector of such. The schema mirrors the per-timestep
 // `dispatch(dispatch_observ)` agent API served by the related dispatch
 // platforms (SNIPPETS.md Snippets 1–2): order/driver ids, locations,
 // timestamps, ETA and reward fields — adapted to this repo's coordinate
@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -101,11 +102,14 @@ struct Assignment {
   friend bool operator==(const Assignment&, const Assignment&) = default;
 };
 
-/// The matcher's answer to one FrameRequest.
+/// The matcher's answer to one FrameRequest. A frame that breaks the
+/// api contract is answered with only `frame` and a non-empty
+/// `reject_reason` (a frame_rejected line on the wire).
 struct FrameResponse {
   std::uint64_t frame = 0;
   double timestamp = 0.0;
   std::vector<Assignment> assignments;
+  std::string reject_reason;  ///< non-empty: rejected, nothing dispatched
 
   friend bool operator==(const FrameResponse&, const FrameResponse&) = default;
 };

@@ -54,6 +54,23 @@ void append_id_list(std::string& out, const std::vector<std::int32_t>& ids) {
   out += ']';
 }
 
+/// A JSON string. Control characters without a short escape (which the
+/// decoder does not read) become spaces.
+void append_string(std::string& out, std::string_view text) {
+  out += '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default: out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+    }
+  }
+  out += '"';
+}
+
 /// Reserves `bytes` and writes `{"v":MAJOR,"event":"EVENT"`.
 std::string begin_line(std::string_view event, std::size_t bytes) {
   std::string out;
@@ -429,7 +446,29 @@ constexpr std::uint32_t bits(std::initializer_list<EventField> fields) {
 }
 
 constexpr std::string_view kResponseFields[] = {"v", "event", "frame", "timestamp",
-                                                "assignments"};
+                                                "assignments", "reason"};
+/// Required keys of a frame_response line and of a frame_rejected line.
+constexpr std::uint32_t kResponseRequired = 0b011111;
+constexpr std::uint32_t kRejectedRequired = 0b100111;
+
+/// Decodes the escapes read_string accepts.
+std::string unescape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (raw[i] != '\\' || i + 1 == raw.size()) {
+      out += raw[i];
+      continue;
+    }
+    switch (raw[++i]) {
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      default: out += raw[i];
+    }
+  }
+  return out;
+}
 constexpr std::string_view kAssignmentFields[] = {"driver_id", "order_ids", "start", "route",
                                                   "pick_up_eta"};
 
@@ -495,6 +534,16 @@ std::vector<std::string> encode_frame_events(const api::FrameRequest& request) {
 
 std::string encode_response(const api::FrameResponse& response) {
   obs::StageTimer timer(obs::Stage::kCodec);
+  if (!response.reject_reason.empty()) {
+    std::string out =
+        begin_line("frame_rejected", kLineBytes + 2 * response.reject_reason.size());
+    out += ",\"frame\":";
+    append_number(out, response.frame);
+    out += ",\"reason\":";
+    append_string(out, response.reject_reason);
+    out += '}';
+    return out;
+  }
   std::size_t bytes = kLineBytes;
   for (const api::Assignment& assignment : response.assignments) {
     bytes += kLineBytes + kIdBytes * assignment.order_ids.size() +
@@ -602,6 +651,8 @@ std::optional<api::FrameResponse> decode_response(std::string_view line,
   obs::StageTimer timer(obs::Stage::kCodec);
   Reader in(line);
   api::FrameResponse response;
+  bool rejected = false;
+  std::string_view reason;
   std::uint32_t seen = 0;
   const auto field = [&](std::size_t index) {
     const std::string_view key = kResponseFields[index];
@@ -609,20 +660,35 @@ std::optional<api::FrameResponse> decode_response(std::string_view line,
       case 0: return read_version(in);
       case 1: {
         std::string_view name;
-        return (in.read_string(name) && name == "frame_response") ||
-               in.fail("expected event kind 'frame_response'");
+        if (in.read_string(name) && (name == "frame_response" || name == "frame_rejected")) {
+          rejected = name == "frame_rejected";
+          return true;
+        }
+        return in.fail("expected event kind 'frame_response' or 'frame_rejected'");
       }
       case 2: return in.read_integer(response.frame, key);
       case 3: return in.read_double(response.timestamp, key);
-      default:
+      case 4:
         return in.read_array([&] {
           return read_assignment(in, response.assignments.emplace_back());
         }) || in.fail(field_error(key, "an array of objects"));
+      default:
+        return in.read_string(reason) || in.fail(field_error(key, "a string"));
     }
   };
   if (!in.read_line(kResponseFields, seen, field) ||
-      !in.require(seen, 0b11111, kResponseFields)) {
+      !in.require(seen, rejected ? kRejectedRequired : kResponseRequired, kResponseFields)) {
     return report(in, error);
+  }
+  // Keys of the other kind are decoded, then dropped.
+  if (rejected) {
+    if (reason.empty()) {
+      in.fail(field_error("reason", "a non-empty string"));
+      return report(in, error);
+    }
+    response.timestamp = 0.0;
+    response.assignments.clear();
+    response.reject_reason = unescape(reason);
   }
   return response;
 }

@@ -43,14 +43,18 @@ std::string encode_event(const api::RideEvent& event);
 /// is the canonical ndjson encoding of the frame.
 std::vector<std::string> encode_frame_events(const api::FrameRequest& request);
 
-/// One response -> one JSON line (no trailing newline).
+/// One response -> one JSON line (no trailing newline): a frame_response,
+/// or a frame_rejected line {"v":1,"event":"frame_rejected","frame":F,
+/// "reason":"..."} when `reject_reason` is non-empty.
 std::string encode_response(const api::FrameResponse& response);
 
 /// Parses one event line. Returns nullopt and fills `error` on malformed
 /// JSON, unknown event kind, missing fields, or a major-version mismatch.
 std::optional<api::RideEvent> decode_event(std::string_view line, CodecError* error = nullptr);
 
-/// Parses one frame_response line (same error contract as decode_event).
+/// Parses one frame_response or frame_rejected line (same error contract
+/// as decode_event); a rejection decodes with only `frame` and a
+/// non-empty `reject_reason`.
 std::optional<api::FrameResponse> decode_response(std::string_view line,
                                                   CodecError* error = nullptr);
 

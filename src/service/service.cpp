@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -137,78 +138,84 @@ bool StreamingService::pop_event(api::RideEvent& event) {
 }
 
 std::optional<api::FrameResponse> StreamingService::next_response() {
+  for (;;) {
+    std::optional<api::FrameResponse> answer = next_answer();
+    if (!answer || answer->reject_reason.empty()) return answer;
+  }
+}
+
+std::optional<api::FrameResponse> StreamingService::next_answer() {
   obs::TraceSink* sink = obs::active_sink();
-  // Ingest metrics are buffered locally and reported only after
+  // Ingest metrics are buffered in members and reported only after
   // begin_frame: the sink zeroes every thread's cells at frame start, so
   // anything recorded before the barrier would be wiped. The buffers
   // accumulate across rejected frames so no ingest work goes uncounted.
-  std::uint64_t ingest_ns = 0;
-  std::uint64_t events_drained = 0;
-  std::uint64_t frames_rejected = 0;
-  std::size_t depth_peak = queue_.approx_depth();
-  for (;;) {
-    std::optional<api::FrameRequest> request;
-    {
-      obs::ScopedTimer timer(ingest_ns);
-      api::RideEvent event;
-      while (!request) {
-        if (!pop_event(event)) return std::nullopt;
-        ++events_drained;
-        switch (event.kind) {
-          case api::RideEvent::Kind::kOrder:
-            open_orders_.push_back(std::move(event.order));
-            break;
-          case api::RideEvent::Kind::kDriver:
-            open_drivers_.push_back(std::move(event.driver));
-            break;
-          case api::RideEvent::Kind::kEndFrame:
-            request.emplace();
-            request->frame = event.frame;
-            request->timestamp = event.timestamp;
-            request->orders = std::move(open_orders_);
-            request->drivers = std::move(open_drivers_);
-            open_orders_.clear();
-            open_drivers_.clear();
-            break;
-        }
+  pending_.depth_peak = std::max(pending_.depth_peak, queue_.approx_depth());
+  std::optional<api::FrameRequest> request;
+  {
+    obs::ScopedTimer timer(pending_.ingest_ns);
+    api::RideEvent event;
+    while (!request) {
+      if (!pop_event(event)) return std::nullopt;
+      ++pending_.events;
+      switch (event.kind) {
+        case api::RideEvent::Kind::kOrder:
+          open_orders_.push_back(std::move(event.order));
+          break;
+        case api::RideEvent::Kind::kDriver:
+          open_drivers_.push_back(std::move(event.driver));
+          break;
+        case api::RideEvent::Kind::kEndFrame:
+          request.emplace();
+          request->frame = event.frame;
+          request->timestamp = event.timestamp;
+          request->orders = std::move(open_orders_);
+          request->drivers = std::move(open_drivers_);
+          open_orders_.clear();
+          open_drivers_.clear();
+          break;
       }
     }
-
-    // The frame left the ring: producers may push the next barrier.
-    frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    wake(space_freed_, /*all=*/true);
-
-    // Frames that violate the api contract (duplicate ids, out-of-range
-    // seat values, a timestamp earlier than the last served frame's)
-    // cross a trust boundary in --stdio/--tcp mode: drop them here,
-    // before the trace sink opens the frame, and keep serving.
-    std::string reject_reason;
-    if (!session_.validate(*request, &reject_reason)) {
-      ++frames_rejected;
-      continue;
-    }
-
-    if (sink != nullptr) sink->begin_frame(request->frame, request->timestamp);
-    obs::add_stage_ns(obs::Stage::kIngest, ingest_ns);
-    obs::add(obs::Counter::kEventsIngested, events_drained);
-    if (frames_rejected != 0) obs::add(obs::Counter::kFramesRejected, frames_rejected);
-    obs::gauge_max(obs::Gauge::kQueueDepthPeak, depth_peak);
-    std::optional<api::FrameResponse> response = session_.dispatch(*request);
-    obs::add(obs::Counter::kFramesStreamed);
-    if (sink != nullptr) {
-      std::uint64_t idle = 0;
-      for (const api::Driver& driver : request->drivers) idle += driver.idle() ? 1 : 0;
-      sink->set_frame_context(idle, request->drivers.size() - idle,
-                              request->orders.size());
-      std::uint64_t assigned = 0;
-      for (const api::Assignment& a : response->assignments) {
-        assigned += a.order_ids.size();
-      }
-      sink->add_assignments(assigned);
-      sink->end_frame();
-    }
-    return response;
   }
+
+  // The frame left the ring: producers may push the next barrier.
+  frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  wake(space_freed_, /*all=*/true);
+
+  // Frames that violate the api contract (duplicate ids, out-of-range
+  // seat values, a timestamp earlier than the last served frame's)
+  // cross a trust boundary in --stdio/--tcp mode: answer them with the
+  // reason, before the trace sink opens a frame, and keep serving.
+  std::string reject_reason;
+  if (!session_.validate(*request, &reject_reason)) {
+    ++pending_.rejected;
+    api::FrameResponse rejected;
+    rejected.frame = request->frame;
+    rejected.reject_reason = std::move(reject_reason);
+    return rejected;
+  }
+
+  if (sink != nullptr) sink->begin_frame(request->frame, request->timestamp);
+  obs::add_stage_ns(obs::Stage::kIngest, pending_.ingest_ns);
+  obs::add(obs::Counter::kEventsIngested, pending_.events);
+  if (pending_.rejected != 0) obs::add(obs::Counter::kFramesRejected, pending_.rejected);
+  obs::gauge_max(obs::Gauge::kQueueDepthPeak, pending_.depth_peak);
+  pending_ = {};
+  std::optional<api::FrameResponse> response = session_.dispatch(*request);
+  obs::add(obs::Counter::kFramesStreamed);
+  if (sink != nullptr) {
+    std::uint64_t idle = 0;
+    for (const api::Driver& driver : request->drivers) idle += driver.idle() ? 1 : 0;
+    sink->set_frame_context(idle, request->drivers.size() - idle,
+                            request->orders.size());
+    std::uint64_t assigned = 0;
+    for (const api::Assignment& a : response->assignments) {
+      assigned += a.order_ids.size();
+    }
+    sink->add_assignments(assigned);
+    sink->end_frame();
+  }
+  return response;
 }
 
 }  // namespace o2o::service

@@ -54,8 +54,14 @@ class StreamingService {
   void close();
 
   /// Matcher side, one thread. Blocks until a complete frame is
-  /// available, matches it, and returns the response; returns nullopt
-  /// once the stream is closed and fully drained.
+  /// available and answers it: the dispatch response, or, for a frame
+  /// that fails DispatchSession::validate, a response holding only the
+  /// frame number and a non-empty `reject_reason` (nothing dispatched).
+  /// Returns nullopt once the stream is closed and fully drained.
+  std::optional<api::FrameResponse> next_answer();
+
+  /// next_answer() without the rejections: skips rejected frames and
+  /// returns the next dispatch response (or nullopt at the end).
   std::optional<api::FrameResponse> next_response();
 
  private:
@@ -77,6 +83,14 @@ class StreamingService {
   // Matcher-thread frame accumulation.
   std::vector<api::Order> open_orders_;
   std::vector<api::Driver> open_drivers_;
+  /// Ingest metrics since the last dispatched frame, reported with it.
+  struct PendingIngest {
+    std::uint64_t ingest_ns = 0;
+    std::uint64_t events = 0;
+    std::uint64_t rejected = 0;
+    std::size_t depth_peak = 0;
+  };
+  PendingIngest pending_;
 };
 
 }  // namespace o2o::service

@@ -1,9 +1,10 @@
 // The group-enumeration pipeline's dedicated suite: the conservative
 // SIMD / cone kernels must keep every exactly-feasible pair (rejection
-// is a proof), the GroupCache must replay verbatim verdicts and honour
-// its invalidation invariants, and the engine -- uncached, cache-cold and
-// cache-warm, on every oracle -- must reproduce the dense serial scan
-// (tests/reference) bit for bit, including at θ and radius boundaries.
+// is a proof), the GroupCache must replay the last output's all-clean
+// groups verbatim and resolve everything churn touched fresh, and the
+// engine -- uncached, cache-cold and cache-warm, on every oracle -- must
+// reproduce the dense serial scan (tests/reference) bit for bit,
+// including at θ and radius boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -342,135 +343,6 @@ TEST(ConeKernel, PrunePreservesKeyOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// GroupCache invariants.
-
-GroupOptions cache_options() {
-  GroupOptions options;
-  options.detour_threshold_km = 3.0;
-  return options;
-}
-
-TEST(GroupCacheTest, ReplaysStoredVerdictsBitForBit) {
-  auto requests = make_city_requests(6, 3, 4.0);
-  const GroupOptions options = cache_options();
-  GroupCache cache;
-  cache.begin_frame(requests, options, 4, &kOracle);
-
-  const std::size_t members[2] = {0, 1};
-  ShareGroup out;
-  EXPECT_EQ(cache.try_get(members, 2, out), GroupCache::Verdict::kMiss);
-
-  bool feasible = false;
-  const ShareGroup exact =
-      evaluate_group(requests, {0, 1}, kOracle, options, 4, feasible);
-  cache.store(members, 2, feasible, exact);
-  EXPECT_EQ(cache.stats().stores, 1u);
-
-  cache.begin_frame(requests, options, 4, &kOracle);
-  const GroupCache::Verdict verdict = cache.try_get(members, 2, out);
-  if (feasible) {
-    ASSERT_EQ(verdict, GroupCache::Verdict::kFeasible);
-    expect_groups_equal({out}, {exact});
-    // Entries hold no route: the replayed record still prices to the
-    // route evaluate_group returns for its members.
-    expect_route_prices_group(out, requests, kOracle, options);
-  } else {
-    EXPECT_EQ(verdict, GroupCache::Verdict::kInfeasible);
-  }
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(GroupCacheTest, InfeasibleVerdictsReplayWithoutPayload) {
-  // Two trips that can never pool: the verdict caches as kInfeasible.
-  std::vector<trace::Request> requests{make_request(0, {0.0, 0.0}, {2.0, 0.0}),
-                                       make_request(1, {50.0, 0.0}, {52.0, 0.0})};
-  const GroupOptions options = cache_options();
-  GroupCache cache;
-  cache.begin_frame(requests, options, 4, &kOracle);
-  const std::size_t members[2] = {0, 1};
-  bool feasible = true;
-  const ShareGroup exact =
-      evaluate_group(requests, {0, 1}, kOracle, options, 4, feasible);
-  ASSERT_FALSE(feasible);
-  cache.store(members, 2, feasible, exact);
-  ShareGroup out;
-  EXPECT_EQ(cache.try_get(members, 2, out), GroupCache::Verdict::kInfeasible);
-}
-
-TEST(GroupCacheTest, ContentChangeInvalidatesTouchedEntries) {
-  auto requests = make_city_requests(6, 5, 4.0);
-  const GroupOptions options = cache_options();
-  GroupCache cache;
-  cache.begin_frame(requests, options, 4, &kOracle);
-  const std::size_t members[2] = {0, 1};
-  bool feasible = false;
-  const ShareGroup exact =
-      evaluate_group(requests, {0, 1}, kOracle, options, 4, feasible);
-  cache.store(members, 2, feasible, exact);
-
-  requests[0].pickup.x += 0.25;  // edit rider 0 -> stamp bump
-  cache.begin_frame(requests, options, 4, &kOracle);
-  ShareGroup out;
-  EXPECT_EQ(cache.try_get(members, 2, out), GroupCache::Verdict::kMiss);
-  EXPECT_EQ(cache.stats().invalidated, 1u);
-}
-
-TEST(GroupCacheTest, FingerprintChangeFlushesEverything) {
-  auto requests = make_city_requests(6, 7, 4.0);
-  GroupOptions options = cache_options();
-  GroupCache cache;
-  cache.begin_frame(requests, options, 4, &kOracle);
-  const std::size_t members[2] = {0, 1};
-  bool feasible = false;
-  const ShareGroup exact =
-      evaluate_group(requests, {0, 1}, kOracle, options, 4, feasible);
-  cache.store(members, 2, feasible, exact);
-  ASSERT_EQ(cache.size(), 1u);
-
-  options.detour_threshold_km = 4.5;  // θ enters the fingerprint
-  cache.begin_frame(requests, options, 4, &kOracle);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().flushes, 1u);
-  ShareGroup out;
-  EXPECT_EQ(cache.try_get(members, 2, out), GroupCache::Verdict::kMiss);
-}
-
-TEST(GroupCacheTest, KeyIsOrderSensitive) {
-  auto requests = make_city_requests(6, 9, 4.0);
-  const GroupOptions options = cache_options();
-  GroupCache cache;
-  cache.begin_frame(requests, options, 4, &kOracle);
-  const std::size_t forward[2] = {0, 1};
-  const std::size_t swapped[2] = {1, 0};
-  bool feasible = false;
-  const ShareGroup exact =
-      evaluate_group(requests, {0, 1}, kOracle, options, 4, feasible);
-  cache.store(forward, 2, feasible, exact);
-  ShareGroup out;
-  EXPECT_EQ(cache.try_get(swapped, 2, out), GroupCache::Verdict::kMiss);
-}
-
-TEST(GroupCacheTest, StaleEntriesAreGarbageCollected) {
-  auto requests = make_city_requests(6, 15, 4.0);
-  const GroupOptions options = cache_options();
-  GroupCache cache;
-  cache.begin_frame(requests, options, 4, &kOracle);
-  const std::size_t members[2] = {0, 1};
-  bool feasible = false;
-  const ShareGroup exact =
-      evaluate_group(requests, {0, 1}, kOracle, options, 4, feasible);
-  cache.store(members, 2, feasible, exact);
-  ASSERT_EQ(cache.size(), 1u);
-
-  // Never touch the entry again: after a sweep period it must be gone.
-  for (int frame = 0; frame < 24; ++frame) {
-    cache.begin_frame(requests, options, 4, &kOracle);
-  }
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_GE(cache.stats().invalidated, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Engine x oracle differentials (uncached, cache-cold, cache-warm). The
 // suite keeps its historical name from when it also crossed the engine's
 // former on/off switches.
@@ -635,7 +507,7 @@ TEST(CrossFrameCache, PerturbedFramesStayBitIdentical) {
     requests = std::move(next);
   }
   EXPECT_GT(cache.stats().hits, 0u);
-  EXPECT_GT(cache.stats().invalidated, 0u);
+  EXPECT_GT(cache.stats().stores, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -745,38 +617,301 @@ TEST(CandidatePersistence, AbsentThenReturningIdReenumeratesFresh) {
 }
 
 // ---------------------------------------------------------------------------
-// GC sweep: the size trigger must evict stale entries under sustained
-// full-turnover churn instead of growing the map without bound.
+// GroupCache replay: engine-level cross-frame behaviour. Every frame is
+// checked against the dense serial scan of the same requests.
 
-TEST(GroupCacheTest, SizeTriggeredSweepEvictsStaleEntries) {
-  obs::TraceSink sink;
-  obs::Activation guard(sink);
+GroupOptions cache_options() {
   GroupOptions options;
-  options.detour_threshold_km = 50.0;  // dense: every pair evaluated + stored
-  options.max_group_size = 2;          // pairs only — the map still floods
+  options.detour_threshold_km = 3.0;
+  return options;
+}
+
+/// One cached enumeration, checked against the serial scan; the cache
+/// must then hold exactly this frame's output.
+std::vector<ShareGroup> cached_frame(const std::vector<trace::Request>& requests,
+                                     const GroupOptions& options, GroupCache& cache,
+                                     const geo::DistanceOracle& oracle = kOracle) {
+  auto groups = enumerate_share_groups(requests, oracle, options, 4, &cache);
+  expect_matches_serial(groups, requests, oracle, options);
+  EXPECT_EQ(cache.size(), groups.size());
+  return groups;
+}
+
+bool contains_member(const ShareGroup& group, std::size_t index) {
+  return std::find(group.member_indices.begin(), group.member_indices.end(), index) !=
+         group.member_indices.end();
+}
+
+TEST(GroupCacheTest, ReplaysStoredVerdictsBitForBit) {
+  const auto requests = make_city_requests(24, 3, 6.0);
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  const auto cold = cached_frame(requests, options, cache);
+  ASSERT_FALSE(cold.empty());
+  EXPECT_EQ(cache.stats().hits, 0u);
+  const std::uint64_t cold_stores = cache.stats().stores;
+  EXPECT_GT(cold_stores, 0u);
+
+  // Nothing changed: every group replays, nothing is evaluated.
+  const auto warm = cached_frame(requests, options, cache);
+  expect_groups_equal(warm, cold);
+  EXPECT_EQ(cache.stats().hits, cold.size());
+  EXPECT_EQ(cache.stats().stores, cold_stores);
+}
+
+TEST(GroupCacheTest, InfeasibleVerdictsReplayWithoutPayload) {
+  // Two trips that can never pool: the cold frame evaluates the pair and
+  // keeps no record; its absence is the verdict the warm frame reuses.
+  // (Three seats each cannot share a four-seat taxi.)
+  std::vector<trace::Request> requests{make_request(0, {0.0, 0.0}, {2.0, 0.0}, 3),
+                                       make_request(1, {0.5, 0.0}, {2.5, 0.0}, 3),
+                                       make_request(2, {50.0, 0.0}, {52.0, 0.0})};
+  GroupOptions options = cache_options();
+  options.require_saving = false;  // no filter may settle the pair first
+  options.pickup_radius_km = 1.0;
+  GroupCache cache;
+  EXPECT_TRUE(cached_frame(requests, options, cache).empty());
+  EXPECT_EQ(cache.stats().stores, 1u);  // (0, 1): the only pair within the radius
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(cached_frame(requests, options, cache).empty());
+  EXPECT_EQ(cache.stats().stores, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(GroupCacheTest, ContentChangeInvalidatesTouchedEntries) {
+  auto requests = make_city_requests(24, 5, 6.0);
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  const auto cold = cached_frame(requests, options, cache);
+  ASSERT_TRUE(std::any_of(cold.begin(), cold.end(),
+                          [](const ShareGroup& g) { return contains_member(g, 0); }));
+  const auto untouched = static_cast<std::uint64_t>(std::count_if(
+      cold.begin(), cold.end(), [](const ShareGroup& g) { return !contains_member(g, 0); }));
+
+  requests[0].pickup.x += 0.25;  // edit rider 0: its groups are churn
+  const std::uint64_t hits_before = cache.stats().hits;
+  cached_frame(requests, options, cache);
+  EXPECT_EQ(cache.stats().hits - hits_before, untouched);
+}
+
+TEST(GroupCacheTest, FingerprintChangeFlushesEverything) {
+  const auto requests = make_city_requests(24, 7, 6.0);
+  GroupOptions options = cache_options();
+  GroupCache cache;
+  ASSERT_FALSE(cached_frame(requests, options, cache).empty());
+
+  options.detour_threshold_km = 4.5;  // θ enters the fingerprint
+  cached_frame(requests, options, cache);
+  EXPECT_EQ(cache.stats().flushes, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(GroupCacheTest, KeyIsOrderSensitive) {
+  // Two persisting requests swap relative order: optimal_route breaks
+  // ties by rider order, so one of them must resolve fresh.
+  auto requests = make_city_requests(24, 9, 6.0);
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  const auto cold = cached_frame(requests, options, cache);
+  std::swap(requests[2], requests[5]);
+  const std::uint64_t stores_before = cache.stats().stores;
+  cached_frame(requests, options, cache);
+  EXPECT_GT(cache.stats().stores, stores_before);
+  EXPECT_LT(cache.stats().hits, cold.size());
+
+  // Identical twins swapped: equal content under different ids.
+  std::vector<trace::Request> twins{make_request(0, {0.0, 0.0}, {3.0, 0.0}),
+                                    make_request(1, {0.0, 0.0}, {3.0, 0.0}),
+                                    make_request(2, {0.2, 0.1}, {3.1, 0.2})};
+  GroupCache twin_cache;
+  cached_frame(twins, options, twin_cache);
+  std::swap(twins[0], twins[1]);
+  cached_frame(twins, options, twin_cache);
+}
+
+TEST(GroupCacheTest, StaleEntriesAreGarbageCollected) {
+  // The cache holds the last output only: once a frame with no request
+  // in common commits, nothing of the earlier frame survives.
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  const auto first = cached_frame(make_city_requests(24, 15, 6.0), options, cache);
+  ASSERT_FALSE(first.empty());
+  auto other = make_city_requests(24, 16, 6.0);
+  for (auto& request : other) request.id += 100;
+  cached_frame(other, options, cache);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(GroupCacheTest, FullTurnoverHoldsOnlyTheLastOutput) {
+  // Sustained full-turnover churn: every frame is brand-new ids, and the
+  // cache never holds more than the last frame's groups.
+  GroupOptions options;
+  options.detour_threshold_km = 50.0;  // dense: every pair evaluated
+  options.max_group_size = 2;
   options.require_saving = false;
-  options.pickup_radius_km = 1e6;  // finite, keeps the sparse path + persistence
+  options.pickup_radius_km = 1e6;  // finite: the sparse path
   GroupCache cache;
   trace::RequestId next_id = 0;
-  std::uint64_t total_evictions = 0;
-  for (int frame = 0; frame < 16; ++frame) {
-    // Full turnover: every frame is 128 brand-new ids => ~8128 fresh
-    // entries per frame, so the map crosses the sweep floor (and then its
-    // doubling trigger) well before frame counts where the periodic
-    // sweep alone would have bounded it.
-    auto requests = make_city_requests(128, 59 + frame, 40.0);
+  for (int frame = 0; frame < 6; ++frame) {
+    auto requests = make_city_requests(48, 59 + static_cast<std::uint64_t>(frame), 40.0);
     for (auto& request : requests) request.id = next_id++;
-    sink.begin_frame(static_cast<std::uint64_t>(frame), 0.0);
-    enumerate_share_groups(requests, kOracle, options, 4, &cache);
-    const obs::FrameTrace trace = sink.end_frame();
-    total_evictions +=
-        trace.counters[static_cast<std::size_t>(obs::Counter::kCacheEvictions)];
+    const auto groups = enumerate_share_groups(requests, kOracle, options, 4, &cache);
+    EXPECT_LE(cache.size(), groups.size());
   }
-  EXPECT_GT(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.stats().evictions, total_evictions);
-  // Live entries stay bounded near the churn window, far below the
-  // ~130k stored across the run.
-  EXPECT_LT(cache.size(), 50000u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(Replay, AbsentForOneFrameThenReturningUnchanged) {
+  auto requests = make_city_requests(28, 71, 6.0);
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  cached_frame(requests, options, cache);
+  auto without = requests;
+  without.erase(without.begin() + 4);
+  cached_frame(without, options, cache);
+  // Rider 4 returns with the same content: it was not in the last
+  // enumeration, so its groups resolve fresh, and the others replay.
+  const std::uint64_t stores_before = cache.stats().stores;
+  cached_frame(requests, options, cache);
+  EXPECT_GT(cache.stats().stores, stores_before);
+  cached_frame(requests, options, cache);
+}
+
+TEST(Replay, ThetaAndSeatChangesMidStream) {
+  auto requests = make_city_requests(32, 73, 6.0);
+  GroupCache cache;
+  Rng rng(75);
+  trace::RequestId next_id = 500;
+  const double thetas[] = {3.0, 3.0, 2.0, 2.0, 2.0, 3.0};
+  const int seats[] = {4, 4, 4, 2, 2, 3};
+  for (int frame = 0; frame < 6; ++frame) {
+    SCOPED_TRACE(::testing::Message() << "frame=" << frame);
+    GroupOptions options;
+    options.detour_threshold_km = thetas[frame];
+    const auto groups = enumerate_share_groups(requests, kOracle, options, seats[frame], &cache);
+    expect_groups_equal(groups,
+                        reference::enumerate_serial(requests, kOracle, options, seats[frame]));
+    EXPECT_EQ(cache.size(), groups.size());
+    requests = churn_step(requests, 0.1, 6.0, rng, next_id);
+  }
+  EXPECT_EQ(cache.stats().flushes, 3u);  // frames 2, 3 and 5
+}
+
+TEST(Replay, TinyFrameBetweenWarmFrames) {
+  auto requests = make_city_requests(28, 77, 6.0);
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  const auto first = cached_frame(requests, options, cache);
+  const std::vector<trace::Request> one{requests[3]};
+  EXPECT_TRUE(enumerate_share_groups(one, kOracle, options, 4, &cache).empty());
+  EXPECT_TRUE(enumerate_share_groups({}, kOracle, options, 4, &cache).empty());
+  // The tiny frames enumerate nothing and leave the last output in place.
+  EXPECT_EQ(cache.size(), first.size());
+  const std::uint64_t hits_before = cache.stats().hits;
+  requests.erase(requests.begin() + 1);
+  cached_frame(requests, options, cache);
+  EXPECT_GT(cache.stats().hits, hits_before);
+}
+
+TEST(Replay, RepeatedIdsFallBackToFreshWork) {
+  auto requests = make_city_requests(20, 79, 6.0);
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  cached_frame(requests, options, cache);
+  auto repeated = requests;
+  // Two requests under one id, too far apart to share a group (a route
+  // tells riders apart by id).
+  repeated[7].id = repeated[3].id;
+  repeated[7].pickup = {100.0, 100.0};
+  repeated[7].dropoff = {102.0, 100.0};
+  const std::uint64_t hits_before = cache.stats().hits;
+  // (The dense scan would pair the two and trip the route's precedence
+  // check, so the uncached engine is the reference here.)
+  expect_groups_equal(enumerate_share_groups(repeated, kOracle, options, 4, &cache),
+                      enumerate_share_groups(repeated, kOracle, options));
+  EXPECT_EQ(cache.stats().hits, hits_before);
+  EXPECT_EQ(cache.size(), 0u);  // nothing to replay by id
+  cached_frame(requests, options, cache);
+  cached_frame(requests, options, cache);
+}
+
+TEST(Replay, DensePathChurnMatchesSerial) {
+  // No saving constraint and no radius: the all-pairs emission, where
+  // churn pairs are every pair with a churn member.
+  GroupOptions options;
+  options.detour_threshold_km = 2.0;
+  options.require_saving = false;
+  auto requests = make_city_requests(24, 81, 6.0);
+  GroupCache cache;
+  Rng rng(83);
+  trace::RequestId next_id = 700;
+  for (int frame = 0; frame < 4; ++frame) {
+    SCOPED_TRACE(::testing::Message() << "frame=" << frame);
+    cached_frame(requests, options, cache);
+    requests = churn_step(requests, 0.15, 6.0, rng, next_id);
+  }
+  EXPECT_GT(cache.stats().hits, 0u);
+}
+
+TEST(Replay, WarmFrameEvaluatesOnlyChurnCandidatesPastTheCertificate) {
+  // Pick-ups within 1.5 km of each other, trips of at least 1 km and
+  // θ = 3: every pair lies inside the grid's θ/2 + direct radius, so the
+  // fresh pair candidates are exactly the pairs with a churn member.
+  const GroupOptions options = cache_options();
+  auto requests = make_city_requests(40, 85, 1.5);
+  GroupCache cache;
+  cached_frame(requests, options, cache);
+
+  // Churn: rider 0 edited, rider 9 gone, two arrivals.
+  requests[0].pickup.y += 0.1;
+  requests.erase(requests.begin() + 9);
+  auto arrivals = make_city_requests(2, 86, 1.5);
+  for (auto& request : arrivals) request.id += 1000;
+  requests.insert(requests.end(), arrivals.begin(), arrivals.end());
+  const std::size_t n = requests.size();
+  const auto churn = [&](std::size_t i) { return i == 0 || i + 2 >= n; };
+
+  std::vector<double> direct(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    direct[i] = kOracle.distance(requests[i].pickup, requests[i].dropoff);
+  }
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (churn(i) || churn(j)) keys.push_back((static_cast<std::uint64_t>(i) << 32) | j);
+    }
+  }
+  cone_prune_pairs(requests, direct, options.detour_threshold_km, keys);
+  std::vector<std::uint8_t> keep;
+  simd_certify_pairs(requests, kOracle, direct, options, keys, keep);
+  const auto pair_evaluations =
+      static_cast<std::uint64_t>(std::count(keep.begin(), keep.end(), 1));
+  // Triples: every candidate with a churn member whose three pairs are
+  // feasible (triples skip the certificate).
+  const auto serial = reference::enumerate_serial(requests, kOracle, options);
+  std::set<std::pair<std::size_t, std::size_t>> feasible;
+  for (const ShareGroup& group : serial) {
+    if (group.member_indices.size() == 2) {
+      feasible.emplace(group.member_indices[0], group.member_indices[1]);
+    }
+  }
+  std::uint64_t triple_evaluations = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      for (std::size_t k = j + 1; k < n; ++k) {
+        if ((churn(i) || churn(j) || churn(k)) && feasible.count({i, j}) &&
+            feasible.count({i, k}) && feasible.count({j, k})) {
+          ++triple_evaluations;
+        }
+      }
+    }
+  }
+  ASSERT_GT(pair_evaluations, 0u);
+  ASSERT_GT(triple_evaluations, 0u);
+
+  const std::uint64_t stores_before = cache.stats().stores;
+  cached_frame(requests, options, cache);
+  EXPECT_EQ(cache.stats().stores - stores_before, pair_evaluations + triple_evaluations);
 }
 
 // ---------------------------------------------------------------------------

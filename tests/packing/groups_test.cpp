@@ -9,6 +9,7 @@
 
 #include "geo/road_network.h"
 #include "routing/route.h"
+#include "tests/reference/groups.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -185,11 +186,8 @@ TEST(Enumerate, PairPruningMatchesExhaustiveOnCompactClusters) {
     const geo::Point dropoff{10.0 + rng.uniform(0, 1.5), rng.uniform(0, 1.5)};
     requests.push_back(make_request(i, pickup, dropoff));
   }
-  GroupOptions pruned = options(4.0);
-  GroupOptions exhaustive = options(4.0);
-  exhaustive.grow_triples_from_pairs = false;
-  const auto a = enumerate_share_groups(requests, kOracle, pruned);
-  const auto b = enumerate_share_groups(requests, kOracle, exhaustive);
+  const auto a = enumerate_share_groups(requests, kOracle, options(4.0));
+  const auto b = reference::enumerate_exhaustive(requests, kOracle, options(4.0));
   EXPECT_EQ(a.size(), b.size());
 }
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include "core/sharing.h"
 #include "packing/groups.h"
@@ -122,10 +124,39 @@ TEST(EnumerationDifferential, NoSavingConstraintDisablesDerivedPruning) {
 }
 
 TEST(EnumerationDifferential, ExhaustiveTripleModeMatches) {
+  // The engine grows triples from feasible pairs; the reference's
+  // exhaustive scan evaluates every triple. They must agree on every
+  // pair and on every triple whose three pairs are feasible, record for
+  // record, and the exhaustive scan may only add triples with an
+  // infeasible pair.
   GroupOptions options;
   options.detour_threshold_km = 3.0;
-  options.grow_triples_from_pairs = false;
-  run_enumeration_differential(make_city_requests(18, 41, 6.0), options);
+  const auto requests = make_city_requests(18, 41, 6.0);
+  const auto engine = enumerate_share_groups(requests, kOracle, options);
+  std::vector<routing::Route> routes;
+  const auto exhaustive =
+      reference::enumerate_exhaustive(requests, kOracle, options, 4, &routes);
+  std::set<std::pair<std::size_t, std::size_t>> feasible_pairs;
+  for (const ShareGroup& group : exhaustive) {
+    if (group.member_indices.size() == 2) {
+      feasible_pairs.emplace(group.member_indices[0], group.member_indices[1]);
+    }
+  }
+  const auto pairs_feasible = [&](const ShareGroup& group) {
+    const auto& m = group.member_indices;
+    return m.size() == 2 ||
+           (feasible_pairs.count({m[0], m[1]}) != 0 && feasible_pairs.count({m[0], m[2]}) != 0 &&
+            feasible_pairs.count({m[1], m[2]}) != 0);
+  };
+  std::vector<ShareGroup> grown;
+  std::vector<routing::Route> grown_routes;
+  for (std::size_t g = 0; g < exhaustive.size(); ++g) {
+    if (!pairs_feasible(exhaustive[g])) continue;
+    grown.push_back(exhaustive[g]);
+    grown_routes.push_back(routes[g]);
+  }
+  ASSERT_FALSE(grown.empty());
+  expect_groups_equal(requests, options, engine, grown, grown_routes);
 }
 
 TEST(EnumerationDifferential, PairsOnlyMatches) {

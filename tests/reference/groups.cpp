@@ -4,10 +4,12 @@
 
 namespace o2o::packing::reference {
 
-std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> requests,
-                                         const geo::DistanceOracle& oracle,
-                                         const GroupOptions& options, int taxi_seats,
-                                         std::vector<routing::Route>* routes) {
+namespace {
+
+std::vector<ShareGroup> scan(std::span<const trace::Request> requests,
+                             const geo::DistanceOracle& oracle, const GroupOptions& options,
+                             int taxi_seats, std::vector<routing::Route>* routes,
+                             bool grow_triples_from_pairs) {
   std::vector<ShareGroup> groups;
   if (routes != nullptr) routes->clear();
   routing::Route route;
@@ -21,7 +23,7 @@ std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> request
 
   // Pairs. Remember feasibility for the triple-growing prune.
   std::vector<std::vector<bool>> pair_feasible;
-  if (options.grow_triples_from_pairs) {
+  if (grow_triples_from_pairs) {
     pair_feasible.assign(n, std::vector<bool>(n, false));
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -31,7 +33,7 @@ std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> request
       const ShareGroup group = evaluate_group(requests, {i, j}, oracle, options, taxi_seats,
                                               feasible, &route);
       if (!feasible) continue;
-      if (options.grow_triples_from_pairs) {
+      if (grow_triples_from_pairs) {
         pair_feasible[i][j] = pair_feasible[j][i] = true;
       }
       groups.push_back(group);
@@ -43,10 +45,9 @@ std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> request
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (options.grow_triples_from_pairs && !pair_feasible[i][j]) continue;
+      if (grow_triples_from_pairs && !pair_feasible[i][j]) continue;
       for (std::size_t k = j + 1; k < n; ++k) {
-        if (options.grow_triples_from_pairs &&
-            (!pair_feasible[i][k] || !pair_feasible[j][k])) {
+        if (grow_triples_from_pairs && (!pair_feasible[i][k] || !pair_feasible[j][k])) {
           continue;
         }
         if (!pickups_close(i, k) || !pickups_close(j, k)) continue;
@@ -60,6 +61,22 @@ std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> request
     }
   }
   return groups;
+}
+
+}  // namespace
+
+std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> requests,
+                                         const geo::DistanceOracle& oracle,
+                                         const GroupOptions& options, int taxi_seats,
+                                         std::vector<routing::Route>* routes) {
+  return scan(requests, oracle, options, taxi_seats, routes, /*grow_triples_from_pairs=*/true);
+}
+
+std::vector<ShareGroup> enumerate_exhaustive(std::span<const trace::Request> requests,
+                                             const geo::DistanceOracle& oracle,
+                                             const GroupOptions& options, int taxi_seats,
+                                             std::vector<routing::Route>* routes) {
+  return scan(requests, oracle, options, taxi_seats, routes, /*grow_triples_from_pairs=*/false);
 }
 
 }  // namespace o2o::packing::reference

@@ -175,6 +175,36 @@ TEST(ServiceApi, EmptyResponseRoundTrips) {
   EXPECT_EQ(*decoded, response);
 }
 
+TEST(ServiceApi, RejectionRoundTrips) {
+  api::FrameResponse rejected;
+  rejected.frame = 4;
+  rejected.reject_reason = "invalid seats 0 on driver_id 7: must be at least 1";
+  const std::string line = encode_response(rejected);
+  EXPECT_EQ(line,
+            R"({"v":1,"event":"frame_rejected","frame":4,)"
+            R"("reason":"invalid seats 0 on driver_id 7: must be at least 1"})");
+  const auto decoded = decode_response(line);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, rejected);
+
+  // Quotes, backslashes and line breaks survive the trip.
+  rejected.reject_reason = "a \"quoted\" path\\x\nline\ttab";
+  const auto escaped = decode_response(encode_response(rejected));
+  ASSERT_TRUE(escaped.has_value());
+  EXPECT_EQ(*escaped, rejected);
+
+  // A rejection needs a non-empty reason; keys of a frame_response are
+  // dropped from it.
+  EXPECT_FALSE(decode_response(R"({"v":1,"event":"frame_rejected","frame":4})"));
+  EXPECT_FALSE(decode_response(R"({"v":1,"event":"frame_rejected","frame":4,"reason":""})"));
+  const auto mixed = decode_response(
+      R"({"v":1,"event":"frame_rejected","frame":4,"reason":"x","timestamp":9,)"
+      R"("assignments":[]})");
+  ASSERT_TRUE(mixed.has_value());
+  EXPECT_EQ(mixed->timestamp, 0.0);
+  EXPECT_EQ(mixed->reject_reason, "x");
+}
+
 TEST(ServiceApi, FrameEventsEndWithTheBarrier) {
   api::FrameRequest request;
   request.frame = 9;

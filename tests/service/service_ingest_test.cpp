@@ -296,6 +296,47 @@ TEST(StreamingService, OutOfRangeSeatFramesAreDroppedAndCounted) {
             2u);
 }
 
+// next_answer() answers a rejected frame instead of skipping it, so a
+// closed-loop client waiting on that frame hears back; the rejection is
+// still counted with the next dispatched frame.
+TEST(StreamingService, RejectedFramesAreAnsweredByNextAnswer) {
+  const DispatchConfig config = DispatchConfig{}
+                                    .with_passenger_threshold_km(10.0)
+                                    .with_taxi_threshold_score(1.0)
+                                    .with_pipeline_depth(4);
+  StreamingService service("std-p", config, kOracle);
+  obs::TraceSink sink;
+  obs::Activation guard(sink);
+
+  api::Driver seatless;
+  seatless.driver_id = 7;
+  seatless.location = {0.5, 0.5};
+  seatless.seats = 0;
+  service.submit(order_event(1, 0.0, 0.0));
+  service.submit(api::RideEvent::make_driver(seatless));
+  service.submit(api::RideEvent::make_end_frame(0, 60.0));
+  service.submit(order_event(3, 0.0, 0.0));
+  service.submit(driver_event(7, 0.5, 0.5));
+  service.submit(api::RideEvent::make_end_frame(1, 120.0));
+  service.close();
+
+  const auto rejected = service.next_answer();
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_EQ(rejected->frame, 0u);
+  EXPECT_FALSE(rejected->reject_reason.empty());
+  EXPECT_TRUE(rejected->assignments.empty());
+  EXPECT_EQ(sink.frames_recorded(), 0u);
+  const auto served = service.next_answer();
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(served->frame, 1u);
+  EXPECT_TRUE(served->reject_reason.empty());
+  EXPECT_EQ(served->assignments.size(), 1u);
+  EXPECT_FALSE(service.next_answer().has_value());
+  ASSERT_EQ(sink.frames_recorded(), 1u);
+  EXPECT_EQ(sink.aggregate().counters[static_cast<std::size_t>(obs::Counter::kFramesRejected)],
+            1u);
+}
+
 // A frame whose timestamp goes backwards never reaches dispatch(): it is
 // counted as rejected and the next in-order frame is answered.
 TEST(StreamingService, BackwardTimestampFramesAreDroppedAndCounted) {
