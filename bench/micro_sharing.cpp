@@ -1,5 +1,6 @@
 // Micro-benchmarks for the sharing pipeline: shared-route optimization
-// (exhaustive vs Held-Karp DP), feasible-group enumeration, the three
+// (the exhaustive search, cold and with a reused stop table),
+// feasible-group enumeration, the three
 // set-packing solvers, and city-scale runs of the grid-pruned
 // enumeration engine and full sharing frames (the EXPERIMENTS.md tables).
 //
@@ -61,28 +62,20 @@ void BM_RouteExhaustive(benchmark::State& state) {
   const auto riders = make_requests(static_cast<std::size_t>(state.range(0)), 11);
   const geo::Point start{0, 0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(routing::optimal_route_exhaustive(riders, kOracle, start));
+    benchmark::DoNotOptimize(routing::optimal_route(riders, kOracle, start));
   }
 }
 BENCHMARK(BM_RouteExhaustive)->DenseRange(1, 4);
 
-void BM_RouteDp(benchmark::State& state) {
-  const auto riders = make_requests(static_cast<std::size_t>(state.range(0)), 12);
-  const geo::Point start{0, 0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(routing::optimal_route_dp(riders, kOracle, start));
-  }
-}
-BENCHMARK(BM_RouteDp)->DenseRange(1, 7);
-
 void BM_AnchoredSolverReuse(benchmark::State& state) {
-  // The dispatcher's hot path: one group probed against many taxis.
+  // The dispatcher's hot path: one group priced against many taxis,
+  // route-free (a route is built only for the matched taxi).
   const auto riders = make_requests(3, 13);
   const routing::AnchoredRouteSolver solver(riders, kOracle);
   Rng rng(14);
   for (auto _ : state) {
     const geo::Point start{rng.uniform(0, 12), rng.uniform(0, 12)};
-    benchmark::DoNotOptimize(solver.best_route(start));
+    benchmark::DoNotOptimize(solver.best_order(start));
   }
 }
 BENCHMARK(BM_AnchoredSolverReuse);

@@ -1,6 +1,7 @@
 #include "core/preferences.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <optional>
@@ -9,6 +10,7 @@
 #include "index/spatial_grid.h"
 #include "obs/obs.h"
 #include "util/contracts.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace o2o::core {
@@ -49,7 +51,9 @@ PreferenceProfile PreferenceProfile::from_candidates(
     std::vector<std::vector<Candidate>> candidates, std::size_t taxi_count,
     std::size_t list_cap) {
   const std::size_t requests = candidates.size();
-  O2O_EXPECTS(requests <= (std::uint64_t{1} << 32));
+  // Keeps every pair_key's low word below 2^31, clear of kEmptyKey.
+  O2O_EXPECTS(requests < (std::uint64_t{1} << 32));
+  O2O_EXPECTS(taxi_count <= static_cast<std::size_t>(std::numeric_limits<int>::max()));
 
   PreferenceProfile profile;
   profile.request_count_ = requests;
@@ -59,7 +63,9 @@ PreferenceProfile PreferenceProfile::from_candidates(
 
   std::size_t total_pairs = 0;
   for (const auto& row : candidates) total_pairs += row.size();
-  profile.pairs_.reserve(total_pairs);
+  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2 * total_pairs, 2));
+  profile.pairs_.assign(capacity, PairSlot{kEmptyKey, PairEntry{}});
+  profile.pair_mask_ = capacity - 1;
 
   // Request lists + the pair table. Sorting by (passenger score, taxi)
   // floats acceptable entries to the front, so the cap keeps the best.
@@ -73,13 +79,15 @@ PreferenceProfile PreferenceProfile::from_candidates(
     for (const Candidate& candidate : row) {
       O2O_EXPECTS(candidate.taxi >= 0 &&
                   static_cast<std::size_t>(candidate.taxi) < taxi_count);
-      const auto [it, inserted] = profile.pairs_.emplace(
-          pair_key(r, static_cast<std::size_t>(candidate.taxi)),
-          PairEntry{candidate.passenger_score, candidate.taxi_score, kNoRank, kNoRank});
-      O2O_EXPECTS(inserted);  // each (request, taxi) pair scored at most once
+      const std::uint64_t key = pair_key(r, static_cast<std::size_t>(candidate.taxi));
+      PairSlot& slot = profile.slot_for(key);
+      O2O_EXPECTS(slot.key == kEmptyKey);  // each (request, taxi) pair scored at most once
+      slot.key = key;
+      slot.entry.passenger_score = candidate.passenger_score;
+      slot.entry.taxi_score = candidate.taxi_score;
       if (candidate.passenger_score != kUnacceptable &&
           (list_cap == 0 || list.size() < list_cap)) {
-        it->second.request_rank = list.size();
+        slot.entry.request_rank = static_cast<std::uint32_t>(list.size());
         list.push_back(candidate.taxi);
       }
     }
@@ -105,16 +113,32 @@ PreferenceProfile PreferenceProfile::from_candidates(
     for (std::size_t pos = 0; pos < bucket.size(); ++pos) {
       const int r = bucket[pos].second;
       list.push_back(r);
-      profile.pairs_[pair_key(static_cast<std::size_t>(r), t)].taxi_rank = pos;
+      profile.slot_for(pair_key(static_cast<std::size_t>(r), t)).entry.taxi_rank =
+          static_cast<std::uint32_t>(pos);
     }
   }
   return profile;
 }
 
+PreferenceProfile::PairSlot& PreferenceProfile::slot_for(std::uint64_t key) {
+  for (std::uint64_t i = mix64(key) & pair_mask_;; i = (i + 1) & pair_mask_) {
+    PairSlot& slot = pairs_[i];
+    if (slot.key == key || slot.key == kEmptyKey) return slot;
+  }
+}
+
 const PreferenceProfile::PairEntry* PreferenceProfile::find_pair(std::size_t r,
                                                                  std::size_t t) const {
-  const auto it = pairs_.find(pair_key(r, t));
-  return it == pairs_.end() ? nullptr : &it->second;
+  const std::uint64_t key = pair_key(r, t);
+  for (std::uint64_t i = mix64(key) & pair_mask_;; i = (i + 1) & pair_mask_) {
+    const PairSlot& slot = pairs_[i];
+    if (slot.key == key) return &slot.entry;
+    if (slot.key == kEmptyKey) return nullptr;
+  }
+}
+
+std::size_t PreferenceProfile::widen(std::uint32_t rank) noexcept {
+  return rank == kNoRank32 ? kNoRank : rank;
 }
 
 const std::vector<int>& PreferenceProfile::request_list(std::size_t r) const {
@@ -131,21 +155,22 @@ std::size_t PreferenceProfile::request_rank(std::size_t r, std::size_t t) const 
   O2O_EXPECTS(r < request_count_);
   O2O_EXPECTS(t < taxi_count_);
   const PairEntry* entry = find_pair(r, t);
-  return entry == nullptr ? kNoRank : entry->request_rank;
+  return entry == nullptr ? kNoRank : widen(entry->request_rank);
 }
 
 std::size_t PreferenceProfile::taxi_rank(std::size_t t, std::size_t r) const {
   O2O_EXPECTS(t < taxi_count_);
   O2O_EXPECTS(r < request_count_);
   const PairEntry* entry = find_pair(r, t);
-  return entry == nullptr ? kNoRank : entry->taxi_rank;
+  return entry == nullptr ? kNoRank : widen(entry->taxi_rank);
 }
 
 bool PreferenceProfile::acceptable(std::size_t r, std::size_t t) const {
   O2O_EXPECTS(r < request_count_);
   O2O_EXPECTS(t < taxi_count_);
   const PairEntry* entry = find_pair(r, t);
-  return entry != nullptr && entry->request_rank != kNoRank && entry->taxi_rank != kNoRank;
+  return entry != nullptr && entry->request_rank != kNoRank32 &&
+         entry->taxi_rank != kNoRank32;
 }
 
 bool PreferenceProfile::request_prefers(std::size_t r, int a, int b) const {

@@ -13,14 +13,15 @@
 // for packed super-requests with the D_ck(...) score definitions.
 //
 // A profile stores only the scored (request, taxi) pairs: the preference
-// lists plus a hash from each pair to its ranks and scores, never an
-// |R|×|T| matrix. A pair unacceptable on both sides is simply absent.
-// With a finite passenger threshold the candidate rows come from a
-// SpatialGrid radius query, so construction cost scales with the number
-// of nearby taxis rather than the fleet size: pairs beyond the threshold
-// can never be matched (the request ranks them past its dummy), and
-// dropping them preserves the relative order of every taxi list. The
-// dense all-pairs builds that pin this live in tests/reference/profiles.
+// lists plus a flat open-addressing table from each pair to its ranks
+// and scores, never an |R|×|T| matrix. A pair unacceptable on both sides
+// is simply absent. With a finite passenger threshold the candidate rows
+// come from a SpatialGrid radius query, so construction cost scales with
+// the number of nearby taxis rather than the fleet size: pairs beyond
+// the threshold can never be matched (the request ranks them past its
+// dummy), and dropping them preserves the relative order of every taxi
+// list. The dense all-pairs builds that pin this live in
+// tests/reference/profiles.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/distance_oracle.h"
@@ -83,7 +83,8 @@ class PreferenceProfile {
   /// Builds a profile from per-request candidate rows. Each (request,
   /// taxi) pair may appear at most once; unlisted pairs are unacceptable
   /// on both sides. Ties break toward the lower index, making all orders
-  /// strict and runs deterministic.
+  /// strict and runs deterministic. Requires fewer than 2^32 rows and
+  /// taxi_count <= INT_MAX (candidate taxis are ints).
   static PreferenceProfile from_candidates(std::vector<std::vector<Candidate>> candidates,
                                            std::size_t taxi_count, std::size_t list_cap = 0);
 
@@ -117,24 +118,44 @@ class PreferenceProfile {
   static constexpr std::size_t kNoRank = std::numeric_limits<std::size_t>::max();
 
  private:
+  /// Ranks fit 32 bits: a list is no longer than the request count
+  /// (< 2^32) or the taxi count (<= INT_MAX).
+  static constexpr std::uint32_t kNoRank32 = std::numeric_limits<std::uint32_t>::max();
+
   struct PairEntry {
     double passenger_score = kUnacceptable;
     double taxi_score = kUnacceptable;
-    std::size_t request_rank = kNoRank;
-    std::size_t taxi_rank = kNoRank;
+    std::uint32_t request_rank = kNoRank32;
+    std::uint32_t taxi_rank = kNoRank32;
   };
+
+  /// One slot of the open-addressing pair table; key kEmptyKey marks a
+  /// free slot.
+  struct PairSlot {
+    std::uint64_t key;
+    PairEntry entry;
+  };
+
+  /// No valid pair_key equals it: from_candidates requires r < 2^32 and
+  /// t <= INT_MAX, so a key's low word is below 2^31.
+  static constexpr std::uint64_t kEmptyKey = std::numeric_limits<std::uint64_t>::max();
 
   static std::uint64_t pair_key(std::size_t r, std::size_t t) noexcept {
     return (static_cast<std::uint64_t>(r) << 32) | static_cast<std::uint64_t>(t);
   }
+  static std::size_t widen(std::uint32_t rank) noexcept;  // kNoRank32 -> kNoRank
   const PairEntry* find_pair(std::size_t r, std::size_t t) const;
+  /// The slot holding `key`, or the free slot where it belongs.
+  PairSlot& slot_for(std::uint64_t key);
 
   std::size_t request_count_ = 0;
   std::size_t taxi_count_ = 0;
   std::vector<std::vector<int>> request_prefs_;
   std::vector<std::vector<int>> taxi_prefs_;
-  // (r, t) -> ranks and scores for listed pairs only.
-  std::unordered_map<std::uint64_t, PairEntry> pairs_;
+  // (r, t) -> ranks and scores for listed pairs only: linear probing over
+  // a power-of-two table at most half full, hashed with o2o::mix64.
+  std::vector<PairSlot> pairs_;
+  std::uint64_t pair_mask_ = 0;
 };
 
 /// Non-sharing profile straight from geometry (Section IV-A): passenger

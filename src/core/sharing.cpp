@@ -14,6 +14,22 @@
 
 namespace o2o::core {
 
+namespace {
+
+/// Per-worker buffers for the sharing profile's row loop, reused across
+/// every unit a worker scores, so a row allocates only its own candidate
+/// list (the EvalScratch idiom of packing/groups.cpp).
+struct RowScratch {
+  std::vector<std::int32_t> candidates;  // radius hits, then sorted unique ids
+  std::vector<int> feasible;             // seat-feasible candidates
+  std::vector<geo::Point> locations;     // their positions, bulk-query shape
+  std::vector<double> totals;            // Σ member pick-up distances
+  std::vector<double> pickups;           // one member's pick-up row
+  std::vector<std::pair<double, int>> passing;  // (bound, taxi)
+};
+
+}  // namespace
+
 SharingUnits pack_requests(std::span<const trace::Request> requests,
                            const geo::DistanceOracle& oracle, const SharingParams& params,
                            packing::GroupCache* group_cache) {
@@ -136,28 +152,28 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
   std::vector<double> direct_sum(n_units, 0.0);
   std::vector<int> unit_seats(n_units, 0);
   solvers.reserve(n_units);
+  std::vector<trace::Request> riders;
   for (std::size_t u = 0; u < n_units; ++u) {
-    std::vector<trace::Request> riders;
-    riders.reserve(units.units[u].size());
+    riders.clear();
     for (std::size_t index : units.units[u]) {
       riders.push_back(requests[index]);
       unit_seats[u] += requests[index].seats;
     }
     for (const double d : direct[u]) direct_sum[u] += d;
-    solvers.emplace_back(std::move(riders), oracle);
+    solvers.emplace_back(riders, oracle);
   }
 
-  // Candidate rows over (unit, taxi), plus the per-unit routes for
-  // kept candidates, aligned with the rows (ascending taxi index).
+  // Candidate rows over (unit, taxi). Each candidate is priced from its
+  // solver's stop order alone; only matched pairs get a route, after DA.
   const double passenger_threshold = params.preference.passenger_threshold_km;
   std::optional<index::SpatialGrid> local_grid;
   const index::SpatialGrid* grid =
       candidate_grid(taxis, passenger_threshold, taxi_grid, local_grid);
 
   std::vector<std::vector<PreferenceProfile::Candidate>> rows(n_units);
-  std::vector<std::vector<std::pair<int, routing::Route>>> unit_routes(n_units);
 
   for_each_row(n_units, oracle, [&](std::size_t u) {
+    thread_local RowScratch scratch;
     const auto& member_indices = units.units[u];
 
     // Candidate taxis. A taxi passes the mean-pick-up bound below only if
@@ -165,12 +181,11 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
     // threshold, and oracle distances dominate the straight-line metric
     // the grid filters on — so the union of the members' radius queries
     // covers every taxi a scan over the whole fleet would keep.
-    std::vector<int> candidate_ids;
+    std::vector<std::int32_t>& candidate_ids = scratch.candidates;
+    candidate_ids.clear();
     if (grid != nullptr) {
       for (std::size_t index : member_indices) {
-        const std::vector<std::int32_t> nearby =
-            grid->within_radius(requests[index].pickup, passenger_threshold);
-        candidate_ids.insert(candidate_ids.end(), nearby.begin(), nearby.end());
+        grid->within_radius_into(requests[index].pickup, passenger_threshold, candidate_ids);
       }
       std::sort(candidate_ids.begin(), candidate_ids.end());
       candidate_ids.erase(std::unique(candidate_ids.begin(), candidate_ids.end()),
@@ -188,24 +203,26 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
     // call per member (one reverse tree per pick-up on the network
     // oracle); the per-candidate accumulation order over members is
     // unchanged.
-    std::vector<int> feasible;
-    std::vector<geo::Point> locations;
-    feasible.reserve(candidate_ids.size());
-    locations.reserve(candidate_ids.size());
-    for (const int candidate : candidate_ids) {
+    std::vector<int>& feasible = scratch.feasible;
+    std::vector<geo::Point>& locations = scratch.locations;
+    feasible.clear();
+    locations.clear();
+    for (const std::int32_t candidate : candidate_ids) {
       const auto t = static_cast<std::size_t>(candidate);
       if (taxis[t].seats < unit_seats[u]) continue;
       feasible.push_back(candidate);
       locations.push_back(taxis[t].location);
     }
-    std::vector<double> totals(feasible.size(), 0.0);
+    std::vector<double>& totals = scratch.totals;
+    std::vector<double>& pickups = scratch.pickups;
+    totals.assign(feasible.size(), 0.0);
+    pickups.resize(feasible.size());
     for (std::size_t index : member_indices) {
-      const std::vector<double> pickups =
-          oracle.distances_to(locations, requests[index].pickup);
+      oracle.distances_to_into(locations, requests[index].pickup, pickups.data());
       for (std::size_t k = 0; k < feasible.size(); ++k) totals[k] += pickups[k];
     }
-    std::vector<std::pair<double, int>> passing;  // (bound, taxi)
-    passing.reserve(feasible.size());
+    std::vector<std::pair<double, int>>& passing = scratch.passing;
+    passing.clear();
     for (std::size_t k = 0; k < feasible.size(); ++k) {
       const double bound = totals[k] / static_cast<double>(member_indices.size());
       if (bound > passenger_threshold) continue;
@@ -226,12 +243,11 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
               [](const auto& a, const auto& b) { return a.second < b.second; });
 
     rows[u].reserve(passing.size());
-    unit_routes[u].reserve(passing.size());
     for (const auto& [bound, candidate] : passing) {
       const auto t = static_cast<std::size_t>(candidate);
-      // The route comes priced from the solver's own table: D_ck(t) and
-      // every member's along-route distances without a pointwise pass.
-      routing::PricedRoute priced = solvers[u].best_route(taxis[t].location);
+      // The stop order comes priced from the solver's own table: D_ck(t)
+      // and every member's along-route distances, with no route built.
+      const routing::PricedOrder priced = solvers[u].best_order(taxis[t].location);
       const double total_length = priced.length_km;
 
       // Passenger side: average over members of
@@ -255,7 +271,6 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
           taxi_value <= params.preference.taxi_threshold_score ? taxi_value : kUnacceptable;
       if (passenger_score == kUnacceptable && taxi_score == kUnacceptable) continue;
       rows[u].push_back({candidate, passenger_score, taxi_score});
-      unit_routes[u].emplace_back(candidate, std::move(priced.route));
     }
     obs::add(obs::Counter::kPreferencePairs, rows[u].size());
   });
@@ -303,15 +318,11 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
     }
     SharedAssignment assignment;
     assignment.taxi_index = static_cast<std::size_t>(t);
+    O2O_EXPECTS(profile.acceptable(u, assignment.taxi_index));
     assignment.request_indices = units.units[u];
-    auto& row_routes = unit_routes[u];
-    const auto route_it = std::lower_bound(
-        row_routes.begin(), row_routes.end(), t,
-        [](const std::pair<int, routing::Route>& entry, int value) {
-          return entry.first < value;
-        });
-    O2O_EXPECTS(route_it != row_routes.end() && route_it->first == t);
-    assignment.route = std::move(route_it->second);
+    // The search is deterministic, so this is the route the row loop
+    // priced for the pair, bit for bit.
+    assignment.route = solvers[u].best_route(taxis[assignment.taxi_index].location);
     assignment.passenger_score = profile.passenger_score(u, static_cast<std::size_t>(t));
     assignment.taxi_score = profile.taxi_score(static_cast<std::size_t>(t), u);
     outcome.assignments.push_back(std::move(assignment));

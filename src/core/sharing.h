@@ -115,7 +115,11 @@ SharingUnits pack_requests(std::span<const trace::Request> requests,
 /// Full Algorithm 3. With a finite passenger threshold, each unit's
 /// candidate taxis come from grid radius queries around its members'
 /// pick-ups (see candidate_grid for `taxi_grid`); otherwise every taxi
-/// is a candidate.
+/// is a candidate. Candidates are scored from priced stop orders; a
+/// route is built only for each matched unit, after matching. That route
+/// is where distinct request ids matter: its precedence check tells
+/// riders apart by id (pack_requests does not need them; o2o_serve
+/// rejects duplicate order ids before dispatch).
 ///
 /// `request_warm_taxi` (optional; empty disables) carries per-request
 /// warm-start hints — requests.size() entries, each a taxi index into

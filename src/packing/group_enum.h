@@ -50,7 +50,7 @@ inline constexpr double kFilterPadKm = 1e-6;
 ///     bitwise-equal pick-up, drop-off and seats, and its order relative
 ///     to the other clean requests is unchanged (the longest run of
 ///     matched requests whose last indices increase). Order matters
-///     because `optimal_route` breaks ties by rider input order; the
+///     because the route search breaks ties by rider input order; the
 ///     simulator's FIFO pending queue never swaps survivors, so in
 ///     practice only edits, arrivals and returns are churn.
 ///   * The output is keyed to one (θ, require_saving, max group size,

@@ -81,7 +81,8 @@ struct EvalScratch {
 /// evaluate_group writing into a caller-owned slot through reusable
 /// buffers. Same operations in the same order as the public entry point
 /// (which delegates here), so verdicts and payloads are bit-identical.
-/// The route search's route is only kept when `route` is non-null.
+/// The search returns a priced stop order; a route is built from it only
+/// when `route` is non-null.
 void evaluate_group_into(std::span<const trace::Request> requests,
                          const std::size_t* members, std::size_t count,
                          const geo::DistanceOracle& oracle, const GroupOptions& options,
@@ -106,9 +107,11 @@ void evaluate_group_into(std::span<const trace::Request> requests,
 
   // Lengths, direct trips and detours all come from the table the route
   // search ran on; no pointwise oracle call re-prices the chosen route.
-  routing::PricedRoute priced =
-      routing::optimal_route(scratch.riders, oracle, std::nullopt, scratch.route);
-  if (route != nullptr) *route = std::move(priced.route);
+  const routing::PricedOrder priced =
+      routing::optimal_order(scratch.riders, oracle, std::nullopt, scratch.route);
+  if (route != nullptr) {
+    *route = routing::route_from_order(scratch.route.stops, priced, std::nullopt);
+  }
   group.pooled_length_km = priced.length_km;
   for (std::size_t m = 0; m < count; ++m) {
     const double direct = scratch.route.direct_km(m);

@@ -103,7 +103,7 @@ class GroupCache;  // the last enumeration, for replay (packing/group_enum.h)
 /// radius query over pick-ups (the user radius and/or the derived θ-bound
 /// above); when `require_saving` holds, a destination-bearing cone prune
 /// (finite θ only) and an 8-lane SIMD pair certificate drop provably
-/// infeasible candidates before any exact `optimal_route` evaluation; the
+/// infeasible candidates before any exact route-search evaluation; the
 /// exact evaluations fan out over the shared ThreadPool when the oracle
 /// allows concurrent queries. When `cache` is non-null, the groups whose
 /// members are all unchanged since the cache's last enumeration are
@@ -112,6 +112,10 @@ class GroupCache;  // the last enumeration, for replay (packing/group_enum.h)
 /// candidates or replays verbatim records, so the output is the dense
 /// serial scan's — the same groups in the same order, bit for bit (pinned
 /// against the test-only reference in tests/reference).
+///
+/// Requests may share a RequestId: the route search tells riders apart
+/// by position, and no route is built here. (o2o_serve rejects frames
+/// with duplicate order ids before dispatch.)
 std::vector<ShareGroup> enumerate_share_groups(std::span<const trace::Request> requests,
                                                const geo::DistanceOracle& oracle,
                                                const GroupOptions& options,
@@ -123,6 +127,8 @@ std::vector<ShareGroup> enumerate_share_groups(std::span<const trace::Request> r
 /// exceeds θ or the seat demand exceeds `taxi_seats`. When `route` is
 /// non-null it receives the optimal pooled route (no taxi anchor) the
 /// record was priced from; it stays empty when the seat check fails.
+/// Only that route needs the members' ids to be distinct: its id-level
+/// precedence check cannot tell two riders under one id apart.
 ShareGroup evaluate_group(std::span<const trace::Request> requests,
                           const std::vector<std::size_t>& member_indices,
                           const geo::DistanceOracle& oracle, const GroupOptions& options,

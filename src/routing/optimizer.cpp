@@ -1,6 +1,5 @@
 #include "routing/optimizer.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -31,8 +30,9 @@ void points_into(const std::vector<Stop>& stops, std::vector<geo::Point>& points
 /// one Dijkstra tree per row on the network oracle instead of n pointwise
 /// resolutions, written straight into `table` (n * n doubles). Every
 /// entry equals oracle.distance() bit for bit (the DistanceOracle row
-/// contract), which is what lets price_order stand in for route_length
-/// and rider_metrics. The diagonal is pinned to 0; no route uses it.
+/// contract), which is what lets the priced order stand in for
+/// route_length and rider_metrics. The diagonal is pinned to 0; no route
+/// uses it.
 void stop_rows_into(std::span<const geo::Point> points, const geo::DistanceOracle& oracle,
                     double* table) {
   const std::size_t n = points.size();
@@ -73,209 +73,130 @@ DistanceView table_into(std::span<const trace::Request> riders,
   return DistanceView{scratch.stop_table.data(), start_row, n};
 }
 
-/// Branch-and-bound over precedence-feasible stop orders. Search state
-/// lives in caller-owned vectors so hot paths can reuse one set of
-/// buffers across candidates; the recursion (and hence the first-found
-/// tie-breaking among equal-length orders) is unchanged. Placed stops are
-/// one bit each in `used`, so at most 32 stops.
-struct ExhaustiveSearch {
-  std::size_t stop_count;
+/// Branch-and-bound over precedence-feasible stop orders, in fixed
+/// arrays. Stops are tried in index order and only a strictly shorter
+/// complete order replaces the best, so among equal-length orders the
+/// first found (the lexicographically smallest) wins. Placed stops are
+/// one bit each in `used`.
+struct OrderSearch {
   DistanceView distances;
-  std::vector<std::size_t>& order;
-  std::vector<std::size_t>& best_order;
+  std::array<std::uint8_t, kMaxRouteStops> order{};
+  std::array<std::uint8_t, kMaxRouteStops> best_order{};
+  std::size_t depth = 0;
   double best_length = std::numeric_limits<double>::infinity();
   std::uint32_t used = 0;
-
-  static constexpr std::size_t kMaxStops = 32;
 
   bool placed(std::size_t s) const { return (used >> s) & 1u; }
 
   void recurse(double length_so_far) {
     if (length_so_far >= best_length) return;  // prune
-    if (order.size() == stop_count) {
+    const std::size_t n = distances.n;
+    if (depth == n) {
       best_length = length_so_far;
       best_order = order;
       return;
     }
-    for (std::size_t s = 0; s < stop_count; ++s) {
+    for (std::size_t s = 0; s < n; ++s) {
       if (placed(s)) continue;
       // Drop-off (odd index) requires its pick-up (s - 1) already placed.
       if (s % 2 == 1 && !placed(s - 1)) continue;
-      const double leg = order.empty() ? distances.leading(s)
-                                       : distances.stop_to_stop[order.back() * distances.n + s];
+      const double leg = depth == 0 ? distances.leading(s)
+                                    : distances.stop_to_stop[order[depth - 1] * n + s];
       used ^= std::uint32_t{1} << s;
-      order.push_back(s);
+      order[depth++] = static_cast<std::uint8_t>(s);
       recurse(length_so_far + leg);
-      order.pop_back();
+      --depth;
       used ^= std::uint32_t{1} << s;
     }
   }
 };
 
-Route route_from_order(const std::vector<Stop>& stops, const std::vector<std::size_t>& order,
-                       const std::optional<geo::Point>& start) {
-  Route route;
-  route.start = start;
-  route.stops.reserve(order.size());
-  for (std::size_t s : order) route.stops.push_back(stops[s]);
-  return route;
-}
-
-/// Materializes `order` and prices it from the table it was searched on.
-/// The fold is route_length's and rider_metrics': start at 0.0, add the
-/// leading leg (0.0 when unanchored) and then each stop-to-stop leg in
-/// route order.
-PricedRoute price_order(const std::vector<Stop>& stops, const std::vector<std::size_t>& order,
-                        const DistanceView& distances,
-                        const std::optional<geo::Point>& start) {
-  PricedRoute priced;
-  priced.route = route_from_order(stops, order, start);
-  O2O_ENSURES(respects_precedence(priced.route));
-  priced.arrival_km.resize(order.size());
+/// Searches the view and prices the optimal order from it. The fold is
+/// route_length's and rider_metrics': start at 0.0, add the leading leg
+/// (0.0 when unanchored) and then each stop-to-stop leg in route order.
+PricedOrder search_order(const DistanceView& distances) {
+  const std::size_t n = distances.n;
+  O2O_EXPECTS(n >= 2 && n <= kMaxRouteStops && n % 2 == 0);
+  OrderSearch search{distances};
+  search.recurse(0.0);
+  PricedOrder priced;
+  priced.order = search.best_order;
+  priced.stop_count = n;
+  O2O_ENSURES(respects_precedence(priced));
   double travelled = 0.0;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    travelled += k == 0 ? distances.leading(order[0])
-                        : distances.stop_to_stop[order[k - 1] * distances.n + order[k]];
-    priced.arrival_km[order[k]] = travelled;
+  for (std::size_t k = 0; k < n; ++k) {
+    travelled += k == 0 ? distances.leading(priced.order[0])
+                        : distances.stop_to_stop[priced.order[k - 1] * n + priced.order[k]];
+    priced.arrival_km[priced.order[k]] = travelled;
   }
   priced.length_km = travelled;
   return priced;
 }
 
-/// Exhaustive search over the view; leaves the optimal order in
-/// scratch.best_order.
-void exhaustive_order(const DistanceView& distances, RouteScratch& scratch) {
-  const std::size_t n = distances.n;
-  scratch.order.clear();
-  scratch.order.reserve(n);
-  scratch.best_order.clear();
-  O2O_EXPECTS(n <= ExhaustiveSearch::kMaxStops);
-  ExhaustiveSearch search{n, distances, scratch.order, scratch.best_order};
-  search.recurse(0.0);
-}
-
-/// Held-Karp DP over (visited-set, last-stop) states on the view.
-std::vector<std::size_t> dp_order(const DistanceView& distances) {
-  const std::size_t n = distances.n;
-  const std::size_t masks = std::size_t{1} << n;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // dp[mask][last]: min length of a precedence-feasible partial route
-  // visiting exactly `mask`, ending at stop `last`.
-  std::vector<double> dp(masks * n, kInf);
-  std::vector<int> parent(masks * n, -1);
-
-  for (std::size_t s = 0; s < n; ++s) {
-    if (s % 2 == 1) continue;  // cannot start with a drop-off
-    dp[(std::size_t{1} << s) * n + s] = distances.leading(s);
-  }
-  for (std::size_t mask = 1; mask < masks; ++mask) {
-    for (std::size_t last = 0; last < n; ++last) {
-      const double length = dp[mask * n + last];
-      if (length == kInf) continue;
-      for (std::size_t next = 0; next < n; ++next) {
-        if (mask & (std::size_t{1} << next)) continue;
-        if (next % 2 == 1 && !(mask & (std::size_t{1} << (next - 1)))) continue;
-        const std::size_t new_mask = mask | (std::size_t{1} << next);
-        const double candidate = length + distances.stop_to_stop[last * n + next];
-        if (candidate < dp[new_mask * n + next]) {
-          dp[new_mask * n + next] = candidate;
-          parent[new_mask * n + next] = static_cast<int>(last);
-        }
-      }
-    }
-  }
-
-  const std::size_t full = masks - 1;
-  std::size_t best_last = 0;
-  double best_length = kInf;
-  for (std::size_t last = 0; last < n; ++last) {
-    if (dp[full * n + last] < best_length) {
-      best_length = dp[full * n + last];
-      best_last = last;
-    }
-  }
-  O2O_ENSURES(best_length < kInf);
-
-  std::vector<std::size_t> order(n);
-  std::size_t mask = full;
-  std::size_t at = best_last;
-  for (std::size_t i = n; i-- > 0;) {
-    order[i] = at;
-    const int prev = parent[mask * n + at];
-    mask ^= (std::size_t{1} << at);
-    if (prev < 0) break;
-    at = static_cast<std::size_t>(prev);
-  }
-  return order;
-}
-
 }  // namespace
 
-Route optimal_route_exhaustive(std::span<const trace::Request> riders,
-                               const geo::DistanceOracle& oracle,
-                               std::optional<geo::Point> start) {
-  O2O_EXPECTS(riders.size() >= 1 && riders.size() <= 4);
-  RouteScratch scratch;
-  const DistanceView distances = table_into(riders, oracle, start, scratch);
-  exhaustive_order(distances, scratch);
-  Route route = route_from_order(scratch.stops, scratch.best_order, start);
+bool respects_precedence(const PricedOrder& priced) {
+  std::uint32_t placed = 0;
+  for (std::size_t k = 0; k < priced.stop_count; ++k) {
+    const std::size_t s = priced.order[k];
+    if (s >= priced.stop_count || ((placed >> s) & 1u)) return false;
+    if (s % 2 == 1 && !((placed >> (s - 1)) & 1u)) return false;
+    placed |= std::uint32_t{1} << s;
+  }
+  // stop_count distinct indices below stop_count: every stop is present.
+  return true;
+}
+
+Route route_from_order(std::span<const Stop> stops, const PricedOrder& priced,
+                       std::optional<geo::Point> start) {
+  O2O_EXPECTS(stops.size() == priced.stop_count);
+  Route route;
+  route.start = start;
+  route.stops.reserve(priced.stop_count);
+  for (std::size_t k = 0; k < priced.stop_count; ++k) {
+    route.stops.push_back(stops[priced.order[k]]);
+  }
   O2O_ENSURES(respects_precedence(route));
   return route;
 }
 
-Route optimal_route_dp(std::span<const trace::Request> riders,
-                       const geo::DistanceOracle& oracle, std::optional<geo::Point> start) {
-  O2O_EXPECTS(riders.size() >= 1 && riders.size() <= 8);
-  RouteScratch scratch;
-  const DistanceView distances = table_into(riders, oracle, start, scratch);
-  Route route = route_from_order(scratch.stops, dp_order(distances), start);
-  O2O_ENSURES(respects_precedence(route));
-  return route;
+PricedOrder optimal_order(std::span<const trace::Request> riders,
+                          const geo::DistanceOracle& oracle, std::optional<geo::Point> start,
+                          RouteScratch& scratch) {
+  O2O_EXPECTS(!riders.empty() && riders.size() <= kMaxRouteRiders);
+  return search_order(table_into(riders, oracle, start, scratch));
 }
 
 Route optimal_route(std::span<const trace::Request> riders, const geo::DistanceOracle& oracle,
                     std::optional<geo::Point> start) {
   RouteScratch scratch;
-  return optimal_route(riders, oracle, start, scratch).route;
+  const PricedOrder priced = optimal_order(riders, oracle, start, scratch);
+  return route_from_order(scratch.stops, priced, start);
 }
 
-PricedRoute optimal_route(std::span<const trace::Request> riders,
-                          const geo::DistanceOracle& oracle, std::optional<geo::Point> start,
-                          RouteScratch& scratch) {
-  O2O_EXPECTS(!riders.empty() && riders.size() <= 8);
-  const DistanceView distances = table_into(riders, oracle, start, scratch);
-  if (riders.size() <= 3) {
-    exhaustive_order(distances, scratch);
-    return price_order(scratch.stops, scratch.best_order, distances, start);
-  }
-  return price_order(scratch.stops, dp_order(distances), distances, start);
-}
-
-AnchoredRouteSolver::AnchoredRouteSolver(std::vector<trace::Request> riders,
+AnchoredRouteSolver::AnchoredRouteSolver(std::span<const trace::Request> riders,
                                          const geo::DistanceOracle& oracle)
-    : riders_(std::move(riders)), oracle_(oracle) {
-  O2O_EXPECTS(!riders_.empty() && riders_.size() <= 4);
-  stops_into(riders_, stops_);
-  points_into(stops_, points_);
-  stop_table_.resize(points_.size() * points_.size());
-  stop_rows_into(points_, oracle, stop_table_.data());
+    : stop_count_(2 * riders.size()), oracle_(oracle) {
+  O2O_EXPECTS(!riders.empty() && riders.size() <= kMaxRouteRiders);
+  for (std::size_t m = 0; m < riders.size(); ++m) {
+    stops_[2 * m] = Stop{riders[m].id, true, riders[m].pickup};
+    stops_[2 * m + 1] = Stop{riders[m].id, false, riders[m].dropoff};
+    points_[2 * m] = riders[m].pickup;
+    points_[2 * m + 1] = riders[m].dropoff;
+  }
+  stop_rows_into(points(), oracle, stop_table_.data());
 }
 
-PricedRoute AnchoredRouteSolver::best_route(const geo::Point& start) const {
-  const std::size_t n = stops_.size();
+PricedOrder AnchoredRouteSolver::best_order(const geo::Point& start) const {
   // Per-call state is just the anchor row; the shared stop table is
   // referenced in place (one bulk query, no n x n copy per candidate).
-  std::vector<double> start_row(n);
-  oracle_.distances_from_into(start, points_, start_row.data());
-  const DistanceView distances{stop_table_.data(), start_row.data(), n};
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<std::size_t> best_order;
-  O2O_EXPECTS(n <= ExhaustiveSearch::kMaxStops);
-  ExhaustiveSearch search{n, distances, order, best_order};
-  search.recurse(0.0);
-  return price_order(stops_, best_order, distances, start);
+  std::array<double, kMaxRouteStops> start_row{};
+  oracle_.distances_from_into(start, points(), start_row.data());
+  return search_order(DistanceView{stop_table_.data(), start_row.data(), stop_count_});
+}
+
+Route AnchoredRouteSolver::best_route(const geo::Point& start) const {
+  return route_from_order({stops_.data(), stop_count_}, best_order(start), start);
 }
 
 long long feasible_order_count(int riders) {

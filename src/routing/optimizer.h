@@ -2,14 +2,19 @@
 // is NP-hard (reduction from shortest Hamiltonian path); the paper's
 // practical regime is |c_k| <= 3 riders, where the at most
 // 6!/(2!2!2!) = 90 precedence-feasible stop orders are searched
-// exhaustively. We implement that exhaustive search for small groups and
-// a Held-Karp dynamic program over (visited-set, last-stop) states --
-// exact for any size, practical to ~8 riders -- used as the reference in
-// tests and for the extension benchmarks.
+// exhaustively. One exhaustive search over fixed arrays serves every
+// caller up to 4 riders (2,520 orders). It returns a priced stop order,
+// not a route: callers that score many candidates read lengths and
+// per-rider distances from it, and a routing::Route is built only for
+// the order a caller keeps. The Held-Karp DP the search is checked
+// against lives in tests/reference.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "geo/distance_oracle.h"
 #include "routing/route.h"
@@ -17,20 +22,19 @@
 
 namespace o2o::routing {
 
-/// Reusable buffers for the route solvers. Hot loops (the share-group
+/// The search's size limit: 4 riders, 8 stops.
+inline constexpr std::size_t kMaxRouteRiders = 4;
+inline constexpr std::size_t kMaxRouteStops = 2 * kMaxRouteRiders;
+
+/// Reusable buffers for optimal_order. Hot loops (the share-group
 /// enumeration engine evaluates tens of thousands of candidate groups per
-/// frame) keep one per worker thread so route construction allocates
-/// little beyond the returned route once the buffers have grown. The
-/// scratch overload runs the exact same table build and search as the
-/// scratch-free entry points — identical distances, identical
-/// tie-breaking, bit-identical routes.
+/// frame) keep one per worker thread, so the table build allocates
+/// nothing once the buffers have grown.
 struct RouteScratch {
-  std::vector<Stop> stops;
+  std::vector<Stop> stops;           // index 2m: rider m's pick-up, 2m + 1: drop-off
   std::vector<geo::Point> points;    // stop coordinates, bulk-query shape
   std::vector<double> stop_table;    // stop-to-stop, n x n
   std::vector<double> start_row;     // anchor legs (used when start is set)
-  std::vector<std::size_t> order;    // search state
-  std::vector<std::size_t> best_order;
 
   /// D(r_m.s, r_m.d) for rider m of the last solve: the stop-table entry
   /// [2m][2m + 1], equal to oracle.distance() bit for bit under the
@@ -40,51 +44,50 @@ struct RouteScratch {
   }
 };
 
-/// An optimal route priced from the search's own distance table. Every
-/// value is the fold route_length / rider_metrics run (start at 0.0, add
-/// the anchor leg first when anchored, nothing at the first stop when
-/// unanchored), over table entries that equal oracle.distance() bit for
-/// bit — so each equals its pointwise counterpart exactly, without a
-/// second pass over the oracle.
-struct PricedRoute {
-  Route route;
-  /// Cumulative km on arrival at each rider stop, indexed like the stop
-  /// table: [2m] is rider m's pick-up, [2m + 1] its drop-off.
-  std::vector<double> arrival_km;
-  double length_km = 0.0;  ///< route_length(route)
+/// An optimal stop order priced from the search's own distance table, in
+/// fixed arrays (no heap). Stop index 2m is rider m's pick-up and 2m + 1
+/// its drop-off. Every value is the fold route_length / rider_metrics
+/// run (start at 0.0, add the anchor leg first when anchored, nothing at
+/// the first stop when unanchored), over table entries that equal
+/// oracle.distance() bit for bit — so each equals its pointwise
+/// counterpart on the materialised route exactly.
+struct PricedOrder {
+  std::array<std::uint8_t, kMaxRouteStops> order{};  ///< stop indices, visiting order
+  /// Cumulative km on arrival at each stop, indexed by stop index.
+  std::array<double, kMaxRouteStops> arrival_km{};
+  std::size_t stop_count = 0;
+  double length_km = 0.0;  ///< route_length of the materialised route
 
-  /// rider_metrics(route, riders[m].id).
+  /// rider_metrics(route, riders[m].id) of the materialised route.
   RiderMetrics rider(std::size_t m) const {
     return RiderMetrics{arrival_km[2 * m], arrival_km[2 * m + 1] - arrival_km[2 * m]};
   }
 };
 
-/// Exact minimum-length route over `riders` (pick-up before drop-off per
-/// rider), optionally anchored at a taxi position. Uses brute-force
-/// permutation search; requires riders.size() <= 4 (90 orders at 3,
-/// 2520 at 4).
-Route optimal_route_exhaustive(std::span<const trace::Request> riders,
-                               const geo::DistanceOracle& oracle,
-                               std::optional<geo::Point> start = std::nullopt);
+/// True iff each of the order's stop indices appears exactly once and
+/// every pick-up 2m precedes its drop-off 2m + 1. Unlike the id-level
+/// check on a Route, riders are told apart by position, so two riders
+/// may share a RequestId.
+bool respects_precedence(const PricedOrder& priced);
 
-/// Exact minimum-length route via Held-Karp DP with precedence masks;
-/// requires riders.size() <= 8 (2^16 x 16 states).
-Route optimal_route_dp(std::span<const trace::Request> riders,
-                       const geo::DistanceOracle& oracle,
-                       std::optional<geo::Point> start = std::nullopt);
+/// The route `priced` visits over `stops` (indexed like the stop table),
+/// anchored at `start`. Checks the id-level respects_precedence, so the
+/// riders need distinct ids here.
+Route route_from_order(std::span<const Stop> stops, const PricedOrder& priced,
+                       std::optional<geo::Point> start);
 
-/// Dispatches to the exhaustive search for <= 3 riders (the paper's
-/// regime) and to the DP above that.
+/// Exact minimum-length route over 1 to 4 `riders` (pick-up before
+/// drop-off per rider), optionally anchored at a taxi position.
 Route optimal_route(std::span<const trace::Request> riders,
                     const geo::DistanceOracle& oracle,
                     std::optional<geo::Point> start = std::nullopt);
 
-/// Dispatching variant reusing `scratch` for the distance table, and
-/// returning the route priced from that table (the DP branch, taken only
-/// above 3 riders, still allocates its own state).
-PricedRoute optimal_route(std::span<const trace::Request> riders,
-                          const geo::DistanceOracle& oracle,
-                          std::optional<geo::Point> start, RouteScratch& scratch);
+/// The search behind optimal_route without the route: fills `scratch`
+/// with the stops and distance table and returns the priced optimal
+/// order over scratch.stops.
+PricedOrder optimal_order(std::span<const trace::Request> riders,
+                          const geo::DistanceOracle& oracle, std::optional<geo::Point> start,
+                          RouteScratch& scratch);
 
 /// Number of precedence-feasible stop orders for k riders: (2k)! / 2^k.
 /// (The paper's "90" for k = 3.)
@@ -93,22 +96,27 @@ long long feasible_order_count(int riders);
 /// Repeated-anchor optimal routing: the sharing dispatcher evaluates the
 /// same rider group against every candidate taxi, so the stop-to-stop
 /// distance table is computed once here and only the anchor legs vary
-/// per query. Exact (exhaustive) for <= 4 riders.
+/// per query. Holds 1 to 4 riders in fixed arrays; a query allocates
+/// nothing unless it materialises the route.
 class AnchoredRouteSolver {
  public:
-  AnchoredRouteSolver(std::vector<trace::Request> riders, const geo::DistanceOracle& oracle);
+  AnchoredRouteSolver(std::span<const trace::Request> riders, const geo::DistanceOracle& oracle);
 
-  /// Minimum-length route starting from `start`, priced from the shared
-  /// stop table and the anchor row.
-  PricedRoute best_route(const geo::Point& start) const;
+  /// Minimum-length stop order starting from `start`, priced from the
+  /// shared stop table and the anchor row.
+  PricedOrder best_order(const geo::Point& start) const;
+  /// best_order(start) materialised as a route.
+  Route best_route(const geo::Point& start) const;
 
-  std::size_t rider_count() const noexcept { return riders_.size(); }
+  std::size_t rider_count() const noexcept { return stop_count_ / 2; }
 
  private:
-  std::vector<trace::Request> riders_;
-  std::vector<Stop> stops_;
-  std::vector<geo::Point> points_;  // stop coordinates, bulk-query shape
-  std::vector<double> stop_table_;  // stop-to-stop, n x n (built once)
+  std::span<const geo::Point> points() const { return {points_.data(), stop_count_}; }
+
+  std::array<Stop, kMaxRouteStops> stops_{};
+  std::array<geo::Point, kMaxRouteStops> points_{};  // stop coordinates, bulk-query shape
+  std::array<double, kMaxRouteStops * kMaxRouteStops> stop_table_{};  // n x n, built once
+  std::size_t stop_count_ = 0;
   const geo::DistanceOracle& oracle_;
 };
 

@@ -33,7 +33,8 @@ using DriverId = std::int32_t;
 /// One open passenger order (a pending request in paper terms).
 struct Order {
   OrderId order_id = -1;
-  double timestamp = 0.0;    ///< creation time, seconds from stream start
+  double timestamp = 0.0;    ///< creation time, seconds from stream start;
+                             ///< finite and at or before its frame's timestamp
   geo::Point start;          ///< pick-up location
   geo::Point finish;         ///< drop-off location
   int seats = 1;             ///< passengers travelling together

@@ -1,6 +1,7 @@
 #include "service/session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <utility>
@@ -115,6 +116,18 @@ bool DispatchSession::validate(const api::FrameRequest& request, std::string* er
   dup = std::adjacent_find(ids.begin(), ids.end());
   if (dup != ids.end()) {
     return reject("duplicate driver_id " + std::to_string(*dup) + " in frame");
+  }
+  // An order cannot be placed after the frame that carries it; a
+  // non-finite stamp has no place in time at all.
+  for (const api::Order& order : request.orders) {
+    if (!std::isfinite(order.timestamp) || !(order.timestamp <= request.timestamp)) {
+      char reason[192];
+      std::snprintf(reason, sizeof(reason),
+                    "invalid timestamp %.17g on order_id %d: must be finite and at or before "
+                    "the frame's timestamp %.17g",
+                    order.timestamp, static_cast<int>(order.order_id), request.timestamp);
+      return reject(reason);
+    }
   }
   // An order larger than a taxi can never be served, and the seat caps
   // keep every group's seat sum inside int (DispatchConfig::validate).

@@ -31,14 +31,15 @@ class DispatchSession {
   const std::string& dispatcher_name() const noexcept { return dispatcher_name_; }
 
   /// Checks the api contract on a frame that crossed a trust boundary:
-  /// duplicate order or driver ids, an order whose seats lie outside
-  /// [1, config().sharing_params().taxi_seats], a driver whose
+  /// duplicate order or driver ids, an order whose timestamp is
+  /// non-finite or later than the frame's, an order whose seats lie
+  /// outside [1, config().sharing_params().taxi_seats], a driver whose
   /// seats_in_use lies outside [0, seats], or a
   /// timestamp earlier than the last dispatched frame's fail it (equal
   /// timestamps pass). Returns false and sets `error` (when non-null) to
   /// a message naming the violation kind ("duplicate order_id ...",
-  /// "invalid seats ...", "invalid seats_in_use ...", "non-monotonic
-  /// timestamp ...") on the first violation.
+  /// "invalid timestamp ...", "invalid seats ...", "invalid seats_in_use
+  /// ...", "non-monotonic timestamp ...") on the first violation.
   bool validate(const api::FrameRequest& request, std::string* error = nullptr) const;
 
   /// Matches one frame. Orders and drivers are (re)sorted to the

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -79,6 +83,71 @@ TEST(FromScores, ZeroRequestsKeepExplicitTaxiCount) {
   EXPECT_EQ(profile.request_count(), 0u);
   EXPECT_EQ(profile.taxi_count(), 5u);
   EXPECT_TRUE(profile.taxi_list(4).empty());
+}
+
+TEST(FromCandidates, EmptySidesHoldNoPairs) {
+  const auto none = PreferenceProfile::from_candidates({}, 0);
+  EXPECT_EQ(none.request_count(), 0u);
+  EXPECT_EQ(none.taxi_count(), 0u);
+  const auto no_taxis = PreferenceProfile::from_candidates({{}, {}}, 0);
+  EXPECT_EQ(no_taxis.request_count(), 2u);
+  EXPECT_TRUE(no_taxis.request_list(1).empty());
+  EXPECT_THROW((void)no_taxis.request_rank(0, 0), ContractViolation);
+  const auto no_requests = PreferenceProfile::from_candidates({}, 3);
+  EXPECT_TRUE(no_requests.taxi_list(2).empty());
+  EXPECT_THROW((void)no_requests.taxi_rank(0, 0), ContractViolation);
+}
+
+TEST(FromCandidates, PairTableMatchesTheListsEverywhere) {
+  // A sparse random profile: every listed pair reads its list position
+  // and scores back, every unlisted one reads kNoRank / kUnacceptable.
+  constexpr std::size_t kRequests = 60;
+  constexpr std::size_t kTaxis = 45;
+  Rng rng(31);
+  std::vector<std::vector<PreferenceProfile::Candidate>> rows(kRequests);
+  std::vector<std::vector<double>> passenger(kRequests,
+                                             std::vector<double>(kTaxis, kUnacceptable));
+  std::vector<std::vector<double>> taxi(kRequests, std::vector<double>(kTaxis, kUnacceptable));
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    for (std::size_t t = 0; t < kTaxis; ++t) {
+      if (!rng.bernoulli(0.2)) continue;
+      const double p = rng.bernoulli(0.8) ? rng.uniform(0, 10) : kUnacceptable;
+      const double q = p == kUnacceptable || rng.bernoulli(0.8) ? rng.uniform(-5, 5)
+                                                                : kUnacceptable;
+      rows[r].push_back({static_cast<int>(t), p, q});
+      passenger[r][t] = p;
+      taxi[r][t] = q;
+    }
+  }
+  const auto profile = PreferenceProfile::from_candidates(rows, kTaxis);
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    for (std::size_t t = 0; t < kTaxis; ++t) {
+      EXPECT_EQ(profile.passenger_score(r, t), passenger[r][t]);
+      EXPECT_EQ(profile.taxi_score(t, r), taxi[r][t]);
+      const auto& rlist = profile.request_list(r);
+      const auto rpos = std::find(rlist.begin(), rlist.end(), static_cast<int>(t));
+      EXPECT_EQ(profile.request_rank(r, t), rpos == rlist.end()
+                                                ? PreferenceProfile::kNoRank
+                                                : static_cast<std::size_t>(rpos - rlist.begin()));
+      const auto& tlist = profile.taxi_list(t);
+      const auto tpos = std::find(tlist.begin(), tlist.end(), static_cast<int>(r));
+      EXPECT_EQ(profile.taxi_rank(t, r), tpos == tlist.end()
+                                             ? PreferenceProfile::kNoRank
+                                             : static_cast<std::size_t>(tpos - tlist.begin()));
+      EXPECT_EQ(profile.acceptable(r, t), rpos != rlist.end() && tpos != tlist.end());
+    }
+  }
+}
+
+TEST(FromCandidates, DuplicatePairsAndOversizedFleetsFail) {
+  EXPECT_THROW(PreferenceProfile::from_candidates({{{1, 1.0, 1.0}, {0, 1.0, 1.0}, {1, 2.0, 2.0}}},
+                                                  3),
+               ContractViolation);
+  // Taxi indices are ints, which keeps every pair key clear of the pair
+  // table's empty-slot key; a larger fleet is refused before allocating.
+  EXPECT_THROW(PreferenceProfile::from_candidates(
+                   {}, static_cast<std::size_t>(std::numeric_limits<int>::max()) + 1),
+               ContractViolation);
 }
 
 TEST(Prefers, DummySemantics) {

@@ -819,19 +819,37 @@ TEST(Replay, RepeatedIdsFallBackToFreshWork) {
   GroupCache cache;
   cached_frame(requests, options, cache);
   auto repeated = requests;
-  // Two requests under one id, too far apart to share a group (a route
-  // tells riders apart by id).
+  // Two requests under one id, too far apart to share a group.
   repeated[7].id = repeated[3].id;
   repeated[7].pickup = {100.0, 100.0};
   repeated[7].dropoff = {102.0, 100.0};
   const std::uint64_t hits_before = cache.stats().hits;
-  // (The dense scan would pair the two and trip the route's precedence
-  // check, so the uncached engine is the reference here.)
   expect_groups_equal(enumerate_share_groups(repeated, kOracle, options, 4, &cache),
-                      enumerate_share_groups(repeated, kOracle, options));
+                      reference::enumerate_serial(repeated, kOracle, options));
   EXPECT_EQ(cache.stats().hits, hits_before);
   EXPECT_EQ(cache.size(), 0u);  // nothing to replay by id
   cached_frame(requests, options, cache);
+  cached_frame(requests, options, cache);
+}
+
+TEST(Replay, RepeatedIdsPooledTogether) {
+  // Two requests under one id, close enough to share a ride: the route
+  // search tells riders apart by position, so the pair is pooled like any
+  // other, cached or not, and no route is built to trip over the id.
+  auto requests = make_city_requests(20, 79, 6.0);
+  const GroupOptions options = cache_options();
+  GroupCache cache;
+  cached_frame(requests, options, cache);
+  auto repeated = requests;
+  repeated[7].id = repeated[3].id;
+  repeated[7].pickup = {repeated[3].pickup.x + 0.05, repeated[3].pickup.y + 0.05};
+  repeated[7].dropoff = {repeated[3].dropoff.x + 0.05, repeated[3].dropoff.y - 0.05};
+  const std::vector<ShareGroup> serial = reference::enumerate_serial(repeated, kOracle, options);
+  EXPECT_TRUE(std::any_of(serial.begin(), serial.end(), [](const ShareGroup& group) {
+    return contains_member(group, 3) && contains_member(group, 7);
+  }));
+  expect_groups_equal(enumerate_share_groups(repeated, kOracle, options), serial);
+  expect_groups_equal(enumerate_share_groups(repeated, kOracle, options, 4, &cache), serial);
   cached_frame(requests, options, cache);
 }
 

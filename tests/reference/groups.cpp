@@ -12,7 +12,10 @@ std::vector<ShareGroup> scan(std::span<const trace::Request> requests,
                              bool grow_triples_from_pairs) {
   std::vector<ShareGroup> groups;
   if (routes != nullptr) routes->clear();
+  // Routes are built only when asked for: a route tells riders apart by
+  // id, so it cannot be built for a group whose members share one.
   routing::Route route;
+  routing::Route* const route_out = routes != nullptr ? &route : nullptr;
   const std::size_t n = requests.size();
 
   const auto pickups_close = [&](std::size_t i, std::size_t j) {
@@ -31,7 +34,7 @@ std::vector<ShareGroup> scan(std::span<const trace::Request> requests,
       if (!pickups_close(i, j)) continue;
       bool feasible = false;
       const ShareGroup group = evaluate_group(requests, {i, j}, oracle, options, taxi_seats,
-                                              feasible, &route);
+                                              feasible, route_out);
       if (!feasible) continue;
       if (grow_triples_from_pairs) {
         pair_feasible[i][j] = pair_feasible[j][i] = true;
@@ -53,7 +56,7 @@ std::vector<ShareGroup> scan(std::span<const trace::Request> requests,
         if (!pickups_close(i, k) || !pickups_close(j, k)) continue;
         bool feasible = false;
         const ShareGroup group = evaluate_group(requests, {i, j, k}, oracle, options,
-                                                taxi_seats, feasible, &route);
+                                                taxi_seats, feasible, route_out);
         if (!feasible) continue;
         groups.push_back(group);
         if (routes != nullptr) routes->push_back(route);

@@ -19,7 +19,8 @@ namespace o2o::packing::reference {
 /// Same contract as enumerate_share_groups (without the cache): all
 /// feasible groups of size in [2, options.max_group_size], triples grown
 /// from feasible pairs. When `routes` is non-null it receives each
-/// group's pooled route, aligned with the returned groups.
+/// group's pooled route, aligned with the returned groups; only then are
+/// routes built, and only then must request ids be distinct.
 std::vector<ShareGroup> enumerate_serial(std::span<const trace::Request> requests,
                                          const geo::DistanceOracle& oracle,
                                          const GroupOptions& options, int taxi_seats = 4,

@@ -67,7 +67,7 @@ PreferenceProfile dense_sharing_profile(std::span<const trace::Taxi> taxis,
     }
     double direct_sum = 0.0;
     for (const double d : direct) direct_sum += d;
-    const routing::AnchoredRouteSolver solver(std::move(riders), oracle);
+    const routing::AnchoredRouteSolver solver(riders, oracle);
 
     // Mean direct pick-up distance over the members, for every taxi.
     std::vector<double> totals(n_taxis, 0.0);
@@ -91,7 +91,7 @@ PreferenceProfile dense_sharing_profile(std::span<const trace::Taxi> taxis,
 
     for (const auto& [bound, taxi] : passing) {
       const auto t = static_cast<std::size_t>(taxi);
-      const routing::PricedRoute priced = solver.best_route(taxis[t].location);
+      const routing::PricedOrder priced = solver.best_order(taxis[t].location);
       double passenger_sum = 0.0;
       for (std::size_t m = 0; m < members.size(); ++m) {
         const routing::RiderMetrics metrics = priced.rider(m);

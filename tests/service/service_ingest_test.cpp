@@ -124,7 +124,7 @@ const geo::EuclideanOracle kOracle;
 api::RideEvent order_event(std::int32_t id, double x, double y) {
   api::Order order;
   order.order_id = id;
-  order.timestamp = 10.0 * id;
+  order.timestamp = static_cast<double>(id);  // before every frame's stamp (>= 60 s)
   order.start = {x, y};
   order.finish = {x + 2.0, y + 2.0};
   return api::RideEvent::make_order(order);

@@ -302,6 +302,44 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
   }
 }
 
+TEST(StreamingSession, OrdersStampedAfterTheirFrameFailValidation) {
+  api::FrameRequest request;
+  request.frame = 4;
+  request.timestamp = 60.0;
+  api::Order order;
+  order.order_id = 7;
+  order.finish = {2.0, 2.0};
+  api::Driver driver;
+  driver.driver_id = 3;
+  driver.location = {0.5, 0.5};
+  request.drivers = {driver};
+
+  std::string error;
+  for (const double stamp :
+       {1e300, 60.5, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), std::numeric_limits<double>::quiet_NaN()}) {
+    request.orders = {order};
+    request.orders[0].timestamp = stamp;
+    for (const char* kind : {"nstd-p", "nstd-t", "std-p", "std-t"}) {
+      DispatchSession session(kind, tuned_config(false), kOracle);
+      error.clear();
+      EXPECT_FALSE(session.dispatch(request, &error).has_value()) << kind << " " << stamp;
+      EXPECT_NE(error.find("invalid timestamp"), std::string::npos) << error;
+      EXPECT_NE(error.find("on order_id 7: must be finite and at or before the frame's "
+                           "timestamp 60"),
+                std::string::npos)
+          << error;
+    }
+  }
+  // An order stamped at its frame's own time, or any time before, is fine.
+  DispatchSession session("std-p", tuned_config(false), kOracle);
+  for (const double stamp : {60.0, -5.0, 0.0}) {
+    request.orders[0].timestamp = stamp;
+    EXPECT_TRUE(session.validate(request, &error)) << error;
+  }
+  EXPECT_TRUE(session.dispatch(request).has_value());
+}
+
 TEST(StreamingSession, FarApartDriversStillGetAFrameResponse) {
   // Drivers 90,000 km apart once sized the idle grid by their distance
   // (bad_alloc), and a lone driver at 1e18 km once got an idle grid of
