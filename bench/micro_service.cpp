@@ -1,5 +1,5 @@
 // Plain-timer harness for the streaming service stack: how much latency
-// do the api conversion layer and the wire codec + ingestion ring add on
+// do the api conversion layer and the wire codec + frame handoff add on
 // top of a raw batch dispatch call, and what frame rate does each path
 // sustain at city-scale frame sizes?
 //
@@ -8,8 +8,8 @@
 // Three arms, identical frame content:
 //   batch    raw Dispatcher::dispatch on a hand-built DispatchContext
 //   session  DispatchSession::dispatch (api structs in, api structs out)
-//   service  full wire path: encode ndjson -> decode -> ingestion ring ->
-//            session -> encode response -> decode
+//   service  full wire path: encode ndjson -> decode -> StreamingService
+//            frame handoff -> session -> encode response -> decode
 // Reported per arm and frame size: frames/sec plus p50/p99 frame latency
 // over the run (first frame included — cold caches are part of life).
 #include <algorithm>
@@ -185,8 +185,7 @@ ArmResult bench_session(const std::string& kind, const api::FrameRequest& frame,
 
 ArmResult bench_service(const std::string& kind, const api::FrameRequest& frame,
                         int frames) {
-  DispatchConfig config = bench_config().with_ingest_capacity(1u << 16);
-  service::StreamingService svc(kind, config, kOracle);
+  service::StreamingService svc(kind, bench_config(), kOracle);
   return run_arm(frames, [&] {
     for (const std::string& line : service::encode_frame_events(frame)) {
       const auto event = service::decode_event(line);

@@ -15,7 +15,7 @@
 //   --stdio            serve ndjson frames on stdin/stdout (default)
 //   --tcp=PORT         serve one ndjson client over TCP on PORT
 //   --replay           in-process differential: stream a synthetic day
-//                      through the full wire codec + ingestion ring and
+//                      through the full wire codec + frame handoff and
 //                      diff the report against the batch Simulator;
 //                      exits nonzero on any mismatch
 //   --replay-connect=REQ,RESP
@@ -37,13 +37,15 @@
 // barrier with exactly one line, in order. Clients resend the full
 // pending-order and fleet state every frame (the protocol is stateless
 // per frame). Malformed input is never fatal: undecodable lines are
-// dropped with a stderr note, and a frame that fails
+// dropped with a stderr note, and a frame that carries more than
+// --ingest-capacity orders plus drivers or fails
 // DispatchSession::validate (duplicate order/driver ids, an order or a
-// driver with seats < 1, a driver with seats_in_use outside [0, seats],
-// a timestamp earlier than the last answered frame's) is not dispatched:
-// it is answered with a frame_rejected line naming the reason (and
-// counted as frames_rejected), so a closed-loop client never waits on
-// it.
+// driver with seats < 1, a driver with seats_in_use outside [0, seats]
+// or an inconsistent route state, a timestamp earlier than the last
+// answered frame's) is not dispatched: it is answered with a
+// frame_rejected line naming the reason (and counted as
+// frames_rejected), so a closed-loop client never waits on it. An
+// unknown --option is a usage error: o2o_serve exits 2.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -157,9 +159,9 @@ class LineChannel {
 };
 
 // ---------------------------------------------------------------------------
-// Server: reader thread ingests ndjson events into the ring while the
-// matcher thread answers frames — frame t+1 streams in while frame t is
-// still matching.
+// Server: reader thread decodes ndjson events into the open frame while
+// the matcher thread answers complete frames — frame t+1 streams in
+// while frame t is still matching.
 // ---------------------------------------------------------------------------
 
 int run_server(LineChannel& channel, const std::string& kind,
@@ -171,13 +173,13 @@ int run_server(LineChannel& channel, const std::string& kind,
     while (channel.read_line(line)) {
       if (line.empty()) continue;
       service::CodecError error;
-      const auto event = service::decode_event(line, &error);
+      auto event = service::decode_event(line, &error);
       if (!event) {
         std::fprintf(stderr, "o2o_serve: dropping bad event: %s\n",
                      error.message.c_str());
         continue;
       }
-      svc.submit(*event);
+      svc.submit(std::move(*event));
     }
     svc.close();
   });
@@ -237,19 +239,19 @@ int run_tcp(int port, const std::string& kind, const DispatchConfig& config,
 // ---------------------------------------------------------------------------
 
 /// ServeFrameFn that pushes every frame through the wire codec AND the
-/// lock-free ingestion ring: encode each event line, decode it, submit
+/// service's frame handoff: encode each event line, decode it, submit
 /// to the service, then collect + round-trip the response. This is the
 /// exact event path a remote client exercises, in process.
 service::ServeFrameFn streamed_codec_server(service::StreamingService& svc) {
   return [&svc](const api::FrameRequest& request) {
     for (const std::string& line : service::encode_frame_events(request)) {
       service::CodecError error;
-      const auto event = service::decode_event(line, &error);
+      auto event = service::decode_event(line, &error);
       if (!event) {
         std::fprintf(stderr, "o2o_serve: codec error: %s\n", error.message.c_str());
         std::abort();
       }
-      svc.submit(*event);
+      svc.submit(std::move(*event));
     }
     const auto response = svc.next_response();
     if (!response) {
@@ -433,6 +435,9 @@ int main(int argc, char** argv) {
                      value.c_str());
         return 2;
       }
+    } else if (std::strncmp(arg, "--", 2) == 0) {
+      std::fprintf(stderr, "o2o_serve: unknown option: %s\n", arg);
+      return 2;
     } else {
       switch (positional++) {
         case 0: taxis = std::atoi(arg); break;

@@ -212,8 +212,8 @@ DispatchConfig& DispatchConfig::with_pipeline_depth(std::size_t depth) {
   return *this;
 }
 
-DispatchConfig& DispatchConfig::with_ingest_capacity(std::size_t slots) {
-  service_.ingest_capacity = slots;
+DispatchConfig& DispatchConfig::with_ingest_capacity(std::size_t events) {
+  service_.ingest_capacity = events;
   return *this;
 }
 
@@ -319,11 +319,8 @@ std::vector<ConfigError> DispatchConfig::validate() const {
   if (service_.pipeline_depth < 1 || service_.pipeline_depth > 1024) {
     fail(ConfigField::kPipelineDepth, "pipeline_depth must be in [1, 1024]");
   }
-  const std::size_t slots = service_.ingest_capacity;
-  if (slots < 2 || slots > (std::size_t{1} << 20) || (slots & (slots - 1)) != 0) {
-    fail(ConfigField::kIngestCapacity,
-         "ingest_capacity must be a power of two in [2, 2^20] (the ring masks "
-         "sequence numbers instead of dividing)");
+  if (service_.ingest_capacity < 1 || service_.ingest_capacity > (std::size_t{1} << 20)) {
+    fail(ConfigField::kIngestCapacity, "ingest_capacity must be in [1, 2^20]");
   }
 
   if (backend_.kind == geo::DistanceBackendKind::kCircuity &&

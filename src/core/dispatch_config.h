@@ -43,13 +43,14 @@ namespace o2o {
 /// one DispatchConfig describes a deployment end to end; the service layer
 /// reads them, core only validates them.
 struct ServiceOptions {
-  /// How many complete frames may sit buffered between the ingestion ring
-  /// and the matcher. 1 = classic double-buffering (frame t+1 fills while
-  /// frame t matches); higher values absorb burstier producers.
+  /// How many complete frames may wait for the matcher. 1 = classic
+  /// double-buffering (frame t+1 fills while frame t matches); higher
+  /// values absorb burstier producers.
   std::size_t pipeline_depth = 1;
-  /// Slot count of the lock-free ingestion ring. Must be a power of two
-  /// (the ring masks sequence numbers instead of dividing).
-  std::size_t ingest_capacity = 4096;
+  /// The most orders plus drivers one frame may carry. Later events of
+  /// that frame are dropped on arrival and the frame is rejected, so a
+  /// stream that never sends a barrier holds bounded memory.
+  std::size_t ingest_capacity = std::size_t{1} << 16;
 
   friend bool operator==(const ServiceOptions&, const ServiceOptions&) = default;
 };
@@ -165,7 +166,7 @@ class DispatchConfig {
   /// Replaces the whole service section.
   DispatchConfig& service(ServiceOptions options);
   DispatchConfig& with_pipeline_depth(std::size_t depth);
-  DispatchConfig& with_ingest_capacity(std::size_t slots);
+  DispatchConfig& with_ingest_capacity(std::size_t events);
 
   // --- component access ------------------------------------------------
   const core::PreferenceParams& preference() const noexcept { return params_.preference; }

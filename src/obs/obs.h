@@ -46,7 +46,7 @@ enum class Stage : std::uint8_t {
   kGridPatch,         ///< incremental SpatialGrid delta application
   kCandidateGen,      ///< pair-candidate generation (grid queries + dedup or reuse)
   kExactEval,         ///< exact group evaluation (optimal_route + detour checks)
-  kIngest,            ///< streaming service: drain ring + frame-barrier snapshot
+  kIngest,            ///< streaming service: matcher's wait for and take of a frame
   kCodec,             ///< streaming service: wire encode/decode
   kServiceFrame,      ///< streaming service: whole frame (barrier to response)
 };
@@ -83,9 +83,9 @@ enum class Counter : std::uint8_t {
   kCandidatesReused,     ///< feasible pairs replayed from the last enumeration
   kDaWarmSeeds,          ///< deferred-acceptance engagements seeded from the prior frame
   kExactParallelBatches, ///< exact-evaluation batches fanned over the thread pool
-  kEventsIngested,       ///< ride events accepted by the service ingestion ring
+  kEventsIngested,       ///< events in frames the matcher took: orders, drivers, barriers
   kFramesStreamed,       ///< frame barriers matched by the streaming service
-  kIngestBackpressure,   ///< submits that waited on a full ring or pipeline window
+  kIngestBackpressure,   ///< barriers that waited for room in the pipeline window
   kFramesRejected,       ///< frames dropped for violating the api contract
 };
 inline constexpr std::size_t kCounterCount = 33;
@@ -98,7 +98,7 @@ enum class Gauge : std::uint8_t {
   kUnitsPeak,         ///< dispatch units (groups + singletons) in one frame
   kPendingPeak,       ///< pending requests in one frame
   kLargestComponentPeak,  ///< member requests in the largest sharded component
-  kQueueDepthPeak,    ///< ingestion-ring occupancy peak seen by the service
+  kQueueDepthPeak,    ///< most complete frames waiting for the matcher (<= pipeline_depth)
 };
 inline constexpr std::size_t kGaugeCount = 6;
 

@@ -12,16 +12,14 @@ namespace o2o::service {
 
 namespace {
 
-// How long a waiter keeps polling before it parks. Measured on perfbench's
-// three workloads (4-vCPU x86-64 VM): over 99.8 % of the gaps between two
-// events of one frame are under 20 us and 0.09-0.22 a frame reach 50 us,
-// so with 50 us the matcher parks 1.1-1.2 times a frame, nearly always
-// between frames; 20 us would add 1.0-1.6 parks a frame. Calling
-// atomic::wait at once is no substitute: libstdc++ spins only 16 rounds
-// in it, and registers as a waiter first, so every notify during that
-// spin is a futex syscall. On ny-rush-nstd that made 1,700 wait calls and
-// 29 sleeps a frame and lost five of five pairs by 0.4-1.1 ms of
-// frame_ms_p50 (EXPERIMENTS.md "Single-pass codec and parked waits").
+// How long a waiter keeps polling before it parks. The matcher waits once
+// a frame, and a frame's events take milliseconds to decode, so it nearly
+// always parks and a barrier wakes it. A barrier that follows a frame
+// within 50 us (a burst client, or the next frame already waiting)
+// finds it still polling. Calling atomic::wait at once is no substitute:
+// libstdc++ spins only 16 rounds in it, and registers as a waiter first,
+// so every notify during that spin is a futex syscall (EXPERIMENTS.md
+// "Single-pass codec and parked waits").
 constexpr auto kSpinBeforePark = std::chrono::microseconds(50);
 
 /// Waits until `ready()` holds: polls for kSpinBeforePark, then blocks in
@@ -60,81 +58,86 @@ void wake(std::atomic<std::uint32_t>& signal, bool all) {
 StreamingService::StreamingService(std::string_view kind, DispatchConfig config,
                                    const geo::DistanceOracle& oracle)
     : session_(kind, config, oracle),
-      queue_(config.service().ingest_capacity),
-      pipeline_depth_(config.service().pipeline_depth) {}
+      pipeline_depth_(config.service().pipeline_depth),
+      frame_capacity_(config.service().ingest_capacity) {}
 
-bool StreamingService::push_with_backpressure(const api::RideEvent& event,
-                                              bool blocking) {
-  // A barrier closes a frame: hold it back while pipeline_depth complete
-  // frames already sit in the ring unmatched, so producers can't run
-  // arbitrarily far ahead of the matcher. The slot is reserved with
-  // fetch_add *before* the push (undone on overshoot) so concurrent
-  // producers can never jointly exceed the window.
-  const bool is_barrier = event.kind == api::RideEvent::Kind::kEndFrame;
-  // Even a failed reservation holds a slot for a moment, and a concurrent
-  // barrier that saw it may have parked: whoever brings the count back
-  // under the window wakes the parked producers.
-  const auto release_frame = [this] {
-    if (frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel) == pipeline_depth_) {
-      wake(space_freed_, /*all=*/true);
+bool StreamingService::accept(api::RideEvent& event, bool blocking) {
+  if (event.kind != api::RideEvent::Kind::kEndFrame) {
+    std::lock_guard lock(mutex_);
+    api::FrameRequest& open = open_.request;
+    if (open.orders.size() + open.drivers.size() >= frame_capacity_) {
+      ++open_.dropped;  // bounded memory: the frame is rejected at its barrier
+    } else if (event.kind == api::RideEvent::Kind::kOrder) {
+      open.orders.push_back(std::move(event.order));
+    } else {
+      open.drivers.push_back(std::move(event.driver));
     }
-  };
-  const auto reserve_frame = [&] {
-    if (frames_in_flight_.fetch_add(1, std::memory_order_acq_rel) < pipeline_depth_) {
-      return true;
+    return true;
+  }
+  // A barrier closes the open frame, unless pipeline_depth complete
+  // frames already wait: producers can't run arbitrarily far ahead of
+  // the matcher. The check and the hand-over share one critical section,
+  // so concurrent barriers can never jointly exceed the window.
+  const auto close_frame = [&] {
+    std::lock_guard lock(mutex_);
+    if (ready_.size() >= pipeline_depth_) return false;
+    open_.request.frame = event.frame;
+    open_.request.timestamp = event.timestamp;
+    ready_.push_back(std::move(open_));
+    // Reopen on a served frame's buffers, so their capacity survives.
+    if (spare_.empty()) {
+      open_ = {};
+    } else {
+      open_ = std::move(spare_.back());
+      spare_.pop_back();
     }
-    release_frame();
-    return false;
+    return true;
   };
-  bool waited = false;
-  if (is_barrier && !reserve_frame()) {
+  if (!close_frame()) {
     if (!blocking) return false;
-    waited = true;
-    spin_then_park(space_freed_, reserve_frame);
+    spin_then_park(space_freed_, close_frame);
+    obs::add(obs::Counter::kIngestBackpressure);
   }
-  if (!queue_.try_push(event)) {
-    if (!blocking) {
-      if (is_barrier) release_frame();
-      return false;
-    }
-    waited = true;
-    spin_then_park(space_freed_, [&] { return queue_.try_push(event); });
-  }
-  if (waited) obs::add(obs::Counter::kIngestBackpressure);
-  wake(event_pushed_, /*all=*/false);
+  wake(frame_ready_, /*all=*/false);
   return true;
 }
 
-void StreamingService::submit(const api::RideEvent& event) {
-  push_with_backpressure(event, /*blocking=*/true);
-}
+void StreamingService::submit(api::RideEvent event) { accept(event, /*blocking=*/true); }
 
-bool StreamingService::try_submit(const api::RideEvent& event) {
-  return push_with_backpressure(event, /*blocking=*/false);
+bool StreamingService::try_submit(api::RideEvent event) {
+  return accept(event, /*blocking=*/false);
 }
 
 void StreamingService::close() {
-  closed_.store(true, std::memory_order_release);
-  wake(event_pushed_, /*all=*/false);
+  {
+    std::lock_guard lock(mutex_);
+    closed_ = true;
+  }
+  wake(frame_ready_, /*all=*/false);
 }
 
-bool StreamingService::pop_event(api::RideEvent& event) {
-  bool drained = false;
-  if (!queue_.try_pop(event)) {
-    spin_then_park(event_pushed_, [&] {
-      if (queue_.try_pop(event)) return true;
-      if (!closed_.load(std::memory_order_acquire)) return false;
-      // Closed. Events pushed between the failed pop and the close flag
-      // must still be drained -- only an empty ring ends the stream (a
-      // partial frame with no barrier is dropped: no barrier, no
-      // snapshot).
-      drained = !queue_.try_pop(event);
-      return true;
-    });
-  }
-  if (drained) return false;
-  wake(space_freed_, /*all=*/true);
-  return true;
+bool StreamingService::take_frame() {
+  // Empty the served frame outside the lock: its drivers' route vectors
+  // are freed here, while the matcher would otherwise wait.
+  current_.request.orders.clear();
+  current_.request.drivers.clear();
+  current_.dropped = 0;
+  bool taken = false;
+  spin_then_park(frame_ready_, [&] {
+    std::lock_guard lock(mutex_);
+    if (ready_.empty()) return closed_;  // closed and drained: the stream ends
+    // Only this thread removes frames, so the queue is at its deepest
+    // since the last take right now.
+    pending_.depth_peak = std::max(pending_.depth_peak, ready_.size());
+    spare_.push_back(std::move(current_));
+    current_ = std::move(ready_.front());
+    ready_.pop_front();
+    taken = true;
+    return true;
+  });
+  // The frame left the window: producers may close the next one.
+  if (taken) wake(space_freed_, /*all=*/true);
+  return taken;
 }
 
 std::optional<api::FrameResponse> StreamingService::next_response() {
@@ -150,66 +153,48 @@ std::optional<api::FrameResponse> StreamingService::next_answer() {
   // begin_frame: the sink zeroes every thread's cells at frame start, so
   // anything recorded before the barrier would be wiped. The buffers
   // accumulate across rejected frames so no ingest work goes uncounted.
-  pending_.depth_peak = std::max(pending_.depth_peak, queue_.approx_depth());
-  std::optional<api::FrameRequest> request;
   {
     obs::ScopedTimer timer(pending_.ingest_ns);
-    api::RideEvent event;
-    while (!request) {
-      if (!pop_event(event)) return std::nullopt;
-      ++pending_.events;
-      switch (event.kind) {
-        case api::RideEvent::Kind::kOrder:
-          open_orders_.push_back(std::move(event.order));
-          break;
-        case api::RideEvent::Kind::kDriver:
-          open_drivers_.push_back(std::move(event.driver));
-          break;
-        case api::RideEvent::Kind::kEndFrame:
-          request.emplace();
-          request->frame = event.frame;
-          request->timestamp = event.timestamp;
-          request->orders = std::move(open_orders_);
-          request->drivers = std::move(open_drivers_);
-          open_orders_.clear();
-          open_drivers_.clear();
-          break;
-      }
-    }
+    if (!take_frame()) return std::nullopt;
   }
+  const api::FrameRequest& request = current_.request;
+  pending_.events += request.orders.size() + request.drivers.size() + 1;
 
-  // The frame left the ring: producers may push the next barrier.
-  frames_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  wake(space_freed_, /*all=*/true);
-
-  // Frames that violate the api contract (duplicate ids, out-of-range
-  // seat values, a timestamp earlier than the last served frame's)
-  // cross a trust boundary in --stdio/--tcp mode: answer them with the
-  // reason, before the trace sink opens a frame, and keep serving.
+  // Frames that violate the api contract (too many events, duplicate
+  // ids, out-of-range seat values, a timestamp earlier than the last
+  // served frame's) cross a trust boundary in --stdio/--tcp mode: answer
+  // them with the reason, before the trace sink opens a frame, and keep
+  // serving.
   std::string reject_reason;
-  if (!session_.validate(*request, &reject_reason)) {
+  if (current_.dropped != 0) {
+    reject_reason = "oversized frame " + std::to_string(request.frame) +
+                    ": more than ingest_capacity = " + std::to_string(frame_capacity_) +
+                    " events (" + std::to_string(current_.dropped) + " dropped)";
+  } else {
+    session_.validate(request, &reject_reason);
+  }
+  if (!reject_reason.empty()) {
     ++pending_.rejected;
     api::FrameResponse rejected;
-    rejected.frame = request->frame;
+    rejected.frame = request.frame;
     rejected.reject_reason = std::move(reject_reason);
     return rejected;
   }
 
-  if (sink != nullptr) sink->begin_frame(request->frame, request->timestamp);
+  if (sink != nullptr) sink->begin_frame(request.frame, request.timestamp);
   obs::add_stage_ns(obs::Stage::kIngest, pending_.ingest_ns);
   obs::add(obs::Counter::kEventsIngested, pending_.events);
   if (pending_.rejected != 0) obs::add(obs::Counter::kFramesRejected, pending_.rejected);
   obs::gauge_max(obs::Gauge::kQueueDepthPeak, pending_.depth_peak);
   pending_ = {};
-  std::optional<api::FrameResponse> response = session_.dispatch(*request);
+  api::FrameResponse response = session_.dispatch_validated(request);
   obs::add(obs::Counter::kFramesStreamed);
   if (sink != nullptr) {
     std::uint64_t idle = 0;
-    for (const api::Driver& driver : request->drivers) idle += driver.idle() ? 1 : 0;
-    sink->set_frame_context(idle, request->drivers.size() - idle,
-                            request->orders.size());
+    for (const api::Driver& driver : request.drivers) idle += driver.idle() ? 1 : 0;
+    sink->set_frame_context(idle, request.drivers.size() - idle, request.orders.size());
     std::uint64_t assigned = 0;
-    for (const api::Assignment& a : response->assignments) {
+    for (const api::Assignment& a : response.assignments) {
       assigned += a.order_ids.size();
     }
     sink->add_assignments(assigned);

@@ -1,29 +1,35 @@
 // StreamingService: turns the batch matcher into a continuous stream.
 //
-// Producers (any number of threads) push api::RideEvents into the
-// lock-free ingestion ring; the matcher thread drains it, accumulates
-// the open frame, and on the kEndFrame barrier snapshots
+// Producers (any number of threads) submit api::RideEvents; each order or
+// driver goes straight into the open api::FrameRequest under one mutex,
+// and the kEndFrame barrier closes it into a FIFO of complete frames. The
+// matcher thread takes one whole frame at a time and snapshots it
 // deterministically — orders sorted by (timestamp, order_id), drivers by
 // driver_id, via DispatchSession — so the streamed output is
 // bit-identical to the equivalent batch run no matter how producer
 // threads interleaved.
 //
-// Pipelining: events of frame t+1 may be pushed while frame t is still
-// matching. ServiceOptions::pipeline_depth bounds how many *complete*
-// frames may sit in the ring ahead of the matcher; submitting a barrier
-// beyond that waits (with counted backpressure) until the matcher
-// catches up, which keeps worst-case response latency bounded.
+// Pipelining: events of frame t+1 may be submitted while frame t is still
+// matching. ServiceOptions::pipeline_depth bounds how many complete
+// frames may wait for the matcher; submitting a barrier beyond that waits
+// (with counted backpressure) until the matcher catches up, which keeps
+// worst-case response latency bounded. ServiceOptions::ingest_capacity
+// bounds the events one frame may carry: later events of that frame are
+// dropped on arrival and the frame is answered with a rejection.
 //
 // Waiting is spin-then-park: a waiter polls for a few tens of
 // microseconds, then blocks in std::atomic::wait, so an idle server uses
-// no CPU. Producers wake the matcher after every push and on close(); the
-// matcher wakes producers after every pop and every frame it takes out
-// of the pipeline window.
+// no CPU. The matcher waits once per frame, keyed on "a frame is ready
+// or the stream closed": producers wake it on each barrier and on
+// close(), never per event, so it sleeps while a frame streams in. The
+// matcher wakes producers each time it takes a frame out of the window.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -31,7 +37,6 @@
 #include "core/dispatch_config.h"
 #include "geo/distance_oracle.h"
 #include "service/api.h"
-#include "service/ingest.h"
 #include "service/session.h"
 
 namespace o2o::service {
@@ -43,20 +48,22 @@ class StreamingService {
 
   const DispatchSession& session() const noexcept { return session_; }
 
-  /// Producer side, any thread. submit() waits until the ring (and, for
-  /// barriers, the pipeline window) accepts the event; try_submit()
-  /// returns false instead of waiting on a full ring or window.
-  void submit(const api::RideEvent& event);
-  bool try_submit(const api::RideEvent& event);
+  /// Producer side, any thread. Orders and drivers join the open frame at
+  /// once. A barrier closes it: submit() waits while pipeline_depth
+  /// complete frames already wait for the matcher; try_submit() returns
+  /// false instead and leaves the frame open.
+  void submit(api::RideEvent event);
+  bool try_submit(api::RideEvent event);
 
   /// Producer side: no further events will be submitted. Wakes a matcher
-  /// blocked in next_response().
+  /// blocked in next_response(); events after the last barrier are dropped.
   void close();
 
   /// Matcher side, one thread. Blocks until a complete frame is
   /// available and answers it: the dispatch response, or, for a frame
-  /// that fails DispatchSession::validate, a response holding only the
-  /// frame number and a non-empty `reject_reason` (nothing dispatched).
+  /// that carried more than ingest_capacity events or fails
+  /// DispatchSession::validate, a response holding only the frame number
+  /// and a non-empty `reject_reason` (nothing dispatched).
   /// Returns nullopt once the stream is closed and fully drained.
   std::optional<api::FrameResponse> next_answer();
 
@@ -65,24 +72,35 @@ class StreamingService {
   std::optional<api::FrameResponse> next_response();
 
  private:
-  bool push_with_backpressure(const api::RideEvent& event, bool blocking);
-  /// Matcher side: the next event, waiting while the ring is empty; false
-  /// once the stream is closed and drained.
-  bool pop_event(api::RideEvent& event);
+  /// One frame's events, plus how many arrived past ingest_capacity.
+  struct Frame {
+    api::FrameRequest request;
+    std::size_t dropped = 0;
+  };
+
+  bool accept(api::RideEvent& event, bool blocking);
+  /// Matcher side: moves the next complete frame into current_, waiting
+  /// while none is ready; false once the stream is closed and drained.
+  bool take_frame();
 
   DispatchSession session_;
-  IngestQueue<api::RideEvent> queue_;
-  std::atomic<std::size_t> frames_in_flight_{0};
-  std::atomic<bool> closed_{false};
-  // Wake-up counters for spin_then_park (service.cpp): bumped on every
-  // push and on close, and on every pop or frame that frees space.
-  std::atomic<std::uint32_t> event_pushed_{0};
-  std::atomic<std::uint32_t> space_freed_{0};
-  std::size_t pipeline_depth_;
+  const std::size_t pipeline_depth_;
+  const std::size_t frame_capacity_;
 
-  // Matcher-thread frame accumulation.
-  std::vector<api::Order> open_orders_;
-  std::vector<api::Driver> open_drivers_;
+  // Guarded by mutex_.
+  std::mutex mutex_;
+  Frame open_;                ///< the frame producers are filling
+  std::deque<Frame> ready_;   ///< complete frames, oldest first
+  std::vector<Frame> spare_;  ///< served frames whose buffers get reused
+  bool closed_ = false;
+
+  // Wake-up counters for spin_then_park (service.cpp): frame_ready_ is
+  // bumped on every barrier and on close, space_freed_ on every take.
+  std::atomic<std::uint32_t> frame_ready_{0};
+  std::atomic<std::uint32_t> space_freed_{0};
+
+  // Matcher thread only.
+  Frame current_;  ///< the frame being answered
   /// Ingest metrics since the last dispatched frame, reported with it.
   struct PendingIngest {
     std::uint64_t ingest_ns = 0;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.h"
 #include "util/contracts.h"
@@ -64,6 +67,65 @@ void fill_frame(const api::FrameRequest& request, sim::FrameBuffers& frame) {
       frame.busy.push_back(std::move(view));
     }
   }
+}
+
+/// Reusable buffers for route_state_error, so a frame allocates them once.
+struct RouteScratch {
+  std::vector<std::pair<api::OrderId, bool>> stops;  ///< (order, is_pickup)
+  std::vector<std::pair<api::OrderId, int>> seats;
+  std::vector<api::OrderId> onboard;
+};
+
+/// Why a driver's route, onboard list, route_seats and seats_in_use do
+/// not describe one state, or nullptr when they do. Sorting keeps an
+/// absurdly long route O(n log n).
+const char* route_state_error(const api::Driver& driver, RouteScratch& scratch) {
+  if (driver.route.empty()) {
+    return driver.seats_in_use != 0 || !driver.onboard.empty() || !driver.route_seats.empty()
+               ? "an empty route with seats in use, onboard orders or route_seats"
+               : nullptr;
+  }
+  scratch.stops.clear();
+  for (const api::DriverStop& stop : driver.route) {
+    scratch.stops.emplace_back(stop.order_id, stop.is_pickup);
+  }
+  std::sort(scratch.stops.begin(), scratch.stops.end());
+  scratch.seats.assign(driver.route_seats.begin(), driver.route_seats.end());
+  std::sort(scratch.seats.begin(), scratch.seats.end());
+  scratch.onboard.assign(driver.onboard.begin(), driver.onboard.end());
+  std::sort(scratch.onboard.begin(), scratch.onboard.end());
+
+  std::size_t seat = 0;
+  std::size_t onboard = 0;
+  std::int64_t load = 0;
+  for (std::size_t i = 0; i < scratch.stops.size();) {
+    const api::OrderId order = scratch.stops[i].first;
+    std::size_t dropoffs = 0;
+    std::size_t pickups = 0;
+    for (; i < scratch.stops.size() && scratch.stops[i].first == order; ++i) {
+      (scratch.stops[i].second ? pickups : dropoffs) += 1;
+    }
+    if (dropoffs != 1) return "a routed order without exactly one drop-off";
+    if (seat == scratch.seats.size() || scratch.seats[seat].first != order) {
+      return "route_seats does not list each routed order exactly once";
+    }
+    if (pickups == 0) {
+      if (onboard == scratch.onboard.size() || scratch.onboard[onboard] != order) {
+        return "onboard is not exactly the routed orders without a pick-up";
+      }
+      ++onboard;
+      load += scratch.seats[seat].second;
+    }
+    ++seat;
+  }
+  if (seat != scratch.seats.size()) {
+    return "route_seats does not list each routed order exactly once";
+  }
+  if (onboard != scratch.onboard.size()) {
+    return "onboard is not exactly the routed orders without a pick-up";
+  }
+  if (load != driver.seats_in_use) return "seats_in_use is not the onboard orders' seat sum";
+  return nullptr;
 }
 
 }  // namespace
@@ -139,6 +201,7 @@ bool DispatchSession::validate(const api::FrameRequest& request, std::string* er
                     std::to_string(taxi_seats) + "]");
     }
   }
+  RouteScratch scratch;
   for (const api::Driver& driver : request.drivers) {
     // A seatless taxi can never be assigned; checking seats first also
     // keeps the seats_in_use message below from quoting a negative cap.
@@ -151,6 +214,10 @@ bool DispatchSession::validate(const api::FrameRequest& request, std::string* er
                     " on driver_id " + std::to_string(driver.driver_id) +
                     ": must be within [0, seats = " + std::to_string(driver.seats) + "]");
     }
+    if (const char* why = route_state_error(driver, scratch)) {
+      return reject(std::string("invalid route state (") + why + ") on driver_id " +
+                    std::to_string(driver.driver_id));
+    }
   }
   return true;
 }
@@ -158,7 +225,10 @@ bool DispatchSession::validate(const api::FrameRequest& request, std::string* er
 std::optional<api::FrameResponse> DispatchSession::dispatch(
     const api::FrameRequest& request, std::string* error) {
   if (!validate(request, error)) return std::nullopt;
+  return dispatch_validated(request);
+}
 
+api::FrameResponse DispatchSession::dispatch_validated(const api::FrameRequest& request) {
   obs::StageTimer timer(obs::Stage::kServiceFrame);
 
   fill_frame(request, snapshotter_.fill());

@@ -36,10 +36,16 @@ class DispatchSession {
   /// outside [1, config().sharing_params().taxi_seats], a driver whose
   /// seats_in_use lies outside [0, seats], or a
   /// timestamp earlier than the last dispatched frame's fail it (equal
-  /// timestamps pass). Returns false and sets `error` (when non-null) to
-  /// a message naming the violation kind ("duplicate order_id ...",
-  /// "invalid timestamp ...", "invalid seats ...", "invalid seats_in_use
-  /// ...", "non-monotonic timestamp ...") on the first violation.
+  /// timestamps pass). So does a driver whose route state is
+  /// inconsistent: an empty route with seats in use, onboard orders or
+  /// route_seats entries; or a route whose orders route_seats does not
+  /// list exactly once, an order without exactly one drop-off, an onboard
+  /// list that is not exactly the routed orders without a pick-up, or a
+  /// seats_in_use other than the onboard orders' seat sum. Returns false
+  /// and sets `error` (when non-null) to a message naming the violation
+  /// kind ("duplicate order_id ...", "invalid timestamp ...", "invalid
+  /// seats ...", "invalid seats_in_use ...", "invalid route state ...",
+  /// "non-monotonic timestamp ...") on the first violation.
   bool validate(const api::FrameRequest& request, std::string* error = nullptr) const;
 
   /// Matches one frame. Orders and drivers are (re)sorted to the
@@ -56,6 +62,11 @@ class DispatchSession {
   void reset();
 
  private:
+  friend class StreamingService;
+
+  /// dispatch() for a request that already passed validate().
+  api::FrameResponse dispatch_validated(const api::FrameRequest& request);
+
   DispatchConfig config_;
   const geo::DistanceOracle& oracle_;
   std::string kind_;

@@ -210,13 +210,14 @@ TEST(DispatchConfig, ServiceKnobsValidate) {
   EXPECT_FALSE(DispatchConfig{}.with_pipeline_depth(0).validate().empty());
   EXPECT_FALSE(DispatchConfig{}.with_pipeline_depth(1025).validate().empty());
 
-  EXPECT_TRUE(DispatchConfig{}.with_ingest_capacity(2).validate().empty());
+  // Capacity is a per-frame event bound: any count in [1, 2^20] is valid.
+  EXPECT_TRUE(DispatchConfig{}.validate().empty());
+  EXPECT_TRUE(DispatchConfig{}.with_ingest_capacity(1).validate().empty());
+  EXPECT_TRUE(DispatchConfig{}.with_ingest_capacity(3).validate().empty());
+  EXPECT_TRUE(DispatchConfig{}.with_ingest_capacity(1000).validate().empty());
   EXPECT_TRUE(DispatchConfig{}.with_ingest_capacity(1u << 20).validate().empty());
-  // Capacity must be a power of two: the ring masks positions.
-  EXPECT_FALSE(DispatchConfig{}.with_ingest_capacity(3).validate().empty());
-  EXPECT_FALSE(DispatchConfig{}.with_ingest_capacity(1000).validate().empty());
-  EXPECT_FALSE(DispatchConfig{}.with_ingest_capacity(1).validate().empty());
-  EXPECT_FALSE(DispatchConfig{}.with_ingest_capacity(1u << 21).validate().empty());
+  EXPECT_FALSE(DispatchConfig{}.with_ingest_capacity(0).validate().empty());
+  EXPECT_FALSE(DispatchConfig{}.with_ingest_capacity((1u << 20) + 1).validate().empty());
 }
 
 TEST(DispatchConfig, DescribeIsAStableCompleteSnapshot) {

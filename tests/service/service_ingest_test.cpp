@@ -1,13 +1,15 @@
-// The lock-free ingestion ring: FIFO per producer, wraparound, full/empty
-// edges, and a multi-producer hammer that doubles as the TSan proof of
-// the acquire/release stamp protocol. Plus the StreamingService frame
-// barrier: arrival order inside a frame must not change the match.
+// StreamingService's frame handoff: producers build the open frame, the
+// barrier closes it into a bounded window, and the matcher takes whole
+// frames. Arrival order inside a frame must not change the match; the
+// threaded tests double as the TSan proof of the handoff, and the CPU
+// tests check that a waiting matcher sleeps instead of spinning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <ctime>
 #include <thread>
 #include <utility>
@@ -17,103 +19,10 @@
 #include "geo/distance_oracle.h"
 #include "obs/obs.h"
 #include "service/api.h"
-#include "service/ingest.h"
 #include "service/service.h"
 
 namespace o2o::service {
 namespace {
-
-TEST(IngestQueue, FifoOrder) {
-  IngestQueue<int> queue(128);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(queue.try_push(i));
-  int value = -1;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(queue.try_pop(value));
-    EXPECT_EQ(value, i);
-  }
-  EXPECT_FALSE(queue.try_pop(value));
-}
-
-TEST(IngestQueue, WrapAroundKeepsOrder) {
-  IngestQueue<int> queue(8);
-  int next_in = 0;
-  int next_out = 0;
-  // Push/pop in bursts so the ring wraps many times.
-  for (int round = 0; round < 500; ++round) {
-    for (int i = 0; i < 5; ++i) EXPECT_TRUE(queue.try_push(next_in++));
-    int value = -1;
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(queue.try_pop(value));
-      EXPECT_EQ(value, next_out++);
-    }
-  }
-}
-
-TEST(IngestQueue, FullRingRejectsUntilDrained) {
-  IngestQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.try_push(i));
-  EXPECT_FALSE(queue.try_push(99));
-  int value = -1;
-  ASSERT_TRUE(queue.try_pop(value));
-  EXPECT_EQ(value, 0);
-  EXPECT_TRUE(queue.try_push(99));
-  std::vector<int> rest;
-  while (queue.try_pop(value)) rest.push_back(value);
-  EXPECT_EQ(rest, (std::vector<int>{1, 2, 3, 99}));
-}
-
-TEST(IngestQueue, ApproxDepthTracksOccupancy) {
-  IngestQueue<int> queue(16);
-  EXPECT_EQ(queue.approx_depth(), 0u);
-  for (int i = 0; i < 10; ++i) queue.try_push(i);
-  EXPECT_EQ(queue.approx_depth(), 10u);
-  int value = -1;
-  for (int i = 0; i < 4; ++i) queue.try_pop(value);
-  EXPECT_EQ(queue.approx_depth(), 6u);
-}
-
-// Multi-producer hammer: N threads each push a tagged ascending sequence
-// through a deliberately tiny ring while the main thread drains. Checks
-// no loss, no duplication, and per-producer FIFO. Run under TSan this is
-// the data-race proof for the stamp protocol.
-TEST(IngestQueue, MultiProducerNoLossNoDupPerProducerFifo) {
-  constexpr int kProducers = 4;
-  constexpr std::uint32_t kPerProducer = 20000;
-  IngestQueue<std::uint32_t> queue(64);
-
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (std::uint32_t i = 0; i < kPerProducer; ++i) {
-        const std::uint32_t tagged = (static_cast<std::uint32_t>(p) << 24) | i;
-        while (!queue.try_push(tagged)) std::this_thread::yield();
-      }
-    });
-  }
-
-  std::vector<std::uint32_t> next_expected(kProducers, 0);
-  std::uint64_t drained = 0;
-  while (drained < static_cast<std::uint64_t>(kProducers) * kPerProducer) {
-    std::uint32_t tagged = 0;
-    if (!queue.try_pop(tagged)) {
-      std::this_thread::yield();
-      continue;
-    }
-    ++drained;
-    const int producer = static_cast<int>(tagged >> 24);
-    const std::uint32_t sequence = tagged & 0xFFFFFF;
-    ASSERT_LT(producer, kProducers);
-    // FIFO per producer: each producer's values arrive in push order.
-    ASSERT_EQ(sequence, next_expected[producer]) << "producer " << producer;
-    ++next_expected[producer];
-  }
-  for (std::thread& producer : producers) producer.join();
-
-  std::uint32_t leftover = 0;
-  EXPECT_FALSE(queue.try_pop(leftover));
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_expected[p], kPerProducer);
-}
 
 // ---------------------------------------------------------------------------
 // StreamingService barrier semantics.
@@ -416,11 +325,8 @@ TEST(StreamingService, ThreadedProducerAndMatcherAgree) {
 
 // One producer blocks on every barrier while another only tries, at
 // depth 1: every accepted barrier must come out as a frame, and nothing
-// may hang. A failed try still holds a window slot for a moment, and a
-// blocking barrier that saw it may park; the give-back wakes it
-// (service.cpp). Hitting that exact interleaving needs a preemption
-// between two adjacent atomic operations, so this hammer guards the
-// mixed protocol as a whole rather than reproducing the race.
+// may hang: a parked blocking barrier must be woken by the matcher's
+// take, whichever producer filled the window.
 TEST(StreamingService, TryAndBlockingBarriersShareTheWindow) {
   const DispatchConfig config = DispatchConfig{}
                                     .with_passenger_threshold_km(10.0)
@@ -457,14 +363,15 @@ TEST(StreamingService, TryAndBlockingBarriersShareTheWindow) {
   EXPECT_EQ(answered, kBlockingFrames + tried_frames);
 }
 
+double thread_cpu_ms() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) * 1e3 + static_cast<double>(now.tv_nsec) * 1e-6;
+}
+
 // An idle server must use close to zero CPU: a matcher blocked in
 // next_response() parks instead of spinning, and close() wakes it.
 TEST(StreamingService, IdleMatcherParksInsteadOfSpinning) {
-  const auto thread_cpu_ms = [] {
-    timespec now{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
-    return static_cast<double>(now.tv_sec) * 1e3 + static_cast<double>(now.tv_nsec) * 1e-6;
-  };
   const DispatchConfig config =
       DispatchConfig{}.with_passenger_threshold_km(10.0).with_taxi_threshold_score(1.0);
   StreamingService service("nstd-p", config, kOracle);
@@ -480,6 +387,130 @@ TEST(StreamingService, IdleMatcherParksInsteadOfSpinning) {
   // Under 10 % of one core over the 300 ms.
   EXPECT_GE(matcher_cpu_ms, 0.0);
   EXPECT_LT(matcher_cpu_ms, 30.0);
+}
+
+// The matcher waits once per frame: while a frame's events trickle in, it
+// sleeps until the barrier instead of polling after every event.
+TEST(StreamingService, MatcherSleepsWhileAFrameStreamsIn) {
+  const DispatchConfig config =
+      DispatchConfig{}.with_passenger_threshold_km(10.0).with_taxi_threshold_score(1.0);
+  StreamingService service("nstd-p", config, kOracle);
+  double matcher_cpu_ms = -1.0;
+  std::thread matcher([&] {
+    const double start = thread_cpu_ms();
+    EXPECT_TRUE(service.next_response().has_value());
+    matcher_cpu_ms = thread_cpu_ms() - start;
+  });
+  // About 2,000 events 100 us apart. One far-away driver keeps the
+  // dispatch cheap, so the matcher's CPU is its waiting, also under TSan.
+  const auto stream_start = std::chrono::steady_clock::now();
+  service.submit(driver_event(1, 1e6, 1e6));
+  for (std::int32_t i = 2; i <= 2000; ++i) {
+    service.submit(order_event(i, 0.01 * static_cast<double>(i), 0.0));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const double stream_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - stream_start)
+                               .count();
+  service.submit(api::RideEvent::make_end_frame(0, 1e4));
+  matcher.join();
+  EXPECT_GE(matcher_cpu_ms, 0.0);
+  EXPECT_LT(matcher_cpu_ms, 0.1 * stream_ms) << "stream took " << stream_ms << " ms";
+}
+
+// Several producers fill one frame at once: no event is lost.
+TEST(StreamingService, ConcurrentProducersFillOneFrame) {
+  const DispatchConfig config =
+      DispatchConfig{}.with_passenger_threshold_km(10.0).with_taxi_threshold_score(1.0);
+  StreamingService service("nstd-p", config, kOracle);
+  obs::TraceSink sink;
+  obs::Activation guard(sink);
+  constexpr std::int32_t kProducers = 4;
+  constexpr std::int32_t kPerProducer = 500;
+
+  std::vector<std::thread> producers;
+  for (std::int32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&service, p] {
+      for (std::int32_t i = 1; i <= kPerProducer; ++i) {
+        service.submit(order_event(p * kPerProducer + i, static_cast<double>(p), 0.0));
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  service.submit(api::RideEvent::make_end_frame(0, 1e4));
+  const auto response = service.next_answer();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_TRUE(response->reject_reason.empty()) << response->reject_reason;
+  ASSERT_EQ(sink.frames_recorded(), 1u);
+  EXPECT_EQ(sink.aggregate().counters[static_cast<std::size_t>(obs::Counter::kEventsIngested)],
+            static_cast<std::uint64_t>(kProducers * kPerProducer + 1));
+}
+
+// Frames reuse the buffers of served ones: a small frame after a large
+// one must carry only its own events, and answer as a fresh service does.
+TEST(StreamingService, RecycledFramesCarryNoLeftovers) {
+  const DispatchConfig config =
+      DispatchConfig{}.with_passenger_threshold_km(10.0).with_taxi_threshold_score(1.0);
+  StreamingService service("nstd-p", config, kOracle);
+  for (std::int32_t i = 0; i < 100; ++i) {
+    service.submit(order_event(100 + i, 0.01 * static_cast<double>(i), 0.0));
+    service.submit(driver_event(1000 + i, 0.01 * static_cast<double>(i), 0.3));
+  }
+  service.submit(api::RideEvent::make_end_frame(0, 600.0));
+  const auto large = service.next_response();
+  ASSERT_TRUE(large.has_value());
+  ASSERT_GT(large->assignments.size(), 3u);
+
+  // Enough frames that one is built in the large frame's buffers.
+  for (std::uint64_t frame = 1; frame <= 3; ++frame) {
+    const double timestamp = 600.0 + 60.0 * static_cast<double>(frame);
+    StreamingService fresh("nstd-p", config, kOracle);
+    for (const api::RideEvent& event : frame_events()) {
+      service.submit(event);
+      fresh.submit(event);
+    }
+    service.submit(api::RideEvent::make_end_frame(frame, timestamp));
+    fresh.submit(api::RideEvent::make_end_frame(frame, timestamp));
+    const auto served = service.next_response();
+    const auto expected = fresh.next_response();
+    ASSERT_TRUE(served.has_value()) << "frame " << frame;
+    ASSERT_TRUE(expected.has_value()) << "frame " << frame;
+    EXPECT_EQ(*served, *expected) << "frame " << frame;
+  }
+}
+
+// ingest_capacity bounds one frame's events: the rest are dropped on
+// arrival, the frame is rejected with a reason, and the next is served.
+TEST(StreamingService, OversizedFramesAreRejectedAndTheNextIsServed) {
+  const DispatchConfig config = DispatchConfig{}
+                                    .with_passenger_threshold_km(10.0)
+                                    .with_taxi_threshold_score(1.0)
+                                    .with_pipeline_depth(4)
+                                    .with_ingest_capacity(8);
+  StreamingService service("nstd-p", config, kOracle);
+  for (std::int32_t i = 1; i <= 6; ++i) {
+    service.submit(order_event(i, static_cast<double>(i), 0.0));
+    service.submit(driver_event(100 + i, static_cast<double>(i), 0.5));
+  }
+  service.submit(api::RideEvent::make_end_frame(0, 60.0));
+  for (const api::RideEvent& event : frame_events()) service.submit(event);
+  service.submit(api::RideEvent::make_end_frame(1, 120.0));
+  service.close();
+
+  const auto rejected = service.next_answer();
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_EQ(rejected->frame, 0u);
+  EXPECT_EQ(rejected->reject_reason.rfind("oversized frame 0", 0), 0u)
+      << rejected->reject_reason;
+  EXPECT_NE(rejected->reject_reason.find("ingest_capacity = 8"), std::string::npos)
+      << rejected->reject_reason;
+  EXPECT_TRUE(rejected->assignments.empty());
+  const auto served = service.next_answer();
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(served->frame, 1u);
+  EXPECT_TRUE(served->reject_reason.empty()) << served->reject_reason;
+  EXPECT_FALSE(served->assignments.empty());
+  EXPECT_FALSE(service.next_answer().has_value());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Streaming-vs-batch differential proof obligations: a full synthetic
-// day replayed through the service — wire codec, ingestion ring, and
+// day replayed through the service — wire codec, frame handoff, and
 // DispatchSession — must reproduce the batch Simulator's report bit for
 // bit, with warm-started DA off and on. The share-group cache and its
 // persisted candidate lists are always on: both sides carry one across
@@ -80,7 +80,7 @@ sim::SimulationReport batch_run(std::string_view kind, const DispatchConfig& con
   return simulator.run(*dispatcher);
 }
 
-/// Streams every frame through the wire codec AND the ingestion ring —
+/// Streams every frame through the wire codec AND the service's frame handoff —
 /// the exact path a remote ndjson client exercises.
 ServeFrameFn ring_codec_server(StreamingService& service) {
   return [&service](const api::FrameRequest& request) {
@@ -250,11 +250,18 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
               std::string::npos)
         << error;
   }
-  // The boundaries themselves are valid: a full taxi and an empty one.
-  for (const int in_use : {4, 0}) {
-    request.drivers[0].seats_in_use = in_use;
-    EXPECT_TRUE(session.validate(request, &error)) << error;
-  }
+  // The boundaries themselves are valid: a full taxi (its one rider's
+  // drop-off still ahead, as a consistent route state needs) and an
+  // empty one.
+  api::Driver full = driver;
+  full.seats_in_use = 4;
+  full.route = {api::DriverStop{50, false, {1.0, 1.0}}};
+  full.onboard = {50};
+  full.route_seats = {{50, 4}};
+  request.drivers[0] = full;
+  EXPECT_TRUE(session.validate(request, &error)) << error;
+  request.drivers[0] = driver;
+  EXPECT_TRUE(session.validate(request, &error)) << error;
   EXPECT_TRUE(session.dispatch(request).has_value());
 
   // A driver's own seats must be at least 1: a seatless taxi could never
@@ -299,6 +306,86 @@ TEST(StreamingSession, OutOfRangeSeatValuesFailValidation) {
     EXPECT_FALSE(fresh.dispatch(overflow, &error).has_value()) << kind;
     EXPECT_NE(error.find("invalid seats 2147483647 on order_id 1"), std::string::npos)
         << kind << ": " << error;
+  }
+}
+
+// A driver's route, onboard list, route_seats and seats_in_use must
+// describe one state; otherwise the frame is rejected, not dispatched as
+// if the driver were idle.
+TEST(StreamingSession, InconsistentRouteStatesFailValidation) {
+  api::FrameRequest request;
+  request.timestamp = 60.0;
+  api::Order order;
+  order.order_id = 7;
+  order.timestamp = 10.0;
+  order.finish = {2.0, 2.0};
+  request.orders = {order};
+  // Rider 50 (2 seats) is onboard; rider 60 (1 seat) still waits.
+  api::Driver busy;
+  busy.driver_id = 3;
+  busy.location = {0.5, 0.5};
+  busy.seats = 4;
+  busy.seats_in_use = 2;
+  busy.route = {api::DriverStop{60, true, {1.0, 1.0}}, api::DriverStop{50, false, {2.0, 2.0}},
+                api::DriverStop{60, false, {3.0, 3.0}}};
+  busy.onboard = {50};
+  busy.route_seats = {{60, 1}, {50, 2}};
+  request.drivers = {busy};
+  for (const char* kind : {"nstd-p", "nstd-t", "std-p", "std-t"}) {
+    DispatchSession session(kind, tuned_config(false), kOracle);
+    std::string error;
+    EXPECT_TRUE(session.validate(request, &error)) << kind << ": " << error;
+    EXPECT_TRUE(session.dispatch(request).has_value()) << kind;
+  }
+
+  const auto idle = [&busy] {
+    api::Driver driver = busy;
+    driver.route.clear();
+    driver.onboard.clear();
+    driver.route_seats.clear();
+    driver.seats_in_use = 0;
+    return driver;
+  };
+  std::vector<std::pair<const char*, api::Driver>> broken;
+  broken.emplace_back("idle with seats in use", idle());
+  broken.back().second.seats_in_use = 2;
+  broken.emplace_back("idle with an onboard order", idle());
+  broken.back().second.onboard = {50};
+  broken.emplace_back("idle with route_seats", idle());
+  broken.back().second.route_seats = {{50, 2}};
+  broken.emplace_back("route_seats misses a routed order", busy);
+  broken.back().second.route_seats = {{50, 2}};
+  broken.emplace_back("route_seats lists an order twice", busy);
+  broken.back().second.route_seats.emplace_back(50, 2);
+  broken.emplace_back("route_seats lists an unrouted order", busy);
+  broken.back().second.route_seats.emplace_back(70, 1);
+  broken.emplace_back("an order without a drop-off", busy);
+  broken.back().second.route.pop_back();
+  broken.emplace_back("an order with two drop-offs", busy);
+  broken.back().second.route.push_back(api::DriverStop{50, false, {4.0, 4.0}});
+  broken.emplace_back("onboard misses an order without a pick-up", busy);
+  broken.back().second.onboard.clear();
+  broken.back().second.seats_in_use = 0;
+  broken.emplace_back("onboard lists an order still to be picked up", busy);
+  broken.back().second.onboard = {50, 60};
+  broken.back().second.seats_in_use = 3;
+  broken.emplace_back("onboard lists an order twice", busy);
+  broken.back().second.onboard = {50, 50};
+  broken.emplace_back("seats_in_use is not the onboard seat sum", busy);
+  broken.back().second.seats_in_use = 3;
+
+  for (const auto& [what, driver] : broken) {
+    request.drivers = {driver};
+    for (const char* kind : {"nstd-p", "nstd-t", "std-p", "std-t"}) {
+      DispatchSession session(kind, tuned_config(false), kOracle);
+      std::string error;
+      EXPECT_FALSE(session.validate(request, &error)) << what << ", " << kind;
+      EXPECT_EQ(error.rfind("invalid route state", 0), 0u) << what << ": " << error;
+      EXPECT_NE(error.find("on driver_id 3"), std::string::npos) << what << ": " << error;
+      error.clear();
+      EXPECT_FALSE(session.dispatch(request, &error).has_value()) << what << ", " << kind;
+      EXPECT_FALSE(error.empty()) << what;
+    }
   }
 }
 
