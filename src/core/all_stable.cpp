@@ -26,7 +26,7 @@ std::optional<Matching> break_dispatch(const PreferenceProfile& profile,
   std::size_t next = profile.request_rank(request, t_star) + 1;
 
   while (true) {
-    const std::vector<int>& list = profile.request_list(current);
+    const std::span<const int> list = profile.request_list(current);
     bool chained = false;
     for (; next < list.size(); ++next) {
       const auto taxi = static_cast<std::size_t>(list[next]);

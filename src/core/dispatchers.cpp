@@ -1,5 +1,6 @@
 #include "core/dispatchers.h"
 
+#include <algorithm>
 #include <limits>
 #include <unordered_map>
 
@@ -12,30 +13,34 @@ namespace o2o::core {
 
 namespace {
 
-/// Re-keys a dispatcher's remembered request-id -> taxi-id matching into
-/// this frame's span indices: entry r is the idle-taxi index the pending
-/// request r matched last call, or kDummy when either side left the
-/// frame. Returns an empty vector (hints disabled) when nothing maps.
+/// Re-keys a dispatcher's remembered request-id -> taxi-id matching
+/// (sorted pairs) into this frame's span indices: entry r is the
+/// idle-taxi index the pending request r matched last call, or kDummy
+/// when either side left the frame. Returns an empty vector (hints
+/// disabled) when nothing maps. Pending ids are probed first; the taxi
+/// index is built only once one of them is remembered, which in a
+/// stream where matched orders leave the frame is never.
 std::vector<int> map_warm_memory(
-    const std::unordered_map<trace::RequestId, trace::TaxiId>& memory,
+    std::span<const std::pair<trace::RequestId, trace::TaxiId>> memory,
     std::span<const trace::Taxi> idle_taxis, std::span<const trace::Request> pending) {
-  if (memory.empty()) return {};
+  std::vector<int> warm;
   std::unordered_map<trace::TaxiId, int> taxi_index;
-  taxi_index.reserve(idle_taxis.size());
-  for (std::size_t t = 0; t < idle_taxis.size(); ++t) {
-    taxi_index.emplace(idle_taxis[t].id, static_cast<int>(t));
-  }
-  std::vector<int> warm(pending.size(), kDummy);
-  bool any = false;
-  for (std::size_t r = 0; r < pending.size(); ++r) {
-    const auto remembered = memory.find(pending[r].id);
-    if (remembered == memory.end()) continue;
+  for (std::size_t r = 0; r < pending.size() && !memory.empty(); ++r) {
+    const auto remembered = std::lower_bound(
+        memory.begin(), memory.end(), pending[r].id,
+        [](const auto& entry, trace::RequestId id) { return entry.first < id; });
+    if (remembered == memory.end() || remembered->first != pending[r].id) continue;
+    if (taxi_index.empty()) {
+      taxi_index.reserve(idle_taxis.size());
+      for (std::size_t t = 0; t < idle_taxis.size(); ++t) {
+        taxi_index.emplace(idle_taxis[t].id, static_cast<int>(t));
+      }
+    }
     const auto index = taxi_index.find(remembered->second);
     if (index == taxi_index.end()) continue;  // taxi departed / went busy
+    if (warm.empty()) warm.assign(pending.size(), kDummy);
     warm[r] = index->second;
-    any = true;
   }
-  if (!any) return {};
   return warm;
 }
 
@@ -125,17 +130,19 @@ std::vector<sim::DispatchAssignment> StableDispatcher::dispatch(
 
   if (options_.warm_start_da) last_match_.clear();
   std::vector<sim::DispatchAssignment> assignments;
+  assignments.reserve(matching.matched_count());
   for (std::size_t r = 0; r < context.pending.size(); ++r) {
     const int t = matching.request_to_taxi[r];
     if (t == kDummy) continue;
     const trace::Taxi& taxi = context.idle_taxis[static_cast<std::size_t>(t)];
-    if (options_.warm_start_da) last_match_.emplace(context.pending[r].id, taxi.id);
+    if (options_.warm_start_da) last_match_.emplace_back(context.pending[r].id, taxi.id);
     sim::DispatchAssignment assignment;
     assignment.taxi = taxi.id;
     assignment.requests = {context.pending[r].id};
     assignment.route = routing::single_rider_route(context.pending[r], taxi.location);
     assignments.push_back(std::move(assignment));
   }
+  std::sort(last_match_.begin(), last_match_.end());  // for map_warm_memory's search
   return assignments;
 }
 
@@ -182,12 +189,13 @@ std::vector<sim::DispatchAssignment> SharingStableDispatcher::dispatch(
     for (std::size_t index : shared.request_indices) {
       assignment.requests.push_back(context.pending[index].id);
       if (options_.warm_start_da) {
-        last_match_.emplace(context.pending[index].id, assignment.taxi);
+        last_match_.emplace_back(context.pending[index].id, assignment.taxi);
       }
     }
     assignment.route = shared.route;
     assignments.push_back(std::move(assignment));
   }
+  std::sort(last_match_.begin(), last_match_.end());  // for map_warm_memory's search
 
   if (options_.enroute_extension && !outcome.unserved_request_indices.empty() &&
       !context.busy_taxis.empty()) {

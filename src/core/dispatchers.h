@@ -9,7 +9,8 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/sharing.h"
 #include "core/stable_matching.h"
@@ -58,8 +59,9 @@ class StableDispatcher final : public sim::Dispatcher {
  private:
   StableDispatcherOptions options_;
   /// Previous frame's matching, re-keyed by trace ids so it survives the
-  /// frame-to-frame reshuffle of span indices (warm_start_da).
-  std::unordered_map<trace::RequestId, trace::TaxiId> last_match_;
+  /// frame-to-frame reshuffle of span indices (warm_start_da): (request
+  /// id, taxi id) pairs sorted ascending, refilled in place every frame.
+  std::vector<std::pair<trace::RequestId, trace::TaxiId>> last_match_;
 };
 
 struct SharingStableDispatcherOptions {
@@ -90,10 +92,10 @@ class SharingStableDispatcher final : public sim::Dispatcher {
 
  private:
   SharingStableDispatcherOptions options_;
-  /// Previous frame's stable assignments by member request id
-  /// (warm_start_da); en-route insertions are deliberately excluded —
-  /// they never came from the matching.
-  std::unordered_map<trace::RequestId, trace::TaxiId> last_match_;
+  /// Previous frame's stable assignments by member request id, as sorted
+  /// (request id, taxi id) pairs (warm_start_da); en-route insertions are
+  /// deliberately excluded — they never came from the matching.
+  std::vector<std::pair<trace::RequestId, trace::TaxiId>> last_match_;
 };
 
 }  // namespace o2o::core

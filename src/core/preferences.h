@@ -12,9 +12,10 @@
 // from per-request candidate rows, so the sharing dispatcher reuses it
 // for packed super-requests with the D_ck(...) score definitions.
 //
-// A profile stores only the scored (request, taxi) pairs: the preference
-// lists plus a flat open-addressing table from each pair to its ranks
-// and scores, never an |R|×|T| matrix. A pair unacceptable on both sides
+// A profile stores only the scored (request, taxi) pairs: each side's
+// preference lists packed into one flat array with per-agent offsets
+// (compressed sparse rows), plus a flat open-addressing table from each
+// pair to its ranks and scores, never an |R|×|T| matrix. A pair unacceptable on both sides
 // is simply absent. With a finite passenger threshold the candidate rows
 // come from a SpatialGrid radius query, so construction cost scales with
 // the number of nearby taxis rather than the fleet size: pairs beyond
@@ -88,13 +89,19 @@ class PreferenceProfile {
   static PreferenceProfile from_candidates(std::vector<std::vector<Candidate>> candidates,
                                            std::size_t taxi_count, std::size_t list_cap = 0);
 
+  /// from_candidates over rows that live in caller-owned memory (the
+  /// profile build's per-lane arenas). Each row is sorted in place.
+  static PreferenceProfile from_candidate_rows(std::span<const std::span<Candidate>> rows,
+                                               std::size_t taxi_count,
+                                               std::size_t list_cap = 0);
+
   std::size_t request_count() const noexcept { return request_count_; }
   std::size_t taxi_count() const noexcept { return taxi_count_; }
 
   /// Request r's taxi list, most preferred first, truncated at the dummy.
-  const std::vector<int>& request_list(std::size_t r) const;
+  std::span<const int> request_list(std::size_t r) const;
   /// Taxi t's request list, most preferred first, truncated at the dummy.
-  const std::vector<int>& taxi_list(std::size_t t) const;
+  std::span<const int> taxi_list(std::size_t t) const;
 
   /// Rank of taxi t in r's list (0 = best); SIZE_MAX when unacceptable.
   std::size_t request_rank(std::size_t r, std::size_t t) const;
@@ -150,8 +157,12 @@ class PreferenceProfile {
 
   std::size_t request_count_ = 0;
   std::size_t taxi_count_ = 0;
-  std::vector<std::vector<int>> request_prefs_;
-  std::vector<std::vector<int>> taxi_prefs_;
+  // Request r's list is request_lists_[request_offsets_[r] ..
+  // request_offsets_[r + 1]); likewise for taxis.
+  std::vector<std::size_t> request_offsets_;
+  std::vector<int> request_lists_;
+  std::vector<std::size_t> taxi_offsets_;
+  std::vector<int> taxi_lists_;
   // (r, t) -> ranks and scores for listed pairs only: linear probing over
   // a power-of-two table at most half full, hashed with o2o::mix64.
   std::vector<PairSlot> pairs_;
@@ -165,7 +176,10 @@ class PreferenceProfile {
 ///
 /// With a finite passenger threshold each request's candidates come from
 /// a grid radius query (see candidate_grid); otherwise every taxi is a
-/// candidate.
+/// candidate. Rows are scored on the shared ThreadPool (for_each_row);
+/// each lane appends its rows to an arena owned by the calling thread,
+/// which a warm build reuses, so only the profile's own arrays are
+/// allocated.
 PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,
                                            std::span<const trace::Request> requests,
                                            const geo::DistanceOracle& oracle,
@@ -186,8 +200,9 @@ const index::SpatialGrid* candidate_grid(std::span<const trace::Taxi> taxis,
 /// Runs body(i) for every i in [0, count) — on the shared ThreadPool when
 /// `oracle` allows concurrent queries and the range is large enough to pay
 /// for the fan-out, serially otherwise. Iterations must be independent and
-/// write only disjoint, preallocated slots, which also keeps the parallel
-/// schedule deterministic.
+/// write only disjoint, preallocated slots or per-lane buffers
+/// (ThreadPool::current_lane(), below ThreadPool::shared().lane_count()),
+/// which also keeps the parallel schedule deterministic.
 void for_each_row(std::size_t count, const geo::DistanceOracle& oracle,
                   const std::function<void(std::size_t)>& body);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <utility>
 
 #include "index/union_find.h"
 #include "obs/obs.h"
@@ -57,25 +58,32 @@ ComponentPartition extract_components(const PreferenceProfile& profile) {
     }
   }
 
-  ComponentPartition partition;
-  partition.components.reserve(std::min(requests, uf.set_count()));
-
   // First-seen scan over requests ascending orders the components by
   // smallest member request id — the deterministic merge order the
-  // sharded engine's contract promises (see core/ties.h).
+  // sharded engine's contract promises (see core/ties.h). A counting
+  // pass then lays each side's members out component by component,
+  // ascending within each.
+  ComponentPartition partition;
   std::vector<std::size_t> component_of(requests + taxis, SIZE_MAX);
+  // Members of component c: [request_start[c], request_start[c + 1]) of
+  // request_members, once the counts below are summed; likewise taxis.
+  std::vector<std::size_t> request_start;
+  std::vector<std::size_t> taxi_start;
+  const std::size_t max_components = std::min(requests, uf.set_count());
+  request_start.reserve(max_components + 1);
+  taxi_start.reserve(max_components + 1);
   for (std::size_t r = 0; r < requests; ++r) {
     if (uf.set_size(r) == 1) {
       ++partition.isolated_requests;
       continue;
     }
-    const std::size_t root = uf.find(r);
-    std::size_t& slot = component_of[root];
+    std::size_t& slot = component_of[uf.find(r)];
     if (slot == SIZE_MAX) {
-      slot = partition.components.size();
-      partition.components.emplace_back();
+      slot = request_start.size();
+      request_start.push_back(0);
+      taxi_start.push_back(0);
     }
-    partition.components[slot].requests.push_back(static_cast<int>(r));
+    ++request_start[slot];
   }
   for (std::size_t t = 0; t < taxis; ++t) {
     if (uf.set_size(requests + t) == 1) {
@@ -86,11 +94,44 @@ ComponentPartition extract_components(const PreferenceProfile& profile) {
     // Every non-singleton set contains a request (edges are bipartite),
     // so the request scan above created its component.
     O2O_ENSURES(slot != SIZE_MAX);
-    partition.components[slot].taxis.push_back(static_cast<int>(t));
+    ++taxi_start[slot];
   }
-  for (const ShardComponent& component : partition.components) {
+  const std::size_t count = request_start.size();
+  for (std::size_t c = 0; c < count; ++c) {
     partition.largest_component_requests =
-        std::max(partition.largest_component_requests, component.requests.size());
+        std::max(partition.largest_component_requests, request_start[c]);
+  }
+  // Exclusive prefix sums: the counts become start offsets.
+  const auto to_starts = [](std::vector<std::size_t>& counts) {
+    std::size_t sum = 0;
+    for (std::size_t& entry : counts) sum += std::exchange(entry, sum);
+    counts.push_back(sum);
+  };
+  to_starts(request_start);
+  to_starts(taxi_start);
+  partition.request_members.resize(request_start.back());
+  partition.taxi_members.resize(taxi_start.back());
+  {
+    std::vector<std::size_t> cursor(request_start.begin(), request_start.end() - 1);
+    for (std::size_t r = 0; r < requests; ++r) {
+      if (uf.set_size(r) == 1) continue;
+      partition.request_members[cursor[component_of[uf.find(r)]]++] = static_cast<int>(r);
+    }
+    cursor.assign(taxi_start.begin(), taxi_start.end() - 1);
+    for (std::size_t t = 0; t < taxis; ++t) {
+      if (uf.set_size(requests + t) == 1) continue;
+      partition.taxi_members[cursor[component_of[uf.find(requests + t)]]++] =
+          static_cast<int>(t);
+    }
+  }
+  partition.components.resize(count);
+  const std::span<const int> request_members(partition.request_members);
+  const std::span<const int> taxi_members(partition.taxi_members);
+  for (std::size_t c = 0; c < count; ++c) {
+    partition.components[c].requests =
+        request_members.subspan(request_start[c], request_start[c + 1] - request_start[c]);
+    partition.components[c].taxis =
+        taxi_members.subspan(taxi_start[c], taxi_start[c + 1] - taxi_start[c]);
   }
 
   obs::add(obs::Counter::kShardComponents, partition.components.size());
@@ -137,7 +178,18 @@ Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide sid
   std::vector<int> taxi_match(profile.taxi_count(), kDummy);
   std::vector<std::size_t> next_choice(
       side == ProposalSide::kPassengers ? profile.request_count() : profile.taxi_count(), 0);
+  // Each component's deferred-acceptance pass keeps its free proposers
+  // in its own slice of one shared stack: the slice sits where the
+  // component's proposers sit in the partition's flat member array.
+  const std::vector<int>& proposers = side == ProposalSide::kPassengers
+                                          ? partition.request_members
+                                          : partition.taxi_members;
+  std::vector<std::size_t> stack(proposers.size());
 
+  const auto stack_of = [&](std::span<const int> members) {
+    return std::span<std::size_t>(stack).subspan(
+        static_cast<std::size_t>(members.data() - proposers.data()), members.size());
+  };
   for_each_component(partition.components, [&](std::size_t i) {
     const ShardComponent& component = partition.components[i];
     // Accrues per-component: in sharded frames the stable_matching stage
@@ -150,7 +202,8 @@ Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide sid
         obs::add(obs::Counter::kDaWarmSeeds, seeded);
       }
       detail::deferred_acceptance_requests(profile, component.requests, request_match,
-                                           taxi_match, next_choice);
+                                           taxi_match, next_choice,
+                                           stack_of(component.requests));
     } else {
       if (!taxi_seed.empty()) {
         const std::size_t seeded = detail::warm_seed_taxis(
@@ -158,7 +211,7 @@ Matching sharded_gale_shapley(const PreferenceProfile& profile, ProposalSide sid
         obs::add(obs::Counter::kDaWarmSeeds, seeded);
       }
       detail::deferred_acceptance_taxis(profile, component.taxis, taxi_match, request_match,
-                                        next_choice);
+                                        next_choice, stack_of(component.taxis));
     }
     O2O_ENSURES(detail::component_stable(profile, component.requests, component.taxis,
                                          request_match, taxi_match));

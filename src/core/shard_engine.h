@@ -39,18 +39,32 @@ struct ShardOptions {
 };
 
 /// One connected component of the profile's candidate graph. Member
-/// lists are ascending global indices.
+/// lists are ascending global indices, viewing the owning
+/// ComponentPartition's flat member arrays.
 struct ShardComponent {
-  std::vector<int> requests;
-  std::vector<int> taxis;
+  std::span<const int> requests;
+  std::span<const int> taxis;
 };
 
 /// Every component with at least one listed pair, ordered by smallest
 /// member request id (every such component contains a request, the graph
 /// being bipartite). Agents with empty candidate lists on both sides are
 /// isolated — always matched to the dummy — and appear in no component.
+///
+/// The members of all components sit in two flat arrays, component after
+/// component, so a partition costs a fixed number of allocations however
+/// many components it holds. Move-only: the component spans point into
+/// the partition's own arrays.
 struct ComponentPartition {
+  ComponentPartition() = default;
+  ComponentPartition(ComponentPartition&&) = default;
+  ComponentPartition& operator=(ComponentPartition&&) = default;
+  ComponentPartition(const ComponentPartition&) = delete;
+  ComponentPartition& operator=(const ComponentPartition&) = delete;
+
   std::vector<ShardComponent> components;
+  std::vector<int> request_members;  ///< components[c].requests, concatenated
+  std::vector<int> taxi_members;     ///< components[c].taxis, concatenated
   std::size_t isolated_requests = 0;
   std::size_t isolated_taxis = 0;
   std::size_t largest_component_requests = 0;

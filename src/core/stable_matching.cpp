@@ -94,15 +94,18 @@ namespace {
 template <typename ListFn, typename PrefersFn>
 void deferred_acceptance(std::span<const int> proposers, std::span<int> proposer_match,
                          std::span<int> receiver_match, std::span<std::size_t> next_choice,
-                         ListFn&& list_of, PrefersFn&& receiver_prefers) {
-  std::vector<std::size_t> free_stack;
-  free_stack.reserve(proposers.size());
+                         std::span<std::size_t> stack, ListFn&& list_of,
+                         PrefersFn&& receiver_prefers) {
+  // The free proposers, top at stack[free - 1]. A proposer is on it at
+  // most once, so it never outgrows the proposer count.
+  O2O_EXPECTS(stack.size() >= proposers.size());
+  std::size_t free = 0;
   // Reverse order so proposals happen in index order (matching the
   // paper's "each passenger request proposes in turn"). Proposers already
   // holding a receiver (validated warm-start seeds) are not free.
   for (std::size_t i = proposers.size(); i-- > 0;) {
     const auto p = static_cast<std::size_t>(proposers[i]);
-    if (proposer_match[p] == kDummy) free_stack.push_back(p);
+    if (proposer_match[p] == kDummy) stack[free++] = p;
   }
 
   // Counted locally and published once: the inner loop stays free of
@@ -110,13 +113,13 @@ void deferred_acceptance(std::span<const int> proposers, std::span<int> proposer
   std::uint64_t proposals = 0;
   std::uint64_t rejections = 0;
 
-  while (!free_stack.empty()) {
-    const std::size_t proposer = free_stack.back();
-    const auto& list = list_of(proposer);
+  while (free != 0) {
+    const std::size_t proposer = stack[free - 1];
+    const std::span<const int> list = list_of(proposer);
     if (next_choice[proposer] >= list.size()) {
       // Preference list exhausted: the next entry is the dummy; the
       // proposer stays unserved (sub-algorithm Proposal, lines 6-7).
-      free_stack.pop_back();
+      --free;
       continue;
     }
     const auto receiver = static_cast<std::size_t>(list[next_choice[proposer]]);
@@ -131,10 +134,10 @@ void deferred_acceptance(std::span<const int> proposers, std::span<int> proposer
     if (receiver_prefers(receiver, static_cast<int>(proposer), incumbent)) {
       receiver_match[receiver] = static_cast<int>(proposer);
       proposer_match[proposer] = static_cast<int>(receiver);
-      free_stack.pop_back();
+      --free;
       if (incumbent != kDummy) {
         proposer_match[static_cast<std::size_t>(incumbent)] = kDummy;
-        free_stack.push_back(static_cast<std::size_t>(incumbent));
+        stack[free++] = static_cast<std::size_t>(incumbent);
         ++rejections;  // incumbent displaced
       }
     } else {
@@ -169,7 +172,7 @@ std::size_t validate_warm_seeds(std::span<const int> proposers, std::span<const 
       if (proposer_match[u] != kDummy) continue;  // installed in an earlier sweep
       const int hinted = seed[u];
       if (hinted == kDummy) continue;
-      const auto& list = list_of(u);
+      const std::span<const int> list = list_of(u);
       std::size_t pos = list.size();
       for (std::size_t k = 0; k < list.size(); ++k) {
         if (list[k] == hinted) {
@@ -209,10 +212,11 @@ namespace detail {
 void deferred_acceptance_requests(const PreferenceProfile& profile,
                                   std::span<const int> requests,
                                   std::span<int> request_match, std::span<int> taxi_match,
-                                  std::span<std::size_t> next_choice) {
+                                  std::span<std::size_t> next_choice,
+                                  std::span<std::size_t> stack) {
   deferred_acceptance(
-      requests, request_match, taxi_match, next_choice,
-      [&](std::size_t r) -> const std::vector<int>& { return profile.request_list(r); },
+      requests, request_match, taxi_match, next_choice, stack,
+      [&](std::size_t r) -> std::span<const int> { return profile.request_list(r); },
       [&](std::size_t t, int candidate, int incumbent) {
         return profile.taxi_prefers(t, candidate, incumbent);
       });
@@ -221,10 +225,11 @@ void deferred_acceptance_requests(const PreferenceProfile& profile,
 void deferred_acceptance_taxis(const PreferenceProfile& profile,
                                std::span<const int> taxis, std::span<int> taxi_match,
                                std::span<int> request_match,
-                               std::span<std::size_t> next_choice) {
+                               std::span<std::size_t> next_choice,
+                               std::span<std::size_t> stack) {
   deferred_acceptance(
-      taxis, taxi_match, request_match, next_choice,
-      [&](std::size_t t) -> const std::vector<int>& { return profile.taxi_list(t); },
+      taxis, taxi_match, request_match, next_choice, stack,
+      [&](std::size_t t) -> std::span<const int> { return profile.taxi_list(t); },
       [&](std::size_t r, int candidate, int incumbent) {
         return profile.request_prefers(r, candidate, incumbent);
       });
@@ -236,7 +241,7 @@ std::size_t warm_seed_requests(const PreferenceProfile& profile,
                                std::span<std::size_t> next_choice) {
   return validate_warm_seeds(
       requests, seed, request_match, taxi_match, next_choice,
-      [&](std::size_t r) -> const std::vector<int>& { return profile.request_list(r); },
+      [&](std::size_t r) -> std::span<const int> { return profile.request_list(r); },
       [&](std::size_t t, int candidate, int incumbent) {
         return profile.taxi_prefers(t, candidate, incumbent);
       });
@@ -248,7 +253,7 @@ std::size_t warm_seed_taxis(const PreferenceProfile& profile, std::span<const in
                             std::span<std::size_t> next_choice) {
   return validate_warm_seeds(
       taxis, seed, taxi_match, request_match, next_choice,
-      [&](std::size_t t) -> const std::vector<int>& { return profile.taxi_list(t); },
+      [&](std::size_t t) -> std::span<const int> { return profile.taxi_list(t); },
       [&](std::size_t r, int candidate, int incumbent) {
         return profile.request_prefers(r, candidate, incumbent);
       });
@@ -293,8 +298,9 @@ Matching gale_shapley_requests(const PreferenceProfile& profile) {
   std::vector<std::size_t> next_choice(profile.request_count(), 0);
   std::vector<int> all_requests(profile.request_count());
   std::iota(all_requests.begin(), all_requests.end(), 0);
+  std::vector<std::size_t> stack(all_requests.size());
   detail::deferred_acceptance_requests(profile, all_requests, request_to_taxi, taxi_match,
-                                       next_choice);
+                                       next_choice, stack);
   Matching matching = make_matching(std::move(request_to_taxi), profile.taxi_count());
   O2O_ENSURES(is_stable(profile, matching));
   return matching;
@@ -307,8 +313,9 @@ Matching gale_shapley_taxis(const PreferenceProfile& profile) {
   std::vector<std::size_t> next_choice(profile.taxi_count(), 0);
   std::vector<int> all_taxis(profile.taxi_count());
   std::iota(all_taxis.begin(), all_taxis.end(), 0);
+  std::vector<std::size_t> stack(all_taxis.size());
   detail::deferred_acceptance_taxis(profile, all_taxis, taxi_to_request, request_to_taxi,
-                                    next_choice);
+                                    next_choice, stack);
   Matching matching = make_matching(std::move(request_to_taxi), profile.taxi_count());
   O2O_ENSURES(is_stable(profile, matching));
   return matching;

@@ -68,7 +68,9 @@ namespace detail {
 // the deferred-acceptance outcome is proposal-order independent).
 //
 // Preconditions: `requests` (resp. `taxis`) ascending; their match and
-// next_choice slots initialized to kDummy / 0.
+// next_choice slots initialized to kDummy / 0. `stack` is the pass's own
+// scratch for its free proposers: at least as many entries as proposers,
+// and not shared with a concurrent call.
 
 /// Passenger-proposing pass restricted to `requests`. Proposers whose
 /// match slot is already set (validated warm-start seeds, below) are not
@@ -76,13 +78,15 @@ namespace detail {
 void deferred_acceptance_requests(const PreferenceProfile& profile,
                                   std::span<const int> requests,
                                   std::span<int> request_match, std::span<int> taxi_match,
-                                  std::span<std::size_t> next_choice);
+                                  std::span<std::size_t> next_choice,
+                                  std::span<std::size_t> stack);
 
 /// Taxi-proposing pass restricted to `taxis`.
 void deferred_acceptance_taxis(const PreferenceProfile& profile,
                                std::span<const int> taxis, std::span<int> taxi_match,
                                std::span<int> request_match,
-                               std::span<std::size_t> next_choice);
+                               std::span<std::size_t> next_choice,
+                               std::span<std::size_t> stack);
 
 // Warm-start seed validation (DESIGN.md "Incremental frame engine").
 //

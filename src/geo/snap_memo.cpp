@@ -1,5 +1,6 @@
 #include "geo/snap_memo.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -58,14 +59,16 @@ void SnapMemo::prepare_frame(std::span<const Point> points) const {
   std::size_t carried = 0;
   for (const Point& p : points) {
     const Key key = key_of(p);
-    const bool seen_last_frame = prepared_.contains(key);
-    next_prepared_.insert(key);
-    if (seen_last_frame) {
+    next_prepared_.push_back(key);
+    if (std::binary_search(prepared_.begin(), prepared_.end(), key)) {
       ++carried;
       continue;
     }
     (void)snap(p);
   }
+  std::sort(next_prepared_.begin(), next_prepared_.end());
+  next_prepared_.erase(std::unique(next_prepared_.begin(), next_prepared_.end()),
+                       next_prepared_.end());
   prepared_.swap(next_prepared_);
   last_prepare_carried_ = carried;
 }

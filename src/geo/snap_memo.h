@@ -10,7 +10,6 @@
 #include <shared_mutex>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/point.h"
@@ -62,6 +61,7 @@ class SnapMemo {
     std::uint64_t x_bits = 0;
     std::uint64_t y_bits = 0;
     bool operator==(const Key&) const = default;
+    auto operator<=>(const Key&) const = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept;
@@ -84,8 +84,11 @@ class SnapMemo {
 
   // Frame-delta state for prepare_frame; the query paths never touch it.
   mutable std::mutex prepare_mutex_;
-  mutable std::unordered_set<Key, KeyHash> prepared_;
-  mutable std::unordered_set<Key, KeyHash> next_prepared_;
+  // The last call's points, sorted and unique; the next call's set is
+  // built in the spare buffer and swapped in, so neither allocates once
+  // both have held a frame's worth.
+  mutable std::vector<Key> prepared_;
+  mutable std::vector<Key> next_prepared_;
   mutable std::size_t last_prepare_carried_ = 0;
 };
 

@@ -496,6 +496,19 @@ std::nullopt_t report(const Reader& in, CodecError* error) {
   return std::nullopt;
 }
 
+/// Resets `driver` to a default api::Driver whose vectors keep their
+/// capacity.
+void reset_keeping_capacity(api::Driver& driver) {
+  api::Driver fresh;
+  fresh.onboard = std::move(driver.onboard);
+  fresh.route = std::move(driver.route);
+  fresh.route_seats = std::move(driver.route_seats);
+  fresh.onboard.clear();
+  fresh.route.clear();
+  fresh.route_seats.clear();
+  driver = std::move(fresh);
+}
+
 }  // namespace
 
 std::string encode_event(const api::RideEvent& event) {
@@ -574,11 +587,15 @@ std::string encode_response(const api::FrameResponse& response) {
   return out;
 }
 
-std::optional<api::RideEvent> decode_event(std::string_view line, CodecError* error) {
+bool decode_event_into(std::string_view line, api::RideEvent& event, CodecError* error) {
   obs::StageTimer timer(obs::Stage::kCodec);
   using Kind = api::RideEvent::Kind;
   Reader in(line);
-  api::RideEvent event;
+  event.kind = Kind::kEndFrame;
+  event.order = {};
+  reset_keeping_capacity(event.driver);
+  event.frame = 0;
+  event.timestamp = 0.0;
   std::optional<Kind> kind;
   double timestamp = 0.0;
   std::optional<int> seats;
@@ -618,14 +635,18 @@ std::optional<api::RideEvent> decode_event(std::string_view line, CodecError* er
             in.require(seen, bits({kV, kEvent}), kEventFields);
   if (ok) {
     // Optional fields keep the struct's default when absent, so a
-    // hand-written client can send a minimal order or driver.
+    // hand-written client can send a minimal order or driver. Keys of
+    // another kind were read into the event; drop them. The driver is
+    // still at its default unless the line carried a driver key.
+    constexpr std::uint32_t kDriverKeys =
+        bits({kDriverId, kLocation, kSeatsInUse, kOnboard, kRoute, kRouteSeats});
     event.kind = *kind;
     switch (*kind) {
       case Kind::kOrder:
         ok = in.require(seen, bits({kOrderId, kTimestamp, kStart, kFinish}), kEventFields);
         event.order.timestamp = timestamp;
         if (seats) event.order.seats = *seats;
-        event.driver = {};
+        if ((seen & kDriverKeys) != 0) reset_keeping_capacity(event.driver);
         event.frame = 0;
         break;
       case Kind::kDriver:
@@ -638,11 +659,20 @@ std::optional<api::RideEvent> decode_event(std::string_view line, CodecError* er
         ok = in.require(seen, bits({kFrame, kTimestamp}), kEventFields);
         event.timestamp = timestamp;
         event.order = {};
-        event.driver = {};
+        if ((seen & kDriverKeys) != 0) reset_keeping_capacity(event.driver);
         break;
     }
   }
-  if (!ok) return report(in, error);
+  if (!ok) {
+    report(in, error);
+    return false;
+  }
+  return true;
+}
+
+std::optional<api::RideEvent> decode_event(std::string_view line, CodecError* error) {
+  api::RideEvent event;
+  if (!decode_event_into(line, event, error)) return std::nullopt;
   return event;
 }
 

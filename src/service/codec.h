@@ -48,8 +48,16 @@ std::vector<std::string> encode_frame_events(const api::FrameRequest& request);
 /// "reason":"..."} when `reject_reason` is non-empty.
 std::string encode_response(const api::FrameResponse& response);
 
-/// Parses one event line. Returns nullopt and fills `error` on malformed
-/// JSON, unknown event kind, missing fields, or a major-version mismatch.
+/// Parses one event line into `event`, overwriting every field, while
+/// its driver's vectors keep their capacity: a reader that decodes line
+/// after line into one event allocates only when a route outgrows every
+/// earlier one. Returns false and fills `error` on malformed JSON, unknown
+/// event kind, missing fields, or a major-version mismatch; `event` then
+/// holds unspecified contents.
+bool decode_event_into(std::string_view line, api::RideEvent& event,
+                       CodecError* error = nullptr);
+
+/// decode_event_into a fresh event: nullopt on failure.
 std::optional<api::RideEvent> decode_event(std::string_view line, CodecError* error = nullptr);
 
 /// Parses one frame_response or frame_rejected line (same error contract

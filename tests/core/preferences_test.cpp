@@ -3,14 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <limits>
+#include <thread>
 #include <vector>
 
+#include "tests/core/test_helpers.h"
 #include "util/contracts.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace o2o::core {
 namespace {
+
+using testing::as_vector;
 
 const geo::EuclideanOracle kOracle;
 
@@ -35,19 +42,19 @@ trace::Request make_request(trace::RequestId id, geo::Point pickup, geo::Point d
 TEST(FromScores, ListsAreSortedByScore) {
   const auto profile = PreferenceProfile::from_scores({{3.0, 1.0, 2.0}},
                                                       {{0.0, 0.0, 0.0}}, 3);
-  EXPECT_EQ(profile.request_list(0), (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(as_vector(profile.request_list(0)), (std::vector<int>{1, 2, 0}));
 }
 
 TEST(FromScores, TiesBreakTowardLowerIndex) {
   const auto profile = PreferenceProfile::from_scores({{5.0, 5.0, 1.0}},
                                                       {{0.0, 0.0, 0.0}}, 3);
-  EXPECT_EQ(profile.request_list(0), (std::vector<int>{2, 0, 1}));
+  EXPECT_EQ(as_vector(profile.request_list(0)), (std::vector<int>{2, 0, 1}));
 }
 
 TEST(FromScores, UnacceptableEntriesAreTruncated) {
   const auto profile = PreferenceProfile::from_scores({{2.0, kUnacceptable, 1.0}},
                                                       {{0.0, 0.0, kUnacceptable}}, 3);
-  EXPECT_EQ(profile.request_list(0), (std::vector<int>{2, 0}));
+  EXPECT_EQ(as_vector(profile.request_list(0)), (std::vector<int>{2, 0}));
   EXPECT_EQ(profile.request_rank(0, 1), PreferenceProfile::kNoRank);
   EXPECT_FALSE(profile.acceptable(0, 1));  // request side truncated
   EXPECT_FALSE(profile.acceptable(0, 2));  // taxi side truncated
@@ -57,8 +64,8 @@ TEST(FromScores, UnacceptableEntriesAreTruncated) {
 TEST(FromScores, TaxiListsAreColumnsOfTheScoreMatrix) {
   const auto profile = PreferenceProfile::from_scores(
       {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}}, {{5.0, 1.0}, {2.0, 2.0}, {9.0, 3.0}}, 2);
-  EXPECT_EQ(profile.taxi_list(0), (std::vector<int>{1, 0, 2}));
-  EXPECT_EQ(profile.taxi_list(1), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(as_vector(profile.taxi_list(0)), (std::vector<int>{1, 0, 2}));
+  EXPECT_EQ(as_vector(profile.taxi_list(1)), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(profile.taxi_rank(0, 2), 2u);
 }
 
@@ -66,7 +73,7 @@ TEST(FromScores, ListCapKeepsOnlyBestEntries) {
   const auto profile = PreferenceProfile::from_scores({{4.0, 3.0, 2.0, 1.0}},
                                                       {{0, 0, 0, 0}}, 4,
                                                       /*list_cap=*/2);
-  EXPECT_EQ(profile.request_list(0), (std::vector<int>{3, 2}));
+  EXPECT_EQ(as_vector(profile.request_list(0)), (std::vector<int>{3, 2}));
   EXPECT_EQ(profile.request_rank(0, 0), PreferenceProfile::kNoRank);
 }
 
@@ -186,7 +193,7 @@ TEST(NonSharingProfile, NearestTaxiRanksFirst) {
   const std::vector<trace::Request> requests{make_request(0, {0, 0}, {0, 9})};
   const auto profile =
       build_nonsharing_profile(taxis, requests, kOracle, PreferenceParams{});
-  EXPECT_EQ(profile.request_list(0), (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(as_vector(profile.request_list(0)), (std::vector<int>{1, 2, 0}));
 }
 
 TEST(NonSharingProfile, TaxiPrefersLongTripsNearby) {
@@ -197,7 +204,7 @@ TEST(NonSharingProfile, TaxiPrefersLongTripsNearby) {
       make_request(1, {0, 1}, {0, 10})};  // trip 9 km
   const auto profile =
       build_nonsharing_profile(taxis, requests, kOracle, PreferenceParams{});
-  EXPECT_EQ(profile.taxi_list(0), (std::vector<int>{1, 0}));
+  EXPECT_EQ(as_vector(profile.taxi_list(0)), (std::vector<int>{1, 0}));
 }
 
 TEST(NonSharingProfile, PassengerThresholdCreatesDummy) {
@@ -206,7 +213,8 @@ TEST(NonSharingProfile, PassengerThresholdCreatesDummy) {
   PreferenceParams params;
   params.passenger_threshold_km = 5.0;
   const auto profile = build_nonsharing_profile(taxis, requests, kOracle, params);
-  EXPECT_EQ(profile.request_list(0), (std::vector<int>{0}));  // taxi 1 beyond the dummy
+  // Taxi 1 lies beyond the dummy.
+  EXPECT_EQ(as_vector(profile.request_list(0)), (std::vector<int>{0}));
 }
 
 TEST(NonSharingProfile, TaxiThresholdCreatesDummy) {
@@ -219,7 +227,7 @@ TEST(NonSharingProfile, TaxiThresholdCreatesDummy) {
   PreferenceParams params;
   params.taxi_threshold_score = 0.0;
   const auto profile = build_nonsharing_profile(taxis, requests, kOracle, params);
-  EXPECT_EQ(profile.taxi_list(0), (std::vector<int>{1}));
+  EXPECT_EQ(as_vector(profile.taxi_list(0)), (std::vector<int>{1}));
   EXPECT_FALSE(profile.acceptable(0, 0));
 }
 
@@ -237,6 +245,79 @@ TEST(NonSharingProfile, EmptyInputsYieldEmptyProfile) {
       build_nonsharing_profile({}, {}, kOracle, PreferenceParams{});
   EXPECT_EQ(profile.request_count(), 0u);
   EXPECT_EQ(profile.taxi_count(), 0u);
+}
+
+/// Euclidean distances from an oracle that forbids concurrent queries,
+/// which makes for_each_row score every row on the calling thread.
+class SerialOracle final : public geo::DistanceOracle {
+ public:
+  double distance(const geo::Point& a, const geo::Point& b) const override {
+    return kOracle.distance(a, b);
+  }
+  Capabilities capabilities() const noexcept override {
+    Capabilities capabilities;
+    capabilities.concurrent_queries = false;
+    return capabilities;
+  }
+};
+
+/// True iff both profiles hold the same lists and the same scores.
+bool same_profile(const PreferenceProfile& a, const PreferenceProfile& b) {
+  if (a.request_count() != b.request_count() || a.taxi_count() != b.taxi_count()) return false;
+  for (std::size_t r = 0; r < a.request_count(); ++r) {
+    if (as_vector(a.request_list(r)) != as_vector(b.request_list(r))) return false;
+    for (const int t : a.request_list(r)) {
+      const auto taxi = static_cast<std::size_t>(t);
+      if (a.passenger_score(r, taxi) != b.passenger_score(r, taxi)) return false;
+    }
+  }
+  for (std::size_t t = 0; t < a.taxi_count(); ++t) {
+    if (as_vector(a.taxi_list(t)) != as_vector(b.taxi_list(t))) return false;
+    for (const int r : a.taxi_list(t)) {
+      if (a.taxi_score(t, static_cast<std::size_t>(r)) !=
+          b.taxi_score(t, static_cast<std::size_t>(r))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Two threads build different profiles at once on ThreadPool::shared().
+// Each build's rows land in per-lane arenas owned by the thread that
+// runs it, so neither can see the other's rows, whichever workers serve
+// whose lanes.
+TEST(BuildNonsharingProfile, ConcurrentBuildsOnTheSharedPoolEqualTheirSerialBuilds) {
+  Rng rng(2718);
+  const auto first = testing::random_instance(rng, 96, 80);
+  const auto second = testing::random_instance(rng, 130, 60, 14.0);
+  PreferenceParams params;
+  params.passenger_threshold_km = 4.0;
+  params.taxi_threshold_score = 2.0;
+  const SerialOracle serial;
+  const PreferenceProfile want_first =
+      build_nonsharing_profile(first.taxis, first.requests, serial, params);
+  const PreferenceProfile want_second =
+      build_nonsharing_profile(second.taxis, second.requests, serial, params);
+  ASSERT_FALSE(same_profile(want_first, want_second));
+
+  std::atomic<int> mismatches{0};
+  const auto build_repeatedly = [&](const testing::RandomInstance& instance,
+                           const PreferenceProfile& want) {
+    for (int round = 0; round < 40; ++round) {
+      const PreferenceProfile got =
+          build_nonsharing_profile(instance.taxis, instance.requests, kOracle, params);
+      if (!same_profile(got, want)) mismatches.fetch_add(1);
+    }
+  };
+  std::thread a(build_repeatedly, std::cref(first), std::cref(want_first));
+  std::thread b(build_repeatedly, std::cref(second), std::cref(want_second));
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  if (ThreadPool::shared().worker_count() == 0) {
+    GTEST_SKIP() << "no pool workers: both builds ran serially";
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 namespace o2o::core {
 namespace {
 
+using testing::as_vector;
 using testing::random_instance;
 
 const geo::EuclideanOracle kEuclidean;
@@ -48,7 +49,8 @@ void expect_equivalent_profiles(const PreferenceProfile& dense,
     // Passenger-acceptable pairs are always within the grid radius, so
     // request lists — and with them acceptability and passenger scores —
     // must agree pair for pair.
-    EXPECT_EQ(dense.request_list(r), sparse.request_list(r)) << "request " << r;
+    EXPECT_EQ(as_vector(dense.request_list(r)), as_vector(sparse.request_list(r)))
+        << "request " << r;
     for (std::size_t t = 0; t < dense.taxi_count(); ++t) {
       EXPECT_EQ(dense.request_rank(r, t), sparse.request_rank(r, t));
       EXPECT_EQ(dense.acceptable(r, t), sparse.acceptable(r, t));
@@ -99,7 +101,7 @@ TEST(SparseProfile, ExplicitBulkGridMatchesLocalGrid) {
                                                            kEuclidean, pruned_params());
     expect_equivalent_profiles(dense, with_grid);
     for (std::size_t r = 0; r < with_grid.request_count(); ++r) {
-      EXPECT_EQ(with_grid.request_list(r), without.request_list(r));
+      EXPECT_EQ(as_vector(with_grid.request_list(r)), as_vector(without.request_list(r)));
     }
     EXPECT_EQ(gale_shapley_requests(with_grid).request_to_taxi,
               gale_shapley_requests(dense).request_to_taxi);
@@ -210,10 +212,12 @@ TEST(SparseProfile, InfiniteThresholdMatchesDenseReference) {
       ASSERT_EQ(dense.request_count(), built.request_count());
       ASSERT_EQ(dense.taxi_count(), built.taxi_count());
       for (std::size_t t = 0; t < dense.taxi_count(); ++t) {
-        EXPECT_EQ(dense.taxi_list(t), built.taxi_list(t)) << "taxi " << t;
+        EXPECT_EQ(as_vector(dense.taxi_list(t)), as_vector(built.taxi_list(t)))
+            << "taxi " << t;
       }
       for (std::size_t r = 0; r < dense.request_count(); ++r) {
-        EXPECT_EQ(dense.request_list(r), built.request_list(r)) << "request " << r;
+        EXPECT_EQ(as_vector(dense.request_list(r)), as_vector(built.request_list(r)))
+            << "request " << r;
         for (std::size_t t = 0; t < dense.taxi_count(); ++t) {
           EXPECT_EQ(dense.request_rank(r, t), built.request_rank(r, t));
           EXPECT_EQ(dense.taxi_rank(t, r), built.taxi_rank(t, r));
@@ -278,10 +282,10 @@ TEST(SparseProfile, ParallelConstructionIsDeterministic) {
                                                kEuclidean, pruned_params());
   ASSERT_EQ(first.request_count(), second.request_count());
   for (std::size_t r = 0; r < first.request_count(); ++r) {
-    EXPECT_EQ(first.request_list(r), second.request_list(r));
+    EXPECT_EQ(as_vector(first.request_list(r)), as_vector(second.request_list(r)));
   }
   for (std::size_t t = 0; t < first.taxi_count(); ++t) {
-    EXPECT_EQ(first.taxi_list(t), second.taxi_list(t));
+    EXPECT_EQ(as_vector(first.taxi_list(t)), as_vector(second.taxi_list(t)));
   }
 }
 

@@ -2,12 +2,18 @@
 // instances and random abstract preference profiles.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/preferences.h"
 #include "util/rng.h"
 
 namespace o2o::core::testing {
+
+/// A preference list's elements, for comparing lists with EXPECT_EQ.
+inline std::vector<int> as_vector(std::span<const int> list) {
+  return {list.begin(), list.end()};
+}
 
 struct RandomInstance {
   std::vector<trace::Taxi> taxis;

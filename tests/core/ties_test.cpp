@@ -8,11 +8,14 @@
 #include <vector>
 
 #include "core/shard_engine.h"
+#include "tests/core/test_helpers.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
 namespace o2o::core {
 namespace {
+
+using testing::as_vector;
 
 TiedScores all_tied(std::size_t requests, std::size_t taxis) {
   TiedScores scores;
@@ -79,7 +82,8 @@ TEST(BreakTies, DoesNotReorderStrictPreferences) {
   scores.passenger[0] = {3.0, 1.0, 2.0};
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const PreferenceProfile profile = break_ties(scores, seed);
-    EXPECT_EQ(profile.request_list(0), (std::vector<int>{1, 2, 0})) << "seed " << seed;
+    EXPECT_EQ(as_vector(profile.request_list(0)), (std::vector<int>{1, 2, 0}))
+        << "seed " << seed;
   }
 }
 
@@ -87,7 +91,7 @@ TEST(BreakTies, DifferentSeedsExploreDifferentTieBreaks) {
   const TiedScores scores = all_tied(1, 4);
   std::set<std::vector<int>> orders;
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
-    orders.insert(break_ties(scores, seed).request_list(0));
+    orders.insert(as_vector(break_ties(scores, seed).request_list(0)));
   }
   EXPECT_GT(orders.size(), 3u);  // 4! = 24 possible; expect real variety
 }

@@ -205,6 +205,46 @@ TEST(ServiceApi, RejectionRoundTrips) {
   EXPECT_EQ(mixed->reject_reason, "x");
 }
 
+// decode_event_into overwrites every field of a reused event: each kind
+// transition reads exactly what a fresh decode_event reads, while the
+// driver's vectors keep their capacity.
+TEST(ServiceApi, RecycledDecodeEqualsFreshDecodeAcrossKinds) {
+  api::Driver idle;
+  idle.driver_id = 9;
+  idle.location = {1.5, 2.5};
+  idle.seats = 3;
+  // A minimal idle driver line: onboard, route and route_seats absent.
+  const std::string minimal_idle = R"({"v":1,"event":"driver","driver_id":9,)"
+                                   R"("location":[1.5,2.5],"seats":3})";
+  const std::vector<std::string> lines = {
+      encode_event(api::RideEvent::make_driver(sample_busy_driver())),
+      minimal_idle,
+      encode_event(api::RideEvent::make_driver(sample_busy_driver())),
+      encode_event(api::RideEvent::make_order(sample_order())),
+      encode_event(api::RideEvent::make_end_frame(17, 64860.5)),
+      encode_event(api::RideEvent::make_driver(idle)),
+      encode_event(api::RideEvent::make_order(sample_order())),
+  };
+  api::RideEvent reused;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const auto fresh = decode_event(lines[i]);
+    ASSERT_TRUE(fresh.has_value()) << lines[i];
+    ASSERT_TRUE(decode_event_into(lines[i], reused)) << lines[i];
+    EXPECT_EQ(reused, *fresh) << "line " << i << ": " << lines[i];
+  }
+  EXPECT_EQ(reused.driver, api::Driver{});
+
+  // Busy driver -> minimal idle driver: the vectors empty but keep their
+  // buffers for the next busy driver.
+  ASSERT_TRUE(decode_event_into(lines[0], reused));
+  const std::size_t route_capacity = reused.driver.route.capacity();
+  ASSERT_TRUE(decode_event_into(minimal_idle, reused));
+  EXPECT_TRUE(reused.driver.idle());
+  EXPECT_TRUE(reused.driver.onboard.empty());
+  EXPECT_TRUE(reused.driver.route_seats.empty());
+  EXPECT_EQ(reused.driver.route.capacity(), route_capacity);
+}
+
 TEST(ServiceApi, FrameEventsEndWithTheBarrier) {
   api::FrameRequest request;
   request.frame = 9;
@@ -579,11 +619,20 @@ class LineFuzzer {
 
 TEST(ServiceCodecFuzz, MutatedLinesDecodeOrFailWithAMessage) {
   LineFuzzer fuzzer(20170605);
+  api::RideEvent reused;
   std::size_t accepted = 0;
   for (int iteration = 0; iteration < 20000; ++iteration) {
     const std::string line = fuzzer.mutate(fuzzer.valid_line());
     CodecError event_error;
-    if (const auto event = decode_event(line, &event_error)) {
+    const auto event = decode_event(line, &event_error);
+    // The recycled decoder, fed the same line after whatever the last
+    // iteration left in its event, must agree in result and message.
+    CodecError into_error;
+    const bool into_ok = decode_event_into(line, reused, &into_error);
+    ASSERT_EQ(into_ok, event.has_value()) << line;
+    EXPECT_EQ(into_error.message, event_error.message) << line;
+    if (into_ok) EXPECT_EQ(reused, *event) << line;
+    if (event) {
       ++accepted;
       EXPECT_TRUE(event_error.message.empty()) << line;
       const auto again = decode_event(encode_event(*event));

@@ -58,5 +58,34 @@ TEST(ThreadPool, SharedPoolIsReusableAcrossCalls) {
   }
 }
 
+// Within one call no two threads run under the same lane at once, every
+// lane is below lane_count(), and the caller is lane 0 outside a body.
+TEST(ThreadPool, EachRunningBodyHasALaneOfItsOwn) {
+  ThreadPool pool(3);
+  ASSERT_EQ(pool.lane_count(), 4u);
+  std::vector<std::atomic<int>> running(pool.lane_count());
+  std::atomic<int> out_of_range{0};
+  std::atomic<int> collisions{0};
+  pool.parallel_for(0, 400, 1, [&](std::size_t) {
+    const std::size_t lane = ThreadPool::current_lane();
+    if (lane >= running.size()) {
+      out_of_range.fetch_add(1);
+      return;
+    }
+    if (running[lane].fetch_add(1) != 0) collisions.fetch_add(1);
+    for (volatile int spin = 0; spin < 2000; spin = spin + 1) {
+    }
+    running[lane].fetch_sub(1);
+  });
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(collisions.load(), 0);
+  EXPECT_EQ(ThreadPool::current_lane(), 0u);
+}
+
+TEST(ThreadPool, SharedPoolSizeIsFixedOnceBuilt) {
+  (void)ThreadPool::shared();
+  EXPECT_FALSE(ThreadPool::set_shared_worker_count(1));
+}
+
 }  // namespace
 }  // namespace o2o
