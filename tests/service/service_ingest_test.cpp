@@ -19,6 +19,7 @@
 #include "geo/distance_oracle.h"
 #include "obs/obs.h"
 #include "service/api.h"
+#include "service/codec.h"
 #include "service/service.h"
 
 namespace o2o::service {
@@ -448,6 +449,9 @@ TEST(StreamingService, ConcurrentProducersFillOneFrame) {
 
 // Frames reuse the buffers of served ones: a small frame after a large
 // one must carry only its own events, and answer as a fresh service does.
+// Events reach the recycling service the way o2o_serve's reader sends
+// them: decoded into one reused event and moved in, so driver events come
+// back holding a served frame's driver.
 TEST(StreamingService, RecycledFramesCarryNoLeftovers) {
   const DispatchConfig config =
       DispatchConfig{}.with_passenger_threshold_km(10.0).with_taxi_threshold_score(1.0);
@@ -462,11 +466,13 @@ TEST(StreamingService, RecycledFramesCarryNoLeftovers) {
   ASSERT_GT(large->assignments.size(), 3u);
 
   // Enough frames that one is built in the large frame's buffers.
+  api::RideEvent reused;
   for (std::uint64_t frame = 1; frame <= 3; ++frame) {
     const double timestamp = 600.0 + 60.0 * static_cast<double>(frame);
     StreamingService fresh("nstd-p", config, kOracle);
     for (const api::RideEvent& event : frame_events()) {
-      service.submit(event);
+      ASSERT_TRUE(decode_event_into(encode_event(event), reused));
+      service.submit(std::move(reused));
       fresh.submit(event);
     }
     service.submit(api::RideEvent::make_end_frame(frame, timestamp));

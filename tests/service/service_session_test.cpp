@@ -488,6 +488,41 @@ api::FrameRequest sharing_frame(std::uint64_t frame, double timestamp) {
   return request;
 }
 
+// Order ids span all of int32: the sharing dispatchers key their
+// persistent pick-up grid by order id, and a frame whose ids include the
+// int32 extremes is matched exactly like one with small ids in the same
+// order, cold and warm.
+TEST(StreamingSession, Int32ExtremeOrderIdsAreDispatchedLikeAnyOther) {
+  constexpr api::OrderId kMin = std::numeric_limits<api::OrderId>::min();
+  constexpr api::OrderId kMax = std::numeric_limits<api::OrderId>::max();
+  const auto extreme = [&](api::FrameRequest request) {
+    request.orders.front().order_id = kMin;
+    request.orders.back().order_id = kMax;
+    return request;
+  };
+  const auto small_id = [&](api::OrderId id) {
+    return id == kMin ? 1 : id == kMax ? static_cast<api::OrderId>(6) : id;
+  };
+  for (const char* kind : {"std-p", "std-t"}) {
+    DispatchSession plain(kind, tuned_config(true), kOracle);
+    DispatchSession wide(kind, tuned_config(true), kOracle);
+    for (std::uint64_t frame = 0; frame < 2; ++frame) {
+      const double timestamp = 60.0 * static_cast<double>(frame + 1);
+      std::string error;
+      const auto expected = plain.dispatch(sharing_frame(frame, timestamp), &error);
+      ASSERT_TRUE(expected.has_value()) << kind << ": " << error;
+      auto served = wide.dispatch(extreme(sharing_frame(frame, timestamp)), &error);
+      ASSERT_TRUE(served.has_value()) << kind << ": " << error;
+      ASSERT_FALSE(served->assignments.empty()) << kind;
+      for (api::Assignment& assignment : served->assignments) {
+        for (api::OrderId& id : assignment.order_ids) id = small_id(id);
+        for (api::DriverStop& stop : assignment.route) stop.order_id = small_id(stop.order_id);
+      }
+      EXPECT_EQ(*served, *expected) << kind << " frame " << frame;
+    }
+  }
+}
+
 TEST(StreamingSession, BackwardTimestampFailsValidation) {
   DispatchSession session("nstd-p", tuned_config(false), kOracle);
   ASSERT_TRUE(session.dispatch(sharing_frame(0, 60.0)).has_value());
