@@ -19,6 +19,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dispatch_config.h"
@@ -186,11 +187,14 @@ ArmResult bench_session(const std::string& kind, const api::FrameRequest& frame,
 ArmResult bench_service(const std::string& kind, const api::FrameRequest& frame,
                         int frames) {
   service::StreamingService svc(kind, bench_config(), kOracle);
+  // The reader's path in o2o_serve: every line decodes into one event,
+  // and submit() moves it in and hands back a recycled driver.
+  api::RideEvent event;
   return run_arm(frames, [&] {
     for (const std::string& line : service::encode_frame_events(frame)) {
-      const auto event = service::decode_event(line);
-      O2O_EXPECTS(event.has_value());
-      svc.submit(*event);
+      const bool parsed = service::decode_event_into(line, event);
+      O2O_EXPECTS(parsed);
+      svc.submit(std::move(event));
     }
     const auto response = svc.next_response();
     O2O_EXPECTS(response.has_value());

@@ -26,16 +26,16 @@ std::vector<sim::DispatchAssignment> RaiiDispatcher::dispatch(
   // index" of [7]; with one-minute frames the temporal dimension
   // degenerates to the current frame).
   geo::Rect bounds{{1e18, 1e18}, {-1e18, -1e18}};
+  std::vector<geo::Point> locations;
+  locations.reserve(fleet.size());
   for (const WorkingTaxi& taxi : fleet) {
     bounds.lo.x = std::min(bounds.lo.x, taxi.taxi.location.x - 1.0);
     bounds.lo.y = std::min(bounds.lo.y, taxi.taxi.location.y - 1.0);
     bounds.hi.x = std::max(bounds.hi.x, taxi.taxi.location.x + 1.0);
     bounds.hi.y = std::max(bounds.hi.y, taxi.taxi.location.y + 1.0);
+    locations.push_back(taxi.taxi.location);
   }
-  index::SpatialGrid grid(bounds, options_.cell_km);
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    grid.upsert(static_cast<std::int32_t>(i), fleet[i].taxi.location);
-  }
+  const index::SpatialGrid grid(bounds, options_.cell_km, locations);
 
   // Direct trip distances for the detour constraint: pending requests
   // plus everything already scheduled on a candidate route.

@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/candidate_arenas.h"
 #include "index/spatial_grid.h"
 #include "obs/obs.h"
 #include "util/contracts.h"
@@ -250,59 +251,16 @@ struct RowScratch {
   std::vector<std::int32_t> feasible;   // seat-feasible candidates
   std::vector<geo::Point> locations;    // their positions, bulk-query shape
   std::vector<double> pickups;          // their pick-up distances
-};
 
-/// The calling thread's candidate storage for one build. Each pool lane
-/// appends its rows to its own flat arena and records where each row
-/// went; the rows become spans only after the loop, when no arena grows
-/// any more. The set belongs to the thread that runs the build, never to
-/// a pool worker, so concurrent builds on different threads never share
-/// an arena.
-struct CandidateArenas {
-  struct RowRef {
-    std::size_t lane = 0;
-    std::size_t offset = 0;
-    std::size_t size = 0;
-  };
-  struct Lane {
-    std::vector<PreferenceProfile::Candidate> candidates;
-    RowScratch scratch;
-  };
-  std::vector<Lane> lanes;
-  std::vector<RowRef> refs;
-  std::vector<std::span<PreferenceProfile::Candidate>> rows;
-  std::size_t pairs = 0;       ///< candidates of the last resolved build
-  std::size_t peak_pairs = 0;  ///< the most candidates any build produced
-
-  /// Readies `lane_count` empty lanes for rows of up to `taxi_count`
-  /// candidates. Arenas keep their capacity from build to build, and the
-  /// per-row scratch is sized to the fleet up front.
-  void begin(std::size_t lane_count, std::size_t row_count, std::size_t taxi_count) {
-    if (lanes.size() < lane_count) lanes.resize(lane_count);
-    for (Lane& lane : lanes) {
-      lane.candidates.clear();
-      lane.scratch.nearby.reserve(taxi_count);
-      lane.scratch.feasible.reserve(taxi_count);
-      lane.scratch.locations.reserve(taxi_count);
-      lane.scratch.pickups.reserve(taxi_count);
-    }
-    refs.resize(row_count);
-  }
-
-  /// Resolves every row reference to a span into its lane's arena.
-  std::span<const std::span<PreferenceProfile::Candidate>> resolve() {
-    rows.resize(refs.size());
-    pairs = 0;
-    for (std::size_t r = 0; r < refs.size(); ++r) {
-      const RowRef& ref = refs[r];
-      rows[r] = std::span<PreferenceProfile::Candidate>(lanes[ref.lane].candidates)
-                    .subspan(ref.offset, ref.size);
-      pairs += ref.size;
-    }
-    peak_pairs = std::max(peak_pairs, pairs);
-    return rows;
+  void reserve(std::size_t taxi_count) {
+    nearby.reserve(taxi_count);
+    feasible.reserve(taxi_count);
+    locations.reserve(taxi_count);
+    pickups.reserve(taxi_count);
   }
 };
+
+using CandidateArenas = detail::CandidateArenas<RowScratch>;
 
 }  // namespace
 
@@ -332,8 +290,7 @@ PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,
   arenas.begin(ThreadPool::shared().lane_count(), n_requests, n_taxis);
   for_each_row(n_requests, oracle, [&](std::size_t r) {
     const std::size_t lane = ThreadPool::current_lane();
-    CandidateArenas::Lane& out = arenas.lanes[lane];
-    RowScratch& scratch = out.scratch;
+    RowScratch& scratch = arenas.lanes[lane].scratch;
     const trace::Request& request = requests[r];
     const double trip = oracle.distance(request.pickup, request.dropoff);
     std::vector<std::int32_t>& nearby = scratch.nearby;
@@ -363,14 +320,8 @@ PreferenceProfile build_nonsharing_profile(std::span<const trace::Taxi> taxis,
     std::vector<double>& pickups = scratch.pickups;
     pickups.resize(feasible.size());
     oracle.distances_to_into(locations, request.pickup, pickups.data());
-    std::vector<PreferenceProfile::Candidate>& row = out.candidates;
+    std::vector<PreferenceProfile::Candidate>& row = arenas.arena(lane, feasible.size());
     const std::size_t offset = row.size();
-    if (offset + feasible.size() > row.capacity()) {
-      // A lane that must grow grows at once to the largest build so far,
-      // so a warm lane reallocates at most once, however the pool splits
-      // the rows between lanes.
-      row.reserve(std::max(arenas.peak_pairs, 2 * (offset + feasible.size())));
-    }
     for (std::size_t k = 0; k < feasible.size(); ++k) {
       const double pickup = pickups[k];
       const double driver = pickup - params.alpha * trip;

@@ -6,19 +6,20 @@
 #include <optional>
 #include <utility>
 
+#include "core/candidate_arenas.h"
 #include "core/shard_engine.h"
 #include "index/spatial_grid.h"
 #include "obs/obs.h"
 #include "routing/optimizer.h"
 #include "util/contracts.h"
+#include "util/thread_pool.h"
 
 namespace o2o::core {
 
 namespace {
 
-/// Per-worker buffers for the sharing profile's row loop, reused across
-/// every unit a worker scores, so a row allocates only its own candidate
-/// list (the EvalScratch idiom of packing/groups.cpp).
+/// Per-lane buffers for the sharing profile's row loop, reused across
+/// every unit a lane scores (the EvalScratch idiom of packing/groups.cpp).
 struct RowScratch {
   std::vector<std::int32_t> candidates;  // radius hits, then sorted unique ids
   std::vector<int> feasible;             // seat-feasible candidates
@@ -26,7 +27,18 @@ struct RowScratch {
   std::vector<double> totals;            // Σ member pick-up distances
   std::vector<double> pickups;           // one member's pick-up row
   std::vector<std::pair<double, int>> passing;  // (bound, taxi)
+
+  void reserve(std::size_t taxi_count) {
+    candidates.reserve(taxi_count);
+    feasible.reserve(taxi_count);
+    locations.reserve(taxi_count);
+    totals.reserve(taxi_count);
+    pickups.reserve(taxi_count);
+    passing.reserve(taxi_count);
+  }
 };
+
+using CandidateArenas = detail::CandidateArenas<RowScratch>;
 
 }  // namespace
 
@@ -170,10 +182,14 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
   const index::SpatialGrid* grid =
       candidate_grid(taxis, passenger_threshold, taxi_grid, local_grid);
 
-  std::vector<std::vector<PreferenceProfile::Candidate>> rows(n_units);
-
+  // The calling thread's arenas, bound to a local reference that the row
+  // body captures (see build_nonsharing_profile).
+  thread_local CandidateArenas this_thread_arenas;
+  CandidateArenas& arenas = this_thread_arenas;
+  arenas.begin(ThreadPool::shared().lane_count(), n_units, n_taxis);
   for_each_row(n_units, oracle, [&](std::size_t u) {
-    thread_local RowScratch scratch;
+    const std::size_t lane = ThreadPool::current_lane();
+    RowScratch& scratch = arenas.lanes[lane].scratch;
     const auto& member_indices = units.units[u];
 
     // Candidate taxis. A taxi passes the mean-pick-up bound below only if
@@ -242,7 +258,8 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
     std::sort(passing.begin(), passing.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });
 
-    rows[u].reserve(passing.size());
+    std::vector<PreferenceProfile::Candidate>& row = arenas.arena(lane, passing.size());
+    const std::size_t offset = row.size();
     for (const auto& [bound, candidate] : passing) {
       const auto t = static_cast<std::size_t>(candidate);
       // The stop order comes priced from the solver's own table: D_ck(t)
@@ -270,18 +287,16 @@ SharingOutcome dispatch_sharing(std::span<const trace::Taxi> taxis,
       const double taxi_score =
           taxi_value <= params.preference.taxi_threshold_score ? taxi_value : kUnacceptable;
       if (passenger_score == kUnacceptable && taxi_score == kUnacceptable) continue;
-      rows[u].push_back({candidate, passenger_score, taxi_score});
+      row.push_back({candidate, passenger_score, taxi_score});
     }
-    obs::add(obs::Counter::kPreferencePairs, rows[u].size());
+    arenas.refs[u] = {lane, offset, row.size() - offset};
+    obs::add(obs::Counter::kPreferencePairs, row.size() - offset);
   });
 
-  if (obs::tracing_active()) {
-    std::size_t pairs = 0;
-    for (const auto& row : rows) pairs += row.size();
-    obs::gauge_max(obs::Gauge::kProfilePairsPeak, pairs);
-  }
-  const PreferenceProfile profile = PreferenceProfile::from_candidates(
-      std::move(rows), n_taxis, params.preference.list_cap);
+  const std::span<const std::span<PreferenceProfile::Candidate>> rows = arenas.resolve();
+  obs::gauge_max(obs::Gauge::kProfilePairsPeak, arenas.pairs);
+  const PreferenceProfile profile =
+      PreferenceProfile::from_candidate_rows(rows, n_taxis, params.preference.list_cap);
   profile_stage.reset();
 
   // Lift per-request warm hints to the unit level: a unit is hinted only

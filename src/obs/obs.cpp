@@ -35,7 +35,6 @@ std::string_view stage_name(Stage stage) noexcept {
     case Stage::kPacking: return "packing";
     case Stage::kEnroute: return "enroute";
     case Stage::kDispatch: return "dispatch";
-    case Stage::kGridPatch: return "grid_patch";
     case Stage::kCandidateGen: return "candidate_gen";
     case Stage::kExactEval: return "exact_eval";
     case Stage::kIngest: return "ingest";
@@ -71,8 +70,6 @@ std::string_view counter_name(Counter counter) noexcept {
     case Counter::kSimdBatchOccupancy: return "simd_batch_occupancy";
     case Counter::kGroupCacheHits: return "cache_hits";
     case Counter::kGroupCacheRevalidations: return "cache_revalidations";
-    case Counter::kGridPatches: return "grid_patches";
-    case Counter::kGridCompactions: return "grid_compactions";
     case Counter::kCandidatesReused: return "candidates_reused";
     case Counter::kDaWarmSeeds: return "da_warm_seeds";
     case Counter::kExactParallelBatches: return "exact_parallel_batches";

@@ -43,14 +43,13 @@ enum class Stage : std::uint8_t {
   kPacking,           ///< maximum set packing solve
   kEnroute,           ///< en-route insertion extension
   kDispatch,          ///< whole Dispatcher::dispatch call
-  kGridPatch,         ///< incremental SpatialGrid delta application
   kCandidateGen,      ///< pair-candidate generation (grid queries + dedup or reuse)
   kExactEval,         ///< exact group evaluation (optimal_route + detour checks)
   kIngest,            ///< streaming service: matcher's wait for and take of a frame
   kCodec,             ///< streaming service: wire encode/decode
   kServiceFrame,      ///< streaming service: whole frame (barrier to response)
 };
-inline constexpr std::size_t kStageCount = 14;
+inline constexpr std::size_t kStageCount = 13;
 
 /// Monotone event counters, merged by summation.
 enum class Counter : std::uint8_t {
@@ -78,8 +77,6 @@ enum class Counter : std::uint8_t {
   kSimdBatchOccupancy,   ///< lanes occupied across those batches
   kGroupCacheHits,       ///< feasible groups replayed from the last enumeration
   kGroupCacheRevalidations,  ///< exact group evaluations on a cached call
-  kGridPatches,          ///< incremental SpatialGrid insert/remove/move operations
-  kGridCompactions,      ///< SpatialGrid re-bins triggered by the mutation threshold
   kCandidatesReused,     ///< feasible pairs replayed from the last enumeration
   kDaWarmSeeds,          ///< deferred-acceptance engagements seeded from the prior frame
   kExactParallelBatches, ///< exact-evaluation batches fanned over the thread pool
@@ -88,7 +85,7 @@ enum class Counter : std::uint8_t {
   kIngestBackpressure,   ///< barriers that waited for room in the pipeline window
   kFramesRejected,       ///< frames dropped for violating the api contract
 };
-inline constexpr std::size_t kCounterCount = 33;
+inline constexpr std::size_t kCounterCount = 31;
 
 /// Peak working-set sizes, merged by maximum (within a frame and across
 /// frames in the aggregate view).

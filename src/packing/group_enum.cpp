@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/obs.h"
 #include "util/contracts.h"
 #include "util/simd.h"
 
@@ -73,8 +72,6 @@ void GroupCache::clear() {
   last_.clear();
   last_ids_.clear();
   groups_.clear();
-  grid_.reset();
-  grid_ids_.clear();
 }
 
 const GroupCache::Frame& GroupCache::begin_frame(std::span<const trace::Request> requests,
@@ -178,44 +175,15 @@ std::size_t GroupCache::replay(std::vector<ShareGroup>& out) {
   return pairs;
 }
 
-const index::SpatialGrid* GroupCache::pickup_grid(double cell_km) {
-  obs::StageTimer stage(obs::Stage::kGridPatch);
-  if (!frame_unique_) {
-    grid_.reset();
-    grid_ids_.clear();
-    return nullptr;
-  }
-  if (!grid_) {
-    std::vector<std::int32_t> ids;
-    std::vector<geo::Point> pickups;
-    ids.reserve(requests_.size());
-    pickups.reserve(requests_.size());
-    for (const trace::Request& request : requests_) {
-      ids.push_back(request.id);
-      pickups.push_back(request.pickup);
-    }
-    grid_.emplace(ids, pickups, cell_km);
+const index::SpatialGrid& GroupCache::pickup_grid(std::span<const geo::Point> pickups,
+                                                  double cell_km) {
+  if (grid_) {
+    grid_->rebuild(pickups, cell_km);
   } else {
-    // Patch from the delta against the grid's own membership: departures
-    // out, arrivals in, moved pick-ups relocated.
-    for (const trace::RequestId id : grid_ids_) {
-      if (frame_ids_.find(id) == kNoIndex) grid_->remove(id);
-    }
-    for (const trace::Request& request : requests_) {
-      const auto pos = grid_->position(request.id);
-      if (!pos) {
-        grid_->insert(request.id, request.pickup);
-      } else if (*pos != request.pickup) {
-        grid_->move(request.id, request.pickup);
-      }
-    }
+    grid_.emplace(pickups, cell_km);
   }
-  grid_ids_.clear();
-  for (const trace::Request& request : requests_) grid_ids_.push_back(request.id);
-  return &*grid_;
+  return *grid_;
 }
-
-std::size_t GroupCache::index_of(trace::RequestId id) const { return frame_ids_.find(id); }
 
 void GroupCache::commit(std::span<const ShareGroup> groups, std::span<const double> direct,
                         std::size_t evaluations) {

@@ -41,8 +41,8 @@ inline constexpr double kFilterPadKm = 1e-6;
 /// candidates that churn touched instead of every surviving candidate.
 ///
 /// What is kept: the last enumeration's requests (id, pick-up, drop-off,
-/// seats, direct km) with their id -> index table, the persistent pickup
-/// grid, and the output (the feasible groups as 64-byte records, pairs
+/// seats, direct km) with their id -> index table, the pick-up grid's
+/// arrays, and the output (the feasible groups as 64-byte records, pairs
 /// then triples, each in lexicographic order).
 ///
 /// Replay invariants (DESIGN.md):
@@ -98,13 +98,10 @@ class GroupCache {
   /// number of pairs.
   std::size_t replay(std::vector<ShareGroup>& out);
 
-  /// Persistent pickup grid keyed by RequestId, patched to this frame
-  /// (built with `cell_km` on first use); nullptr, with the grid dropped,
-  /// when an id repeats this frame.
-  const index::SpatialGrid* pickup_grid(double cell_km);
-
-  /// This frame's index of `id`, or kNoIndex when absent.
-  std::size_t index_of(trace::RequestId id) const;
+  /// This frame's pick-up grid: `pickups` (one per request, in frame
+  /// order) rebuilt with `cell_km` into arrays the cache keeps from frame
+  /// to frame. Keyed by frame index, like the point-span SpatialGrid.
+  const index::SpatialGrid& pickup_grid(std::span<const geo::Point> pickups, double cell_km);
 
   /// Records this frame as the last enumeration: its requests, their
   /// direct distances (`direct` spans all frame indices) and its output
@@ -155,8 +152,7 @@ class GroupCache {
   IdTable last_ids_;
   std::vector<ShareGroup> groups_;  ///< its output, in output order
 
-  std::optional<index::SpatialGrid> grid_;  ///< RequestId-keyed pick-ups
-  std::vector<trace::RequestId> grid_ids_;  ///< grid membership
+  std::optional<index::SpatialGrid> grid_;  ///< the last frame's pick-ups
 
   // Fingerprint the output is valid under.
   double theta_ = 0.0;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 
 #include "index/spatial_grid.h"
 #include "obs/obs.h"
@@ -233,18 +234,22 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
       }
       mean_radius /= static_cast<double>(n);
       const double cell_km = std::clamp(mean_radius / 2.0, 0.25, 8.0);
+      // One grid over every pick-up, keyed by frame index; a cache keeps
+      // its arrays from frame to frame.
+      std::optional<index::SpatialGrid> frame_grid;
+      const index::SpatialGrid& grid = cache != nullptr
+                                           ? cache->pickup_grid(pickups, cell_km)
+                                           : frame_grid.emplace(pickups, cell_km);
       std::vector<std::int32_t> hits;
       if (warm) {
-        // (1) Churn requests query the persistent pickup grid with their
-        // own radii (covering the radius[c] side of every churn pair) ...
-        const index::SpatialGrid* pgrid = cache->pickup_grid(cell_km);
-        O2O_EXPECTS(pgrid != nullptr);  // a warm frame's ids are distinct
+        // (1) Churn requests query the pick-up grid with their own radii
+        // (covering the radius[c] side of every churn pair) ...
         for (const std::uint32_t c : frame->churn) {
           hits.clear();
-          pgrid->within_radius_into(pickups[c], radius[c], hits);
+          grid.within_radius_into(pickups[c], radius[c], hits);
           for (const std::int32_t id : hits) {
-            const std::size_t j = cache->index_of(id);
-            if (j == GroupCache::kNoIndex || j == c) continue;
+            const auto j = static_cast<std::size_t>(id);
+            if (j == c) continue;
             const std::size_t a = std::min<std::size_t>(c, j);
             const std::size_t b = std::max<std::size_t>(c, j);
             if (!pickups_close(a, b)) continue;
@@ -274,11 +279,7 @@ std::vector<ShareGroup> enumerate_engine(std::span<const trace::Request> request
           }
         }
       } else {
-        // Cold frame: one fresh grid over all pick-ups. The persistent
-        // grid still follows the frame, so the next warm frame patches a
-        // delta instead of building it.
-        if (frame != nullptr) cache->pickup_grid(cell_km);
-        const index::SpatialGrid grid(pickups, cell_km);
+        // Cold frame: every request queries the pick-up grid.
         for (std::size_t i = 0; i < n; ++i) {
           hits.clear();
           grid.within_radius_into(pickups[i], radius[i], hits);

@@ -49,7 +49,7 @@ FrameBuffers& FrameSnapshotter::fill() {
 DispatchContext FrameSnapshotter::assemble(double now) {
   // Index the idle snapshot so dispatchers can prune candidate taxis by
   // radius instead of scanning the whole fleet. The grid is rebuilt in
-  // place, so a warm frame reuses last frame's buckets.
+  // place, so a warm frame reuses last frame's arrays.
   const std::span<const trace::Taxi> idle(frame_.idle);
   if (!idle_grid_) {
     idle_grid_.emplace(idle, idle_grid_cell_km_);

@@ -3,108 +3,125 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <limits>
-#include <unordered_map>
-#include <utility>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
 
+// Every global allocation in this binary bumps the counter, so a test can
+// read it around a rebuild. The replacements pair malloc with free; GCC
+// cannot see that through the replaced operators and warns.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 namespace o2o::index {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 geo::Rect bounds() { return geo::Rect{{0, 0}, {20, 20}}; }
 
-/// Every query answer checked against a scan of `objects`; radii stay
+/// Indices of `points` within `radius` of `q`, ascending: the grid's
+/// squared-distance predicate, evaluated by a scan.
+std::vector<std::int32_t> brute_force(const std::vector<geo::Point>& points, geo::Point q,
+                                      double radius) {
+  std::vector<std::int32_t> ids;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (geo::squared_distance(q, points[i]) <= radius * radius) {
+      ids.push_back(static_cast<std::int32_t>(i));
+    }
+  }
+  return ids;
+}
+
+std::vector<std::int32_t> sorted_query(const SpatialGrid& grid, geo::Point q, double radius) {
+  std::vector<std::int32_t> ids = grid.within_radius(q, radius);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// Every query answer checked against a scan of `points`; radii stay
 /// below 1e154 so the squared-distance test cannot overflow.
-void expect_exact_queries(const SpatialGrid& grid,
-                          const std::vector<std::pair<std::int32_t, geo::Point>>& objects,
+void expect_exact_queries(const SpatialGrid& grid, const std::vector<geo::Point>& points,
                           const std::vector<geo::Point>& queries) {
-  const double kInf = std::numeric_limits<double>::infinity();
   for (const geo::Point& q : queries) {
     for (const double radius : {0.0, 1.0, 500.0, 2e5, kInf}) {
-      auto found = grid.within_radius(q, radius);
-      std::sort(found.begin(), found.end());
       std::vector<std::int32_t> expected;
-      for (const auto& [id, pos] : objects) {
-        if (geo::euclidean_distance(q, pos) <= radius) expected.push_back(id);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (geo::euclidean_distance(q, points[i]) <= radius) {
+          expected.push_back(static_cast<std::int32_t>(i));
+        }
       }
-      EXPECT_EQ(found, expected) << q.x << "," << q.y << " r=" << radius;
+      EXPECT_EQ(sorted_query(grid, q, radius), expected) << q.x << "," << q.y << " r=" << radius;
     }
   }
 }
 
-TEST(SpatialGrid, InsertLookupRemove) {
-  SpatialGrid grid(bounds(), 1.0);
-  grid.upsert(1, {5, 5});
-  EXPECT_TRUE(grid.contains(1));
-  EXPECT_EQ(grid.size(), 1u);
-  EXPECT_EQ(grid.position(1)->x, 5.0);
-  grid.remove(1);
-  EXPECT_FALSE(grid.contains(1));
-  EXPECT_EQ(grid.size(), 0u);
-  EXPECT_FALSE(grid.position(1).has_value());
-}
-
-TEST(SpatialGrid, RemoveMissingIsNoOp) {
-  SpatialGrid grid(bounds(), 1.0);
-  grid.remove(42);
-  EXPECT_EQ(grid.size(), 0u);
-}
-
-TEST(SpatialGrid, UpsertMovesAcrossCells) {
-  SpatialGrid grid(bounds(), 1.0);
-  grid.upsert(7, {1, 1});
-  grid.upsert(7, {18, 18});
-  EXPECT_EQ(grid.size(), 1u);
-  EXPECT_EQ(grid.within_radius({19, 19}, 2.0), (std::vector<std::int32_t>{7}));
-  EXPECT_TRUE(grid.within_radius({1, 1}, 2.0).empty());
+std::vector<trace::Taxi> taxis_at(const std::vector<geo::Point>& points) {
+  std::vector<trace::Taxi> taxis(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    taxis[i] = {static_cast<trace::TaxiId>(1000 + i), points[i], 4};
+  }
+  return taxis;
 }
 
 TEST(SpatialGrid, ObjectsOutsideBoundsAreStillFindable) {
-  SpatialGrid grid(bounds(), 1.0);
-  grid.upsert(9, {-50, -50});  // clamped into an edge cell
-  grid.upsert(4, {3, 3});
-  expect_exact_queries(grid, {{4, {3, 3}}, {9, {-50, -50}}},
-                       {{0, 0}, {3, 3}, {-50, -50}, {-49.5, -49.5}, {20, 20}});
+  const std::vector<geo::Point> points{{-50, -50}, {3, 3}};  // the first clamps to an edge cell
+  const SpatialGrid grid(bounds(), 1.0, points);
+  expect_exact_queries(grid, points, {{0, 0}, {3, 3}, {-50, -50}, {-49.5, -49.5}, {20, 20}});
 }
 
 TEST(SpatialGrid, WithinRadiusBoundary) {
-  SpatialGrid grid(bounds(), 1.0);
-  grid.upsert(1, {3, 0});
-  grid.upsert(2, {3.1, 0});
-  auto hits = grid.within_radius({0, 0}, 3.0);
-  EXPECT_EQ(hits, (std::vector<std::int32_t>{1}));
+  const std::vector<geo::Point> points{{3, 0}, {3.1, 0}};
+  const SpatialGrid grid(bounds(), 1.0, points);
+  EXPECT_EQ(grid.within_radius({0, 0}, 3.0), (std::vector<std::int32_t>{0}));
 }
 
 class SpatialGridRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SpatialGridRandom, MatchesBruteForceQueries) {
   Rng rng(GetParam());
-  SpatialGrid grid(bounds(), 0.8);
-  std::vector<std::pair<std::int32_t, geo::Point>> objects;
-  for (std::int32_t id = 0; id < 60; ++id) {
-    const geo::Point p{rng.uniform(0, 20), rng.uniform(0, 20)};
-    grid.upsert(id, p);
-    objects.emplace_back(id, p);
-  }
+  std::vector<geo::Point> points;
+  for (int i = 0; i < 60; ++i) points.push_back({rng.uniform(0, 20), rng.uniform(0, 20)});
+  const SpatialGrid grid(bounds(), 0.8, points);
   for (int q = 0; q < 50; ++q) {
     const geo::Point p{rng.uniform(-2, 22), rng.uniform(-2, 22)};
     const double radius = rng.uniform(0.5, 8.0);
-    auto in_radius = grid.within_radius(p, radius);
-    std::sort(in_radius.begin(), in_radius.end());
-    std::vector<std::int32_t> expected_ids;
-    for (const auto& [id, pos] : objects) {
-      if (geo::euclidean_distance(p, pos) <= radius) expected_ids.push_back(id);
+    std::vector<std::int32_t> expected;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (geo::euclidean_distance(p, points[i]) <= radius) {
+        expected.push_back(static_cast<std::int32_t>(i));
+      }
     }
-    EXPECT_EQ(in_radius, expected_ids);
+    EXPECT_EQ(sorted_query(grid, p, radius), expected);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpatialGridRandom, ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(SpatialGridBulk, KeysBySpanIndexNotTaxiId) {
-  // Taxi ids are deliberately non-contiguous; the bulk constructor keys
+  // Taxi ids are deliberately non-contiguous; the taxi constructor keys
   // entries by position in the span so dispatch code can index straight
   // back into its frame-local vectors.
   std::vector<trace::Taxi> taxis{{100, {2.0, 3.0}, 4},
@@ -113,37 +130,26 @@ TEST(SpatialGridBulk, KeysBySpanIndexNotTaxiId) {
   const SpatialGrid grid(std::span<const trace::Taxi>(taxis), 1.0);
   EXPECT_EQ(grid.size(), taxis.size());
   for (std::size_t i = 0; i < taxis.size(); ++i) {
-    const auto pos = grid.position(static_cast<std::int32_t>(i));
-    ASSERT_TRUE(pos.has_value()) << "span index " << i;
-    EXPECT_EQ(pos->x, taxis[i].location.x);
-    EXPECT_EQ(pos->y, taxis[i].location.y);
+    EXPECT_EQ(grid.within_radius(taxis[i].location, 0.0),
+              (std::vector<std::int32_t>{static_cast<std::int32_t>(i)}))
+        << "span index " << i;
   }
-  EXPECT_FALSE(grid.contains(100));
-
-  auto near_origin = grid.within_radius({2.0, 3.0}, 1.0);
-  std::sort(near_origin.begin(), near_origin.end());
-  EXPECT_EQ(near_origin, (std::vector<std::int32_t>{0, 2}));
+  EXPECT_EQ(sorted_query(grid, {2.0, 3.0}, 1.0), (std::vector<std::int32_t>{0, 2}));
 }
 
-TEST(SpatialGridBulk, MatchesIncrementalConstructionOnRandomFleets) {
+// The taxi constructor's padded bounds and an explicit box that leaves
+// some taxis outside (clamped to edge cells) answer every query alike.
+TEST(SpatialGridBulk, MatchesAnExplicitBoundsBuildOnRandomFleets) {
   Rng rng(99);
-  std::vector<trace::Taxi> taxis;
-  for (int t = 0; t < 60; ++t) {
-    taxis.push_back({t, {rng.uniform(-5, 25), rng.uniform(-5, 25)}, 4});
-  }
+  std::vector<geo::Point> points;
+  for (int t = 0; t < 60; ++t) points.push_back({rng.uniform(-5, 25), rng.uniform(-5, 25)});
+  const std::vector<trace::Taxi> taxis = taxis_at(points);
   const SpatialGrid bulk(std::span<const trace::Taxi>(taxis), 1.5);
-  SpatialGrid incremental(bounds(), 1.5);
-  for (std::size_t i = 0; i < taxis.size(); ++i) {
-    incremental.upsert(static_cast<std::int32_t>(i), taxis[i].location);
-  }
+  const SpatialGrid boxed(bounds(), 1.5, points);
   for (int probe = 0; probe < 40; ++probe) {
     const geo::Point p{rng.uniform(-8, 28), rng.uniform(-8, 28)};
     const double radius = rng.uniform(0.5, 10.0);
-    auto a = bulk.within_radius(p, radius);
-    auto b = incremental.within_radius(p, radius);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "probe " << probe;
+    EXPECT_EQ(sorted_query(bulk, p, radius), sorted_query(boxed, p, radius)) << "probe " << probe;
   }
 }
 
@@ -154,114 +160,13 @@ TEST(SpatialGridBulk, EmptySpanYieldsAValidEmptyGrid) {
   EXPECT_TRUE(grid.within_radius({0.5, 0.5}, 100.0).empty());
 }
 
-TEST(SpatialGridDelta, MultiFrameChurnSoakMatchesFreshGrids) {
-  // The incremental-frame engine's contract: a grid patched with
-  // insert/remove/move across many frames answers within_radius_into
-  // identically (same ids, same order) to a grid freshly bulk-built over
-  // the same membership, including across auto-compactions.
-  Rng rng(77);
-  std::unordered_map<std::int32_t, geo::Point> live;
-  SpatialGrid patched(geo::Rect{{0.0, 0.0}, {20.0, 20.0}}, 1.0);
-  std::int32_t next_id = 0;
-  const auto random_point = [&] {
-    return geo::Point{rng.uniform(-10.0, 40.0), rng.uniform(-10.0, 40.0)};
-  };
-  for (int i = 0; i < 40; ++i) {
-    const geo::Point p = random_point();
-    live.emplace(next_id, p);
-    patched.insert(next_id, p);
-    ++next_id;
-  }
-  std::size_t compactions_crossed = 0;
-  for (int frame = 0; frame < 30; ++frame) {
-    // Churn: ~20% departures, ~20% arrivals, ~30% of survivors drift.
-    for (auto it = live.begin(); it != live.end();) {
-      if (rng.uniform(0.0, 1.0) < 0.2) {
-        patched.remove(it->first);
-        it = live.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (int added = 0; added < 8; ++added) {
-      const geo::Point p = random_point();
-      live.emplace(next_id, p);
-      patched.insert(next_id, p);
-      ++next_id;
-    }
-    const std::size_t before = patched.mutations_since_compact();
-    for (auto& [id, p] : live) {
-      if (rng.uniform(0.0, 1.0) < 0.3) {
-        p = random_point();
-        patched.move(id, p);
-      }
-    }
-    if (patched.mutations_since_compact() < before) ++compactions_crossed;
-
-    // Fresh reference over the identical membership, sorted-by-id input
-    // so both grids share the bucket-order invariant.
-    std::vector<std::pair<std::int32_t, geo::Point>> sorted(live.begin(), live.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<std::int32_t> ids;
-    std::vector<geo::Point> points;
-    for (const auto& [id, p] : sorted) {
-      ids.push_back(id);
-      points.push_back(p);
-    }
-    const SpatialGrid fresh(ids, points, 1.0);
-    ASSERT_EQ(patched.size(), fresh.size());
-    std::vector<std::int32_t> a;
-    std::vector<std::int32_t> b;
-    for (int probe = 0; probe < 25; ++probe) {
-      const geo::Point p = random_point();
-      const double radius = rng.uniform(0.5, 12.0);
-      a.clear();
-      b.clear();
-      patched.within_radius_into(p, radius, a);
-      fresh.within_radius_into(p, radius, b);
-      // The exact squared-distance predicate makes the *sets* equal; the
-      // sorted-bucket invariant is what makes the raw order equal too.
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      EXPECT_EQ(a, b) << "frame " << frame << " probe " << probe;
-    }
-  }
-  // The soak is only meaningful if the auto-compaction actually fired.
-  EXPECT_GT(compactions_crossed, 0u);
-}
-
-TEST(SpatialGridDelta, ExplicitCompactPreservesAnswers) {
-  Rng rng(81);
-  SpatialGrid grid(geo::Rect{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
-  for (std::int32_t id = 0; id < 50; ++id) {
-    grid.insert(id, {rng.uniform(-20.0, 30.0), rng.uniform(-20.0, 30.0)});
-  }
-  // Drift everything far outside the original bounds, then compact.
-  for (std::int32_t id = 0; id < 50; ++id) {
-    if (id % 2 == 0) grid.move(id, {rng.uniform(100.0, 140.0), rng.uniform(100.0, 140.0)});
-  }
-  auto before = grid.within_radius({120.0, 120.0}, 30.0);
-  grid.compact();
-  EXPECT_EQ(grid.mutations_since_compact(), 0u);
-  auto after = grid.within_radius({120.0, 120.0}, 30.0);
-  // Membership is exact either way; only the cell-traversal order (and
-  // with it the raw emission order) changes when compaction re-bins.
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  EXPECT_EQ(before, after);
-  EXPECT_FALSE(before.empty());
-}
-
 TEST(SpatialGridBulk, QueriesFarOutsideThePaddedBoundsStillWork) {
   std::vector<trace::Taxi> taxis{{0, {0.0, 0.0}, 4}, {1, {1.0, 0.0}, 4}};
   const SpatialGrid grid(std::span<const trace::Taxi>(taxis), 1.0);
   // A query point hundreds of km outside the fleet's bounding box must
   // clamp, not crash, and still honour the radius test exactly.
   EXPECT_TRUE(grid.within_radius({500.0, 500.0}, 10.0).empty());
-  auto all = grid.within_radius({500.0, 500.0}, 1000.0);
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(all, (std::vector<std::int32_t>{0, 1}));
+  EXPECT_EQ(sorted_query(grid, {500.0, 500.0}, 1000.0), (std::vector<std::int32_t>{0, 1}));
 }
 
 TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
@@ -270,7 +175,7 @@ TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
   const std::vector<geo::Point> points{{0.5, 0.5}, {90000.0, 90000.0}};
   const SpatialGrid grid(std::span<const geo::Point>(points), 0.25);
   EXPECT_LE(grid.cell_count(), std::size_t{1} << 18);
-  expect_exact_queries(grid, {{0, points[0]}, {1, points[1]}},
+  expect_exact_queries(grid, points,
                        {{0.0, 0.0}, {0.5, 0.5}, {45000.0, 45000.0}, {90000.0, 89999.5},
                         {-1e6, 3.0}, {1.0, 1.0}, {89000.0, 90000.0}});
 
@@ -279,15 +184,14 @@ TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
   const std::vector<geo::Point> extreme{{0.5, 0.5}, {90000.0, 90000.0}, {1e300, 1e300}};
   const SpatialGrid wide(std::span<const geo::Point>(extreme), 0.25);
   EXPECT_LE(wide.cell_count(), std::size_t{1} << 18);
-  expect_exact_queries(wide, {{0, extreme[0]}, {1, extreme[1]}, {2, extreme[2]}},
+  expect_exact_queries(wide, extreme,
                        {{0.0, 0.0}, {90000.0, 90000.0}, {1e300, 1e300}, {1e300, 0.0}});
 
   // An extent past the largest double (width overflows to infinity).
   const std::vector<geo::Point> widest{{-1.7e308, 0.0}, {1.7e308, 0.0}, {0.0, 3.0}};
   const SpatialGrid widest_grid(std::span<const geo::Point>(widest), 0.25);
   EXPECT_LE(widest_grid.cell_count(), std::size_t{1} << 18);
-  expect_exact_queries(widest_grid, {{0, widest[0]}, {1, widest[1]}, {2, widest[2]}},
-                       {{0.0, 0.0}, {1.7e308, 0.0}, {-1.7e308, 1.0}});
+  expect_exact_queries(widest_grid, widest, {{0.0, 0.0}, {1.7e308, 0.0}, {-1.7e308, 1.0}});
 
   // Far from the origin a coordinate's ulp exceeds the pad: a lone point
   // or a column of equal coordinates must still get a box of positive
@@ -296,56 +200,12 @@ TEST(SpatialGridBulk, FarApartPointsKeepTheCellCountBounded) {
     const std::vector<geo::Point> single{{far, far}};
     const SpatialGrid lone(std::span<const geo::Point>(single), 0.25);
     EXPECT_LE(lone.cell_count(), std::size_t{1} << 18) << far;
-    expect_exact_queries(lone, {{0, single[0]}}, {{far, far}, {0.0, 0.0}, {far, 0.0}});
+    expect_exact_queries(lone, single, {{far, far}, {0.0, 0.0}, {far, 0.0}});
 
     const std::vector<geo::Point> column{{far, 0.0}, {far, 5.0}, {far, far}};
     const SpatialGrid equal_x(std::span<const geo::Point>(column), 0.25);
     EXPECT_LE(equal_x.cell_count(), std::size_t{1} << 18) << far;
-    expect_exact_queries(equal_x, {{0, column[0]}, {1, column[1]}, {2, column[2]}},
-                         {{far, 0.0}, {far, 4.5}, {far, far}, {0.0, 0.0}});
-  }
-}
-
-TEST(SpatialGridDelta, CompactionAfterAFarMoveKeepsTheCellCountBounded) {
-  std::vector<trace::Taxi> taxis{{0, {0.0, 0.0}, 4}, {1, {1.0, 0.0}, 4}};
-  SpatialGrid grid(std::span<const trace::Taxi>(taxis), 0.25);
-  grid.move(1, {90000.0, 90000.0});
-  grid.compact();
-  EXPECT_LE(grid.cell_count(), std::size_t{1} << 18);
-  expect_exact_queries(grid, {{0, {0.0, 0.0}}, {1, {90000.0, 90000.0}}},
-                       {{0.0, 0.0}, {90000.0, 90000.0}, {30.0, -7.0}});
-}
-
-// The id -> position table against a map: random upserts and removes
-// over a small id range (long probe runs, many backward shifts) plus the
-// int32 extremes, with every id's membership and position checked after
-// each step.
-TEST(SpatialGridDelta, PositionsTrackAReferenceMap) {
-  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
-  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
-  std::vector<std::int32_t> probes{kMin, kMax};
-  for (std::int32_t id = -8; id < 40; ++id) probes.push_back(id);  // negatives too
-  Rng rng(91);
-  SpatialGrid grid(bounds(), 2.0);
-  std::unordered_map<std::int32_t, geo::Point> reference;
-  for (int step = 0; step < 3000; ++step) {
-    const std::int32_t id = probes[rng.uniform_index(probes.size())];
-    if (rng.bernoulli(0.45)) {
-      grid.remove(id);
-      reference.erase(id);
-    } else {
-      const geo::Point p{rng.uniform(-5.0, 25.0), rng.uniform(-5.0, 25.0)};
-      grid.upsert(id, p);
-      reference[id] = p;
-    }
-    ASSERT_EQ(grid.size(), reference.size()) << "step " << step;
-    for (const std::int32_t probe : probes) {
-      const auto it = reference.find(probe);
-      ASSERT_EQ(grid.contains(probe), it != reference.end()) << "step " << step;
-      if (it != reference.end()) {
-        ASSERT_EQ(*grid.position(probe), it->second) << "step " << step;
-      }
-    }
+    expect_exact_queries(equal_x, column, {{far, 0.0}, {far, 4.5}, {far, far}, {0.0, 0.0}});
   }
 }
 
@@ -371,15 +231,11 @@ TEST(SpatialGridBulk, RebuildMatchesAFreshBuildEveryFrame) {
       EXPECT_EQ(rebuilt.within_radius(p, radius), fresh.within_radius(p, radius))
           << "frame " << frame << " probe " << probe;
     }
-    for (std::size_t i = 0; i < taxis.size(); ++i) {
-      EXPECT_EQ(*rebuilt.position(static_cast<std::int32_t>(i)), taxis[i].location);
-    }
   }
 }
 
 // One frame with an outlier taxi widens the grid to the cell cap; the
-// frames after it must go back to a grid sized by their own fleet, not
-// keep the outlier's buckets.
+// frames after it go back to a grid sized by their own fleet.
 TEST(SpatialGridBulk, RebuildAfterAFarFrameKeepsTheBucketCountBounded) {
   std::vector<trace::Taxi> normal{{0, {0.5, 0.5}, 4}, {1, {3.0, 2.0}, 4}, {2, {1.0, 4.0}, 4}};
   std::vector<trace::Taxi> far = normal;
@@ -387,16 +243,164 @@ TEST(SpatialGridBulk, RebuildAfterAFarFrameKeepsTheBucketCountBounded) {
   SpatialGrid grid(std::span<const trace::Taxi>(normal), 0.25);
   const std::size_t normal_cells = grid.cell_count();
   grid.rebuild(far);
-  EXPECT_LE(grid.bucket_count(), std::size_t{1} << 18);
+  EXPECT_LE(grid.cell_count(), std::size_t{1} << 18);
   EXPECT_GT(grid.cell_count(), 4 * normal_cells);
+  const std::vector<geo::Point> locations{normal[0].location, normal[1].location,
+                                          normal[2].location};
   for (int frame = 0; frame < 3; ++frame) {
     grid.rebuild(normal);
     EXPECT_EQ(grid.cell_count(), normal_cells) << "frame " << frame;
-    EXPECT_LE(grid.bucket_count(), 2 * grid.cell_count()) << "frame " << frame;
-    expect_exact_queries(grid, {{0, normal[0].location}, {1, normal[1].location},
-                                {2, normal[2].location}},
-                         {{0.0, 0.0}, {2.0, 2.0}, {90000.0, 90000.0}, {1.0, 4.0}});
+    expect_exact_queries(grid, locations, {{0.0, 0.0}, {2.0, 2.0}, {90000.0, 90000.0}, {1.0, 4.0}});
   }
+}
+
+// Entries come out cell by cell in row-major order, and by ascending id
+// inside a cell, whatever order the points arrive in.
+TEST(SpatialGridLayout, EmissionOrderIsRowMajorCellsThenAscendingIds) {
+  // A 4 x 4 grid of 1 km cells over [0, 4)^2.
+  const std::vector<geo::Point> points{
+      {3.5, 3.5},  // 0: cell (3, 3)
+      {0.5, 2.5},  // 1: cell (0, 2)
+      {2.5, 0.5},  // 2: cell (2, 0)
+      {0.5, 0.5},  // 3: cell (0, 0)
+      {2.2, 0.8},  // 4: cell (2, 0)
+      {0.5, 2.5},  // 5: cell (0, 2), a duplicate of 1
+      {1.0, 0.0},  // 6: on the border of cells (0, 0) and (1, 0): cell (1, 0)
+      {3.9, 2.1},  // 7: cell (3, 2)
+  };
+  const SpatialGrid grid(geo::Rect{{0.0, 0.0}, {4.0, 4.0}}, 1.0, points);
+  ASSERT_EQ(grid.cell_count(), 16u);
+  EXPECT_EQ(grid.within_radius({2.0, 2.0}, kInf),
+            (std::vector<std::int32_t>{3, 6, 2, 4, 1, 5, 7, 0}));
+  // A query over cells x in [0, 2] of rows 0 and 1 scans one run per row.
+  EXPECT_EQ(grid.within_radius({1.25, 0.5}, 1.25), (std::vector<std::int32_t>{3, 6, 2, 4}));
+}
+
+/// A fleet shape for the differential: uniform, clustered around a few
+/// centres (many duplicate positions and cell-border points), or
+/// clustered plus far-apart outliers that push the grid to its cell cap.
+enum class Shape { kUniform, kClustered, kFarApart };
+
+std::vector<geo::Point> make_points(Rng& rng, Shape shape, std::size_t count, double cell_km) {
+  std::vector<geo::Point> points;
+  points.reserve(count);
+  std::vector<geo::Point> centres;
+  for (int c = 0; c < 4; ++c) centres.push_back({rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)});
+  for (std::size_t i = 0; i < count; ++i) {
+    const double pick = rng.uniform(0.0, 1.0);
+    if (shape == Shape::kUniform || pick < 0.2) {
+      points.push_back({rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)});
+    } else if (pick < 0.4 && !points.empty()) {
+      points.push_back(points[rng.uniform_index(points.size())]);  // duplicate position
+    } else if (pick < 0.6) {
+      // On a cell border of the requested cell size (from the origin).
+      points.push_back({std::round(rng.uniform(0.0, 30.0) / cell_km) * cell_km,
+                        std::round(rng.uniform(0.0, 30.0) / cell_km) * cell_km});
+    } else {
+      const geo::Point& centre = centres[rng.uniform_index(centres.size())];
+      points.push_back({centre.x + rng.normal(0.0, 0.7), centre.y + rng.normal(0.0, 0.7)});
+    }
+  }
+  if (shape == Shape::kFarApart) {
+    points.push_back({90000.0, -90000.0});
+    points.push_back({-3e5, 2e5});
+  }
+  return points;
+}
+
+/// Query points: a random mix of uniform points, existing positions and
+/// cell borders, with radius 0, small, large and infinite radii.
+void expect_matches_brute_force(const SpatialGrid& grid, const std::vector<geo::Point>& points,
+                                Rng& rng, double cell_km) {
+  std::vector<std::int32_t> hits;
+  for (int probe = 0; probe < 60; ++probe) {
+    geo::Point q{rng.uniform(-5.0, 35.0), rng.uniform(-5.0, 35.0)};
+    if (probe % 3 == 1 && !points.empty()) q = points[rng.uniform_index(points.size())];
+    if (probe % 3 == 2) q = {std::round(q.x / cell_km) * cell_km, q.y};
+    for (const double radius : {0.0, rng.uniform(0.0, 2.0 * cell_km), rng.uniform(0.0, 20.0),
+                                1e6, kInf}) {
+      hits.clear();
+      grid.within_radius_into(q, radius, hits);
+      std::sort(hits.begin(), hits.end());
+      ASSERT_EQ(hits, brute_force(points, q, radius))
+          << "probe " << probe << " at " << q.x << "," << q.y << " r=" << radius;
+    }
+  }
+}
+
+struct DifferentialCase {
+  std::uint64_t seed;
+  Shape shape;
+};
+
+class SpatialGridDifferential : public ::testing::TestWithParam<DifferentialCase> {};
+
+TEST_P(SpatialGridDifferential, MatchesBruteForceAcrossGrowingThenShrinkingRebuilds) {
+  Rng rng(GetParam().seed);
+  const Shape shape = GetParam().shape;
+  // The far-apart fleets use a fine cell, so the cap is what sizes them.
+  const double cell_km = shape == Shape::kFarApart ? 0.05 : rng.uniform(0.3, 3.0);
+  SpatialGrid grid(std::span<const trace::Taxi>{}, cell_km);
+  for (const std::size_t count : {1u, 40u, 400u, 3000u, 120u, 7u, 0u, 900u}) {
+    SCOPED_TRACE(::testing::Message() << "count " << count);
+    const std::vector<geo::Point> points = make_points(rng, shape, count, cell_km);
+    const std::vector<trace::Taxi> taxis = taxis_at(points);
+    grid.rebuild(taxis);
+    ASSERT_EQ(grid.size(), points.size());
+    const std::size_t cap = std::max<std::size_t>(std::size_t{1} << 18, 4 * points.size());
+    EXPECT_LE(grid.cell_count(), cap);
+    // The far-apart fleets span ~10^5 km at 0.05 km cells: the cap binds.
+    if (shape == Shape::kFarApart) {
+      EXPECT_GT(grid.cell_count(), cap / 8);
+    }
+    expect_matches_brute_force(grid, points, rng, cell_km);
+
+    // A fresh build emits the same ids in the same order.
+    const SpatialGrid fresh(std::span<const geo::Point>(points), cell_km);
+    for (int probe = 0; probe < 10; ++probe) {
+      const geo::Point q{rng.uniform(-5.0, 35.0), rng.uniform(-5.0, 35.0)};
+      const double radius = rng.uniform(0.0, 15.0);
+      EXPECT_EQ(grid.within_radius(q, radius), fresh.within_radius(q, radius));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fleets, SpatialGridDifferential,
+    ::testing::Values(DifferentialCase{1, Shape::kUniform}, DifferentialCase{2, Shape::kUniform},
+                      DifferentialCase{3, Shape::kClustered},
+                      DifferentialCase{4, Shape::kClustered},
+                      DifferentialCase{5, Shape::kFarApart},
+                      DifferentialCase{6, Shape::kFarApart}),
+    [](const ::testing::TestParamInfo<DifferentialCase>& info) {
+      const char* shape = info.param.shape == Shape::kUniform     ? "Uniform"
+                          : info.param.shape == Shape::kClustered ? "Clustered"
+                                                                  : "FarApart";
+      return std::string(shape) + std::to_string(info.param.seed);
+    });
+
+// The frame-rebuilt grids (the idle-taxi grid, the pick-up grid) reuse
+// their arrays: a rebuild over no more points than an earlier one, at a
+// geometry no larger, allocates nothing.
+TEST(SpatialGridLayout, WarmRebuildAllocatesNothing) {
+  Rng rng(17);
+  std::vector<geo::Point> largest;
+  for (int i = 0; i < 500; ++i) largest.push_back({rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0)});
+  const std::vector<trace::Taxi> largest_fleet = taxis_at(largest);
+  std::vector<trace::Taxi> smaller(largest_fleet.begin(), largest_fleet.begin() + 200);
+  SpatialGrid taxi_grid(std::span<const trace::Taxi>(largest_fleet), 1.0);
+  SpatialGrid point_grid(std::span<const geo::Point>(largest), 1.0);
+
+  const std::size_t before = g_allocations.load();
+  taxi_grid.rebuild(largest_fleet);
+  taxi_grid.rebuild(smaller);
+  taxi_grid.rebuild(std::span<const trace::Taxi>{});
+  point_grid.rebuild(largest, 1.0);
+  point_grid.rebuild(std::span<const geo::Point>(largest).first(100), 2.0);
+  const std::size_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(taxi_grid.size(), 0u);
+  EXPECT_EQ(point_grid.size(), 100u);
 }
 
 }  // namespace

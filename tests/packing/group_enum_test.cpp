@@ -573,7 +573,6 @@ TEST(CandidatePersistence, WarmFramesActuallyReuseLists) {
   enumerate_share_groups(requests, kOracle, options, 4, &cache);
   const obs::FrameTrace hot = sink.end_frame();
   EXPECT_GT(counter(hot, obs::Counter::kCandidatesReused), 0u);
-  EXPECT_GT(counter(hot, obs::Counter::kGridPatches), 0u);
 }
 
 TEST(CandidatePersistence, RadiusChangesStaySound) {
